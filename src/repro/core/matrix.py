@@ -26,6 +26,7 @@ from ..internals.containers import (
     mat_from_coo,
     row_gather,
 )
+from ..internals.stream import REMOVED, apply_matrix_writes
 from .binaryop import BinaryOp
 from .context import Context
 from .errors import (
@@ -213,88 +214,93 @@ class Matrix(OpaqueObject):
                 self.remove_element(row, col)
                 return
             value = src.value
-        coerced = self._type.coerce_scalar(value)
-        t = self._type
-
-        def thunk(d):
-            if isinstance(d, DcsrData):
-                # Hypersparse: locate the row by binary search over the
-                # nonempty-row list; an absent row is spliced in.
-                ri = int(np.searchsorted(d.row_ids, row))
-                if ri < len(d.row_ids) and d.row_ids[ri] == row:
-                    lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
-                    pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-                    if pos < hi and d.col_indices[pos] == col:
-                        vals = d.values.copy()
-                        vals[pos] = coerced
-                        return DcsrData(d.nrows, d.ncols, t, d.row_ids,
-                                        d.indptr, d.col_indices, vals)
-                    row_ids = d.row_ids
-                    indptr = d.indptr.copy()
-                else:
-                    pos = int(d.indptr[ri])
-                    row_ids = np.insert(d.row_ids, ri, row).astype(_INT)
-                    indptr = np.insert(d.indptr, ri, d.indptr[ri]).astype(_INT)
-                indptr[ri + 1:] += 1
-                cols = np.insert(d.col_indices, pos, col).astype(_INT)
-                vals = insert_value(d.values, pos, coerced, t)
-                return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
-                                cols, vals)
-            lo, hi = d.indptr[row], d.indptr[row + 1]
-            pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-            if pos < hi and d.col_indices[pos] == col:
-                vals = d.values.copy()
-                vals[pos] = coerced
-                return MatData(d.nrows, d.ncols, t, d.indptr, d.col_indices, vals)
-            indptr = d.indptr.copy()
-            indptr[row + 1:] += 1
-            cols = np.insert(d.col_indices, pos, col).astype(_INT)
-            vals = insert_value(d.values, pos, coerced, t)
-            return MatData(d.nrows, d.ncols, t, indptr, cols, vals)
-
-        self._submit(thunk, "Matrix_setElement", can_raise=False)
+        self._submit_write(
+            (row, col), self._type.coerce_scalar(value), "Matrix_setElement"
+        )
 
     def remove_element(self, row: int, col: int) -> None:
         """``GrB_Matrix_removeElement``."""
         row, col = int(row), int(col)
         self._check_coords(row, col)
-        t = self._type
+        self._submit_write((row, col), REMOVED, "Matrix_removeElement")
 
-        def thunk(d):
-            if isinstance(d, DcsrData):
-                ri = int(np.searchsorted(d.row_ids, row))
-                if ri >= len(d.row_ids) or d.row_ids[ri] != row:
-                    return d
+    def _write_one(self, d, coord: tuple[int, int], value: Any):
+        """One element write applied by splicing (blocking mode)."""
+        row, col = coord
+        if value is REMOVED:
+            return self._remove_one(d, row, col)
+        t = self._type
+        if isinstance(d, DcsrData):
+            # Hypersparse: locate the row by binary search over the
+            # nonempty-row list; an absent row is spliced in.
+            ri = int(np.searchsorted(d.row_ids, row))
+            if ri < len(d.row_ids) and d.row_ids[ri] == row:
                 lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
                 pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-                if pos >= hi or d.col_indices[pos] != col:
-                    return d
-                cols = np.delete(d.col_indices, pos)
-                vals = np.delete(d.values, pos)
-                if hi - lo == 1:
-                    # Last element of the row: the row leaves the
-                    # nonempty-row list (DCSR stores no empty rows).
-                    row_ids = np.delete(d.row_ids, ri)
-                    indptr = np.delete(d.indptr, ri)
-                    indptr[ri:] -= 1
-                else:
-                    row_ids = d.row_ids
-                    indptr = d.indptr.copy()
-                    indptr[ri + 1:] -= 1
-                return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
-                                cols, vals)
-            lo, hi = d.indptr[row], d.indptr[row + 1]
-            pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-            if pos < hi and d.col_indices[pos] == col:
+                if pos < hi and d.col_indices[pos] == col:
+                    vals = d.values.copy()
+                    vals[pos] = value
+                    return DcsrData(d.nrows, d.ncols, t, d.row_ids,
+                                    d.indptr, d.col_indices, vals)
+                row_ids = d.row_ids
                 indptr = d.indptr.copy()
-                indptr[row + 1:] -= 1
-                return MatData(
-                    d.nrows, d.ncols, t, indptr,
-                    np.delete(d.col_indices, pos), np.delete(d.values, pos),
-                )
-            return d
+            else:
+                pos = int(d.indptr[ri])
+                row_ids = np.insert(d.row_ids, ri, row).astype(_INT)
+                indptr = np.insert(d.indptr, ri, d.indptr[ri]).astype(_INT)
+            indptr[ri + 1:] += 1
+            cols = np.insert(d.col_indices, pos, col).astype(_INT)
+            vals = insert_value(d.values, pos, value, t)
+            return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
+                            cols, vals)
+        lo, hi = d.indptr[row], d.indptr[row + 1]
+        pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
+        if pos < hi and d.col_indices[pos] == col:
+            vals = d.values.copy()
+            vals[pos] = value
+            return MatData(d.nrows, d.ncols, t, d.indptr, d.col_indices, vals)
+        indptr = d.indptr.copy()
+        indptr[row + 1:] += 1
+        cols = np.insert(d.col_indices, pos, col).astype(_INT)
+        vals = insert_value(d.values, pos, value, t)
+        return MatData(d.nrows, d.ncols, t, indptr, cols, vals)
 
-        self._submit(thunk, "Matrix_removeElement", can_raise=False)
+    def _remove_one(self, d, row: int, col: int):
+        t = self._type
+        if isinstance(d, DcsrData):
+            ri = int(np.searchsorted(d.row_ids, row))
+            if ri >= len(d.row_ids) or d.row_ids[ri] != row:
+                return d
+            lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
+            pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
+            if pos >= hi or d.col_indices[pos] != col:
+                return d
+            cols = np.delete(d.col_indices, pos)
+            vals = np.delete(d.values, pos)
+            if hi - lo == 1:
+                # Last element of the row: the row leaves the
+                # nonempty-row list (DCSR stores no empty rows).
+                row_ids = np.delete(d.row_ids, ri)
+                indptr = np.delete(d.indptr, ri)
+                indptr[ri:] -= 1
+            else:
+                row_ids = d.row_ids
+                indptr = d.indptr.copy()
+                indptr[ri + 1:] -= 1
+            return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
+                            cols, vals)
+        lo, hi = d.indptr[row], d.indptr[row + 1]
+        pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
+        if pos < hi and d.col_indices[pos] == col:
+            indptr = d.indptr.copy()
+            indptr[row + 1:] -= 1
+            return MatData(
+                d.nrows, d.ncols, t, indptr,
+                np.delete(d.col_indices, pos), np.delete(d.values, pos),
+            )
+        return d
+
+    _apply_writes = staticmethod(apply_matrix_writes)
 
     def extract_element(self, row: int, col: int, out: Scalar | None = None):
         """``GrB_Matrix_extractElement`` — typed or ``GrB_Scalar`` variant.

@@ -52,6 +52,7 @@ import itertools
 import threading
 from typing import Any, Callable, Sequence
 
+from ..engine import opbatch, scheduler
 from ..engine.dag import DONE, FAILED, Node, Source
 from ..engine.memo import (
     invalidate_handle,
@@ -192,6 +193,45 @@ class OpaqueObject:
             self._materialized = False
             self._advance()
 
+    def _submit_write(self, coord: Any, value: Any, label: str) -> None:
+        """One element write — ``value`` already validated and coerced,
+        or ``REMOVED`` — executed now (blocking) or deferred as a
+        **pending tuple** (nonblocking).
+
+        A run of consecutive element writes shares one DAG node: the
+        write joins the tail node's list unless that node is sealed (a
+        consumer captured it, or a forcing collected it), in which case
+        it opens a fresh node — so whoever captured this object before
+        the write never sees it.  The node's thunk folds the whole run
+        into the carrier in one merge (subclass ``_apply_writes``).
+        Cannot raise an execution error, so ``wait(COMPLETE)`` may leave
+        the run deferred; every call advances the handle version.
+        """
+        with self._lock:
+            self._check_valid()
+            if self._mode == Mode.BLOCKING:
+                data = self._data
+                self._data = self._run_now(
+                    label, lambda: self._write_one(data, coord, value)
+                )
+                self._advance()
+                return
+            tail = self._tail
+            if tail is None or not tail.append_write(coord, value):
+                writes = [(coord, value)]
+                apply_writes = self._apply_writes
+                self._tail = Node(
+                    kind="method",
+                    label=label,
+                    owner=self,
+                    prev=self._prev_source(),
+                    thunk=lambda d: apply_writes(d, writes),
+                    complete_safe=True,
+                    writes=writes,
+                )
+                self._materialized = False
+            self._advance()
+
     def _submit_op(
         self,
         *,
@@ -268,8 +308,6 @@ class OpaqueObject:
             self._materialized = False
             self._advance()
             if batch_key is not None:
-                from ..engine import opbatch
-
                 opbatch.register(self._tail)
 
     def _run_now(self, label: str, fn: Callable[[], Any]) -> Any:
@@ -317,8 +355,6 @@ class OpaqueObject:
             tail = self._tail
         if tail is None:
             return self._data
-        from ..engine import scheduler
-
         try:
             result = scheduler.force(tail)
         except (ExecutionError, GraphBLASError):
@@ -370,8 +406,6 @@ class OpaqueObject:
         if mode == WaitMode.COMPLETE:
             if tail is None:
                 return
-            from ..engine import scheduler
-
             if scheduler.chain_complete_safe(tail):
                 STATS.bump("completes_deferred")
                 return

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..internals.build import build_vector
 from ..internals.containers import VecData, empty_vec, insert_value
+from ..internals.stream import REMOVED, apply_vector_writes
 from .binaryop import BinaryOp
 from .context import Context
 from .errors import (
@@ -115,47 +116,49 @@ class Vector(OpaqueObject):
 
     def set_element(self, value: Any, index: int) -> None:
         """``GrB_Vector_setElement`` (plain value or ``GrB_Scalar``)."""
-        index = int(index)
-        if not (0 <= index < self._size):
-            raise InvalidIndexError(f"index {index} out of range [0, {self._size})")
+        index = self._check_index(index)
         if isinstance(value, Scalar):
             src = value._capture()
             if not src.present:
                 self.remove_element(index)
                 return
             value = src.value
-        coerced = self._type.coerce_scalar(value)
-        t = self._type
-
-        def thunk(d: VecData) -> VecData:
-            pos = int(np.searchsorted(d.indices, index))
-            if pos < d.nvals and d.indices[pos] == index:
-                vals = d.values.copy()
-                vals[pos] = coerced
-                return VecData(d.size, t, d.indices, vals)
-            new_idx = np.insert(d.indices, pos, index).astype(_INT)
-            new_vals = insert_value(d.values, pos, coerced, t)
-            return VecData(d.size, t, new_idx, new_vals)
-
-        self._submit(thunk, "Vector_setElement", can_raise=False)
+        self._submit_write(
+            index, self._type.coerce_scalar(value), "Vector_setElement"
+        )
 
     def remove_element(self, index: int) -> None:
         """``GrB_Vector_removeElement``."""
+        self._submit_write(
+            self._check_index(index), REMOVED, "Vector_removeElement"
+        )
+
+    def _check_index(self, index: int) -> int:
         index = int(index)
         if not (0 <= index < self._size):
             raise InvalidIndexError(f"index {index} out of range [0, {self._size})")
+        return index
+
+    def _write_one(self, d: VecData, index: int, value: Any) -> VecData:
+        """One element write applied by splicing (blocking mode)."""
         t = self._type
+        pos = int(np.searchsorted(d.indices, index))
+        present = pos < d.nvals and d.indices[pos] == index
+        if value is REMOVED:
+            if not present:
+                return d
+            return VecData(
+                d.size, t, np.delete(d.indices, pos), np.delete(d.values, pos),
+            )
+        if present:
+            vals = d.values.copy()
+            vals[pos] = value
+            return VecData(d.size, t, d.indices, vals)
+        new_idx = np.insert(d.indices, pos, index).astype(_INT)
+        new_vals = insert_value(d.values, pos, value, t)
+        return VecData(d.size, t, new_idx, new_vals)
 
-        def thunk(d: VecData) -> VecData:
-            pos = int(np.searchsorted(d.indices, index))
-            if pos < d.nvals and d.indices[pos] == index:
-                return VecData(
-                    d.size, t,
-                    np.delete(d.indices, pos), np.delete(d.values, pos),
-                )
-            return d
-
-        self._submit(thunk, "Vector_removeElement", can_raise=False)
+    _apply_writes = staticmethod(apply_vector_writes)
 
     def extract_element(self, index: int, out: Scalar | None = None):
         """``GrB_Vector_extractElement``.
@@ -165,9 +168,7 @@ class Vector(OpaqueObject):
         ``out`` (empty when the element does not exist) and returns it —
         this variant never needs an immediate NO_VALUE test.
         """
-        index = int(index)
-        if not (0 <= index < self._size):
-            raise InvalidIndexError(f"index {index} out of range [0, {self._size})")
+        index = self._check_index(index)
         d = self._capture()
         pos = int(np.searchsorted(d.indices, index))
         present = pos < d.nvals and d.indices[pos] == index

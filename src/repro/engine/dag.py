@@ -25,7 +25,13 @@ forcing inputs eagerly.
 Nodes come in two shapes:
 
 * **thunk nodes** (element methods, build, clear…) transform the
-  previous carrier directly: ``result = thunk(prev)``.
+  previous carrier directly: ``result = thunk(prev)``.  A run of
+  consecutive element writes on one object is a single thunk node
+  holding **pending tuples** — an append-only ``writes`` list its thunk
+  folds into the carrier in one merge.  The run is *sealed* (later
+  writes open a fresh node) as soon as anything captures the node
+  (``nrefs``), the owner's tail moves past it, or a forcing collects
+  it, so a captured node stays the snapshot it was at capture time.
 * **op nodes** (the operations layer) split into ``T = compute(datas)``
   (or a list of fusable *stages* over one pipe input) followed by
   ``result = writeback(prev, T, datas)`` — the standard mask/accum
@@ -140,7 +146,7 @@ class Node:
         "thunk", "compute", "writeback", "stages", "pipe_input",
         "out_type", "pure", "complete_safe",
         "opkey", "cse_safe", "mask_info", "pushable", "push_targets",
-        "batch_key", "batch_compute",
+        "batch_key", "batch_compute", "writes", "sealed",
         "state", "result", "exc", "exc_raised", "nrefs",
         "plan", "alias_of", "pushed_mask", "pushed_into",
         "memo_result", "memo_entry",
@@ -169,6 +175,7 @@ class Node:
         push_targets: tuple | None = None,
         batch_key: tuple | None = None,
         batch_compute: Callable | None = None,
+        writes: list | None = None,
     ):
         self.kind = kind
         self.label = label
@@ -194,6 +201,10 @@ class Node:
         # is the blocked multi-vector kernel that runs them together.
         self.batch_key = batch_key
         self.batch_compute = batch_compute
+        # Pending tuples: the ``(coordinate, value | REMOVED)`` writes
+        # this node's thunk folds in (``None`` for every other node).
+        self.writes = writes
+        self.sealed = False
         self.state = PENDING
         self.result: Any = None
         self.exc: BaseException | None = None
@@ -206,6 +217,27 @@ class Node:
         self.memo_result = None  # cached carrier to republish (memo hit)
         self.memo_entry = None   # (memo key, dep uids) for post-run store
         STATS.bump("nodes_built")
+
+    # -- pending tuples ------------------------------------------------------
+
+    def append_write(self, coord: Any, value: Any) -> bool:
+        """Add one element write to this node's run; ``False`` when the
+        run is sealed (or this is no pending-tuple node) and the caller
+        must open a fresh node.  The caller holds the owner's lock and
+        has checked this node is still the owner's tail."""
+        with GRAPH_LOCK:
+            if self.writes is None or self.sealed or self.nrefs:
+                return False
+            self.writes.append((coord, value))
+            return True
+
+    def seal(self) -> None:
+        """Close the run: a forcing is about to read ``writes``.  Under
+        the same lock as :meth:`append_write`, so a racing write either
+        made it into the list or opens a new node — never lost, never
+        applied twice."""
+        with GRAPH_LOCK:
+            self.sealed = True
 
     # -- graph helpers -------------------------------------------------------
 

@@ -1,18 +1,39 @@
-"""Planner driver: the multi-pass optimizing pipeline (§III/§V).
+"""Planner driver: the applicability gate and the pass pipeline (§III/§V).
 
 Nonblocking mode lets the implementation *optimize* the sequence of
-method calls, not just defer it.  This module used to be a single
-monolithic rewrite pass; it is now a thin driver over the staged
-pipeline in :mod:`repro.engine.passes`:
+method calls, not just defer it — and deferral must cost nothing when
+there is nothing to optimize.  :func:`plan_subgraph` therefore starts
+with one O(nodes) **gate** scan over the forcing's subgraph that asks
+each rewrite pass for its precondition:
 
-``normalize`` (canonicalize stage lists, compute structural keys) →
-``cse`` (hash-cons identical pending subtrees so a repeated
-subexpression runs its kernel once, and consult the context's
-cross-forcing result memo) → ``cost`` (arbitrate pushdown-vs-fusion
-conflicts by estimated kernel savings) → ``pushdown`` (absorb a masked
-consumer's filter into the producing mxm/mxv/vxm/eWiseMult kernel) →
-``fuse`` (absorb producer chains into single-pass pipelines) →
-``schedule`` (commit all decisions onto the nodes).
+* ``cse`` — two pending hash-consable nodes share a signature
+  (:func:`repro.engine.passes.cse.signature`);
+* ``pushdown`` — a masked consumer sits over a pending, pure, pushable
+  producer (:func:`repro.engine.passes.pushdown.can_fire`);
+* ``fuse`` (and ``cost``, which only arbitrates or vetoes fusions) — a
+  stage-form consumer could absorb its pipe source
+  (:func:`repro.engine.passes.fuse.can_fire`);
+
+and, in the same scan, consults the cross-forcing result memo for every
+eligible node directly — one key, one dict probe
+(:func:`repro.engine.passes.cse.consult_memo`).  When no pass can fire
+the memo outcome lands on the nodes and planning is over: no
+:class:`~repro.engine.passes.ir.PlanIR`, no fault site, no span.  That
+is every BFS level (masked, impure nodes; a pure ``apply`` over a
+materialized input), every run of pending tuples, every one-node
+re-submission.
+
+Otherwise the staged pipeline in :mod:`repro.engine.passes` runs —
+only the passes whose precondition held, bracketed by ``normalize``
+(canonicalize stage lists, compute structural keys) and ``schedule``
+(commit all decisions onto the nodes):
+
+``normalize`` → ``cse`` (hash-cons identical pending subtrees so a
+repeated subexpression runs its kernel once) → ``cost`` (arbitrate
+pushdown-vs-fusion conflicts by estimated kernel savings) →
+``pushdown`` (absorb a masked consumer's filter into the producing
+mxm/mxv/vxm/eWiseMult kernel) → ``fuse`` (absorb producer chains into
+single-pass pipelines) → ``schedule``.
 
 Each pass is a pure function over one shared immutable
 :class:`~repro.engine.passes.ir.PlanIR`; the driver runs the sequence
@@ -22,7 +43,9 @@ site at every boundary.  A faulting pass is *skipped* — the previous
 IR is still valid, the forcing proceeds without that pass's rewrites,
 and ``planner_pass_failures`` counts the skip.  Because decisions only
 take effect in the terminal schedule pass, a skipped schedule degrades
-cleanly to plain unoptimized execution.
+cleanly to plain unoptimized execution.  A precondition is necessary,
+never sufficient: a pass the gate lets through re-checks its full
+legality ladder and may still rewrite nothing.
 
 :class:`FusionPlan` and :func:`optimize_stages` (the stage-list
 peephole: transpose pairs cancel, value-independent selects hoist
@@ -34,11 +57,14 @@ from __future__ import annotations
 import time
 
 from ..faults.plane import armed, maybe_inject
+from ..internals import config
 from . import cancel
 from .dag import GRAPH_LOCK, PENDING, Node, Source
+from .passes import cost, cse, fuse, normalize, pushdown, schedule
+from .passes.ir import PlanIR
 from .stats import STATS
 
-__all__ = ["FusionPlan", "plan_subgraph", "plan_fusion", "optimize_stages"]
+__all__ = ["FusionPlan", "plan_subgraph", "optimize_stages"]
 
 #: Stage kinds that neither read coordinates nor change structure; these
 #: commute with transposition and with structural filters.
@@ -137,77 +163,70 @@ def optimize_stages(stages: list) -> tuple[list, int, int]:
     return out, hoisted, elided
 
 
-# -- the pass pipeline --------------------------------------------------------
+# -- the gate and the pass pipeline -------------------------------------------
 
 
-def _passes():
-    from .passes import cost, cse, fuse, normalize, pushdown, schedule
+def _gate(nodes: list) -> tuple[list, list, list]:
+    """One scan over a forcing's subgraph: which rewrite passes *can*
+    fire, and what the result memo holds for the eligible nodes.
 
-    return (
-        ("normalize", normalize.run),
-        ("cse", cse.run),
-        ("cost", cost.run),
-        ("pushdown", pushdown.run),
-        ("fuse", fuse.run),
-        ("schedule", schedule.run),
-    )
-
-
-def _memo_worthwhile(node: Node) -> bool:
-    """Cheap pre-filter: could a one-node forcing hit the result memo?
-
-    Mirrors :func:`~repro.engine.dag.memo_key` eligibility without
-    building the key — impure, thunk-form, and user-defined-op nodes
-    (BFS hot-loop shapes are masked, hence impure) still skip the
-    pipeline entirely and pay zero planning overhead.
+    Returns ``(passes, memo hits, memo entries)`` — ``passes`` is empty
+    when nothing can be rewritten, else the pipeline to run.
     """
-    if not node.pure or node.thunk is not None or node.owner is None:
-        return False
-    if node.opkey is not None:
-        return node.cse_safe
-    return node.stages is not None
+    cse_on = config.ENGINE_CSE
+    push_on = config.ENGINE_PUSHDOWN and config.MASK_PUSHDOWN
+    fuse_on = config.ENGINE_FUSION
+    memo_on = config.ENGINE_MEMO
+    can_cse = can_push = can_fuse = False
+    signatures: set = set()
+    hits: list = []
+    entries: list = []
+    for node in nodes:
+        if node.state != PENDING or node.thunk is not None:
+            continue  # thunk nodes (element writes, build…): no pass applies
+        sig = cse.signature(node)
+        if sig is not None:
+            if memo_on:
+                cse.consult_memo(node, hits, entries)
+            if cse_on and not can_cse:
+                can_cse = sig in signatures
+                signatures.add(sig)
+        if push_on and not can_push:
+            can_push = pushdown.can_fire(node)
+        if fuse_on and not can_fuse:
+            can_fuse = fuse.can_fire(node)
+    if not (can_cse or can_push or can_fuse):
+        return [], hits, entries
+    passes = [("normalize", normalize.run)]
+    if can_cse:
+        passes.append(("cse", cse.run))
+    if can_fuse:
+        passes.append(("cost", cost.run))
+    if can_push:
+        passes.append(("pushdown", pushdown.run))
+    if can_fuse:
+        passes.append(("fuse", fuse.run))
+    passes.append(("schedule", schedule.run))
+    return passes, hits, entries
 
 
 def plan_subgraph(nodes: list) -> None:
-    """Run the full planner pipeline over one forcing's pending subgraph.
+    """Plan one forcing's pending subgraph (*nodes*, topological order).
 
-    *nodes* is the subgraph in topological order.  On return the nodes
-    carry whatever decisions survived: ``alias_of`` on CSE duplicates,
-    ``pushed_mask``/``pushed_into`` on pushdown pairs, ``plan`` on
-    fusion consumers and ELIDED on their absorbed producers.  Planner
-    faults never fail the forcing — the affected pass is skipped.
+    On return the nodes carry whatever decisions survived:
+    ``memo_result``/``memo_entry`` from the result-memo consult,
+    ``alias_of`` on CSE duplicates, ``pushed_mask``/``pushed_into`` on
+    pushdown pairs, ``plan`` on fusion consumers and ELIDED on their
+    absorbed producers.  Planner faults never fail the forcing — the
+    affected pass is skipped.
     """
-    from ..internals import config
-    from .passes.ir import PlanIR
-
-    if len(nodes) < 2:
-        # Every rewrite pass needs at least a producer/consumer (or
-        # duplicate) pair; a one-node forcing only goes through the
-        # pipeline when the cross-forcing memo could serve it — a
-        # re-submitted ``C = A ⊕.⊗ A`` is exactly a one-node forcing.
-        # BFS inner loops (masked, impure nodes) still skip and pay
-        # zero planning overhead.
-        if not nodes:
-            return
-        if not (config.ENGINE_MEMO and _memo_worthwhile(nodes[0])):
-            return
-    elif not any(
-        n.state == PENDING and (n.pure or n.stages is not None)
-        for n in nodes
-    ):
-        # Every rewrite needs a pure pending node (CSE duplicate, memo
-        # candidate, pushdown/fusion producer) or a stage-form consumer
-        # to absorb into; an all-impure compute subgraph — the masked
-        # assign + masked vxm pair a BFS inner loop forces every level —
-        # cannot be optimized by any pass, so skip the pipeline and its
-        # fixed per-forcing cost entirely.
-        return
-
-    from .passes import cost
-
-    ir = PlanIR.initial(nodes)
     with GRAPH_LOCK:
-        for name, pass_fn in _passes():
+        passes, hits, entries = _gate(nodes)
+        if not passes:
+            schedule.commit_memo(hits, entries)
+            return
+        ir = PlanIR.initial(nodes, hits, entries)
+        for name, pass_fn in passes:
             # Pass boundary = cancellation boundary.  Deliberately
             # outside the try below: a tripped deadline must propagate,
             # not be absorbed as a planner-pass failure.
@@ -233,8 +252,3 @@ def plan_subgraph(nodes: list) -> None:
                 {"nodes": len(ir.nodes), "aliases": len(ir.aliases),
                  "pushdowns": len(ir.pushdowns), "fusions": len(ir.fusions)},
             )
-
-
-def plan_fusion(nodes: list) -> None:
-    """Backwards-compatible alias for :func:`plan_subgraph`."""
-    plan_subgraph(nodes)

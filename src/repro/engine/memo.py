@@ -89,7 +89,7 @@ __all__ = [
     "ResultMemo", "invalidate_handle", "release_handle",
     "record_commit_ms", "commit_overhead_ms",
     "export_admission", "seed_admission",
-    "register_patch_resolver", "patch_handle_blocks",
+    "register_patch_resolver", "patch_handle_blocks", "patch_block",
 ]
 
 #: EWMA of measured memo-republish (commit) overhead in ms, and the
@@ -371,8 +371,7 @@ class ResultMemo:
             return self._invalidate_index(self._by_dep, uid)
 
     def patch(
-        self, uid: int, old_version: int, new_version: int,
-        delta: Any, resolver: Any,
+        self, uid: int, old_version: int, new_version: int, delta: Any,
     ) -> tuple[int, int]:
         """Delta-invalidation: a write to *uid* arrived as a delta.
 
@@ -385,10 +384,11 @@ class ResultMemo:
         rule, rules that decline) drops exactly as
         :meth:`invalidate` would have dropped it.
 
-        Rules run under the memo lock: they must be pure array code
-        over the cached value and the delta — no memo re-entry, no
-        forcing.  A rule returning ``None`` (or raising) declines and
-        the entry is dropped.  Returns ``(patched, dropped)``.
+        Rules run under the memo lock (:func:`patch_block`): they must
+        be pure array code over the cached value and the delta — no
+        memo re-entry, no forcing.  A rule returning ``None`` (or
+        raising) declines and the entry is dropped.  Returns
+        ``(patched, dropped)``.
         """
         patched = dropped = 0
         with self._lock:
@@ -405,12 +405,7 @@ class ResultMemo:
                     and key[0] == "algo"
                     and key[2] == (uid, old_version)
                 ):
-                    rule = resolver(key[1])
-                    if rule is not None:
-                        try:
-                            new_value = rule(entry[0], key[3], delta)
-                        except Exception:
-                            new_value = None
+                    new_value = patch_block(key[1], entry[0], key[3], delta)
                 carrier, deps, owner_uid, cost_ms, _ = entry
                 self._drop(key)
                 if new_value is None:
@@ -513,6 +508,24 @@ def register_patch_resolver(resolver) -> None:
     _PATCH_RESOLVER = resolver
 
 
+def patch_block(kind: Any, value: Any, params: Any, delta: Any) -> Any | None:
+    """One algorithm block of *kind* carried across one delta write by
+    its patch rule — ``None`` when it must be dropped instead (the
+    delta tier is ablated, the kind has no rule, the rule declines or
+    raises).  The memo's own tier and journal replay of checkpointed
+    blocks (:mod:`repro.serve.recovery`) both go through here, so a
+    restored block is patched exactly as a live one would have been."""
+    if not config.ENGINE_DELTA or _PATCH_RESOLVER is None:
+        return None
+    rule = _PATCH_RESOLVER(kind)
+    if rule is None:
+        return None
+    try:
+        return rule(value, params, delta)
+    except Exception:
+        return None
+
+
 def patch_handle_blocks(
     uid: int, old_version: int, new_version: int, delta: Any,
 ) -> None:
@@ -528,7 +541,7 @@ def patch_handle_blocks(
     with _MEMOS_LOCK:
         memos = list(_MEMOS)
     for memo in memos:
-        memo.patch(uid, old_version, new_version, delta, _PATCH_RESOLVER)
+        memo.patch(uid, old_version, new_version, delta)
 
 
 def release_handle(uid: int) -> None:

@@ -280,20 +280,19 @@ def calibrated_rates() -> tuple[float, float]:
     Once both sides have data the ratio *is* the machine's measured
     rate; until then the static defaults stand in.
     """
-    snap = STATS.snapshot()
+    kernel_time = STATS.kernel_times()
     with _cal_lock:
         est = dict(_estimated_elems)
         seeded = dict(_seeded_rates)
     product_ms = seeded.get("product_ms", _BASE_PRODUCT_MS)
     stage_ms = seeded.get("stage_ms", _BASE_STAGE_MS)
     spgemm_ms = sum(
-        snap["kernel_time"].get(k, 0.0) * 1e3
-        for k in ("mxm", "mxv", "vxm")
+        kernel_time.get(k, 0.0) * 1e3 for k in ("mxm", "mxv", "vxm")
     )
     if spgemm_ms > 0 and est["product"] > 0:
         product_ms = spgemm_ms / est["product"]
     stage_time_ms = sum(
-        t * 1e3 for k, t in snap["kernel_time"].items()
+        t * 1e3 for k, t in kernel_time.items()
         if k in ("apply", "select") or k.startswith("fused:")
     )
     if stage_time_ms > 0 and est["stage"] > 0:

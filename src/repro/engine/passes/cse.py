@@ -9,15 +9,22 @@ through the normal commit gate.  Input identities are canonicalized
 through the aliases found so far, so transitive duplicates
 (``f(g(a))`` vs ``f(g′(a))`` with ``g ≡ g′``) collide too.
 
-The same pass also consults the owning context's **cross-forcing result
-memo** (:mod:`repro.engine.memo`): a node whose
-:func:`~repro.engine.dag.memo_key` matches a carrier committed by an
+The **cross-forcing result memo** (:mod:`repro.engine.memo`) shares
+this pass's eligibility rule but not its machinery: the planner's gate
+calls :func:`consult_memo` on every eligible node directly — one
+:func:`~repro.engine.dag.memo_key`, one dict probe — whether or not any
+pass runs.  A node whose key matches a carrier committed by an
 *earlier* forcing becomes a memo hit — the scheduler republishes the
 cached carrier through the commit gate and the kernel never runs.
 Misses record the key so the scheduler can store the committed result
 for later forcings.  Memo hits are locked exactly like CSE endpoints: a
 fused-away or mask-filtered node would no longer publish the cached
 (unfiltered) value.
+
+**Precondition** (:func:`signature`): the pass can only alias two
+pending nodes that agree on kind, operation and output domain, so the
+gate runs it only when two eligible nodes of one forcing share a
+signature.
 
 Eligibility is deliberately narrow: pure nodes built from *built-in*
 operators only (user-defined functions carry no determinism guarantee),
@@ -41,50 +48,55 @@ from .ir import PlanIR
 __all__ = ["run"]
 
 
-def _consult_memo(ir: PlanIR) -> tuple[dict, dict, set]:
-    """Look up every eligible node in its context's result memo.
+def signature(node: Node) -> tuple | None:
+    """What two nodes must share before this pass could alias them —
+    :func:`~repro.engine.dag.structural_key` minus the input
+    identities, at a fraction of its cost — or ``None`` for a node that
+    is never hash-consed (nor memoized: the eligibility is the same)."""
+    if not node.pure or node.thunk is not None:
+        return None
+    if node.opkey is not None:
+        if not node.cse_safe:
+            return None
+        return (node.kind, node.opkey, id(node.out_type))
+    if node.stages is not None:
+        return (
+            node.kind,
+            tuple(st[0] if len(st) == 1 else (st[0], id(st[1]))
+                  for st in node.stages),
+            id(node.out_type),
+        )
+    return None
 
-    Returns (hits: id -> carrier, entries: id -> (key, deps), locked
-    additions).  Planning never *writes* the memo — stores happen in
+
+def consult_memo(node: Node, hits: list, entries: list) -> None:
+    """Look *node* up in its context's result memo: a hit appends
+    ``(node, carrier)`` to *hits*, a miss ``(node, (key, dep uids))``
+    to *entries*.  Planning never *writes* the memo — stores happen in
     the scheduler after the carrier passes the commit gate.
-    """
-    hits: dict[int, object] = {}
-    entries: dict[int, tuple] = {}
-    locked: set[int] = set()
-    memos: dict[int, object] = {}
-    for node in ir.nodes:
-        if node.state != PENDING or id(node) in ir.locked:
-            continue
-        ctx = getattr(node.owner, "_ctx", None)
-        if ctx is None:
-            continue
-        keyed = memo_key(node)
-        if keyed is None:
-            continue
-        memo = memos.get(id(ctx))
-        if memo is None:
-            memo = memos[id(ctx)] = ctx.result_memo()
-        if memo is None:
-            continue
-        key, deps = keyed
-        carrier = memo.lookup(key)
-        if carrier is not None:
-            hits[id(node)] = carrier
-            locked.add(id(node))
-        else:
-            entries[id(node)] = (key, deps)
-    return hits, entries, locked
+
+    An in-place node (its output handle is among its inputs, the
+    ``apply(f, …, f)`` of a BFS level) records no entry: its key names
+    a handle version that its own submission superseded, so nothing
+    could ever read the store.  A hit is still possible — another
+    object may have computed the same value from that version."""
+    ctx = getattr(node.owner, "_ctx", None)
+    if ctx is None:
+        return
+    keyed = memo_key(node)
+    if keyed is None:
+        return
+    memo = ctx.result_memo()
+    if memo is None:
+        return
+    carrier = memo.lookup(keyed[0])
+    if carrier is not None:
+        hits.append((node, carrier))
+    elif node.owner._uid not in keyed[1]:
+        entries.append((node, keyed))
 
 
 def run(ir: PlanIR) -> PlanIR:
-    if config.ENGINE_MEMO:
-        memo_hits, memo_entries, memo_locked = _consult_memo(ir)
-        if memo_hits or memo_entries:
-            ir = ir.replace(
-                memo_hits=memo_hits,
-                memo_entries=memo_entries,
-                locked=frozenset(set(ir.locked) | memo_locked),
-            )
     if not config.ENGINE_CSE:
         return ir
     seen: dict[tuple, Node] = {}

@@ -20,6 +20,11 @@ accumulator (the funnel then only needs ``prev``'s shape).  That last
 shape is exactly the one mask pushdown also wants — the cost pass
 arbitrates who gets the producer.
 
+**Precondition** (:func:`can_fire`): a stage-form consumer whose pipe
+source is a producer it could absorb right now.  The gate runs this
+pass (and the cost pass, which only ever arbitrates or vetoes fusions)
+only when some node of the forcing meets it.
+
 This pass only *decides*; absorbed producers are recorded in
 ``ir.elided`` and flipped to ELIDED by the schedule pass.
 """
@@ -59,6 +64,14 @@ def _absorbable(consumer: Node, x: Node) -> bool:
         return False
     refs = consumer.refs_to(x)
     return refs == allowed and x.nrefs == refs
+
+
+def can_fire(y: Node) -> bool:
+    """Gate precondition: could *y* absorb its pipe source?"""
+    if y.stages is None:
+        return False
+    x = y.inputs[y.pipe_input].node
+    return x is not None and _absorbable(y, x)
 
 
 def _node_stages(ir: PlanIR, node: Node) -> list:

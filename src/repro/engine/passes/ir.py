@@ -68,8 +68,8 @@ class PlanIR:
         elided: frozenset[int] = frozenset(),
         locked: frozenset[int] = frozenset(),
         stage_counts: tuple[int, int] = (0, 0),
-        memo_hits: Mapping[int, Any] = (),
-        memo_entries: Mapping[int, tuple] = (),
+        memo_hits: tuple = (),
+        memo_entries: tuple = (),
         decisions: Mapping[int, str] = (),
     ):
         self.nodes = tuple(nodes)
@@ -86,16 +86,24 @@ class PlanIR:
         self.locked = frozenset(locked)
         #: (selects_hoisted, transposes_elided) across fusion splices
         self.stage_counts = stage_counts
-        #: id(node) -> cached carrier to republish (cross-forcing memo)
-        self.memo_hits = dict(memo_hits)
-        #: id(node) -> (memo key, dep uids) for the post-run store
-        self.memo_entries = dict(memo_entries)
+        #: (node, cached carrier to republish) — cross-forcing memo hits
+        self.memo_hits = tuple(memo_hits)
+        #: (node, (memo key, dep uids)) for the post-run store
+        self.memo_entries = tuple(memo_entries)
         #: id(producer) -> "pushdown" | "fuse" (cost-model arbitration)
         self.decisions = dict(decisions)
 
     @classmethod
-    def initial(cls, nodes: list[Node]) -> "PlanIR":
-        return cls(tuple(nodes))
+    def initial(
+        cls, nodes: list[Node], memo_hits: list = (), memo_entries: list = (),
+    ) -> "PlanIR":
+        """The IR a forcing starts from: its subgraph plus what the
+        gate's direct memo consult found.  Memo hits are claimed from
+        the start — every pass must leave them alone."""
+        return cls(
+            tuple(nodes), memo_hits=memo_hits, memo_entries=memo_entries,
+            locked=frozenset(id(node) for node, _ in memo_hits),
+        )
 
     def replace(self, **kw: Any) -> "PlanIR":
         """A copy with the given fields replaced (the only way state

@@ -44,6 +44,11 @@ producer ``x``):
   (``ir.decisions[id(x)] == "fuse"``); such producers are left
   unclaimed here and absorbed by the fuse pass instead.
 
+**Precondition** (:func:`can_fire`): a masked consumer of one of the
+two shapes with a candidate producer that is pending, pure and
+pushable — the part of the ladder that needs no plan state.  The gate
+runs this pass only when some node of the forcing meets it.
+
 At most one producer is claimed per consumer (``pushed_into`` is a
 scalar edge); for an eWise consumer the first legal input wins, which
 is sufficient — filtering either side filters the intersection.  The
@@ -84,6 +89,31 @@ def _producer_ok(ir: PlanIR, in_graph: set, locked: set,
     return True
 
 
+def _candidates(y: Node) -> tuple:
+    """The producers a masked consumer's filter could push into."""
+    m = y.mask_info
+    if m is None or m.source is None:
+        return ()
+    if y.stages is not None:
+        # Stage-form consumer: pipe input only.
+        return (y.inputs[y.pipe_input].node,)
+    if y.push_targets:
+        # Compute-form eWise consumer: any declared (untransposed)
+        # input may carry the filter.
+        return tuple(
+            y.inputs[i].node for i in y.push_targets if i < len(y.inputs)
+        )
+    return ()
+
+
+def can_fire(y: Node) -> bool:
+    """Gate precondition: could this pass claim a producer for *y*?"""
+    return any(
+        x is not None and x.state == PENDING and x.pushable and x.pure
+        for x in _candidates(y)
+    )
+
+
 def run(ir: PlanIR) -> PlanIR:
     if not (config.ENGINE_PUSHDOWN and config.MASK_PUSHDOWN):
         return ir
@@ -93,26 +123,18 @@ def run(ir: PlanIR) -> PlanIR:
     for y in ir.nodes:
         if y.state != PENDING or id(y) in locked:
             continue
-        m = y.mask_info
-        if m is None or m.source is None:
+        candidates = _candidates(y)
+        if not candidates:
             continue
+        m = y.mask_info
         if m.source.node is not None and m.source.node.state == PENDING:
             continue
         if y.stages is not None:
-            # Stage-form consumer: pipe input only, no transpose stages.
+            # No transpose stages: one would move the mask into a
+            # different coordinate space than the producer's output.
             inf = ir.node_info(y)
             if inf is None or inf.has_transpose:
                 continue
-            candidates = (y.inputs[y.pipe_input].node,)
-        elif y.push_targets:
-            # Compute-form eWise consumer: any declared (untransposed)
-            # input may carry the filter.
-            candidates = tuple(
-                y.inputs[i].node for i in y.push_targets
-                if i < len(y.inputs)
-            )
-        else:
-            continue
         for x in candidates:
             if not _producer_ok(ir, in_graph, locked, y, x, m):
                 continue

@@ -27,21 +27,27 @@ from ..dag import ELIDED
 from ..stats import STATS
 from .ir import PlanIR
 
-__all__ = ["run"]
+__all__ = ["run", "commit_memo"]
 
 
-def run(ir: PlanIR) -> PlanIR:
-    by_id = {id(n): n for n in ir.nodes}
-    for nid, carrier in ir.memo_hits.items():
-        node = by_id[nid]
+def commit_memo(hits, entries) -> None:
+    """Land the result-memo consult on the nodes.  The planner's gate
+    calls this directly when no pass can fire — a memo hit needs no
+    plan, only the carrier to republish."""
+    for node, carrier in hits:
         node.memo_result = carrier
         STATS.bump("memo_hits")
         STATS.instant(
             f"memo:{node.label}", "planner",
             {"node": node.label, "nvals": getattr(carrier, "nvals", None)},
         )
-    for nid, entry in ir.memo_entries.items():
-        by_id[nid].memo_entry = entry
+    for node, entry in entries:
+        node.memo_entry = entry
+
+
+def run(ir: PlanIR) -> PlanIR:
+    by_id = {id(n): n for n in ir.nodes}
+    commit_memo(ir.memo_hits, ir.memo_entries)
     for nid, rep in ir.aliases.items():
         node = by_id[nid]
         node.alias_of = rep

@@ -32,11 +32,15 @@ from concurrent.futures import wait as _futures_wait
 from ..core.errors import ExecutionError, GraphBLASError, PanicError
 from ..faults.plane import armed, maybe_inject
 from ..faults.retry import with_retry
+from ..internals import config
 from ..internals.applyselect import run_stages
 from ..internals.containers import VecData
 from ..internals.maskaccum import mat_mask_keys, vec_mask_keys
-from . import cancel
+from . import cancel, opbatch
 from .dag import DONE, ELIDED, FAILED, PENDING, Node
+from .fusion import plan_subgraph
+from .memo import record_commit_ms
+from .passes import cost
 from .stats import STATS
 from .txn import commit as _txn_commit
 
@@ -82,8 +86,6 @@ def force(tail: Node):
         STATS.bump("forces")
         executed: list[Node] = []
         if tail.state == PENDING:
-            from .fusion import plan_subgraph
-
             t0 = time.perf_counter()
             # Republish the caller's cancel token process-wide so kernel
             # boundaries reached on pool worker threads observe it too
@@ -141,6 +143,8 @@ def _collect(tail: Node) -> list[Node]:
         if id(node) in seen or node.state != PENDING:
             continue
         seen.add(id(node))
+        if node.writes is not None:
+            node.seal()  # pending tuples: the run ends where it is read
         stack.append((node, True))
         for dep in node.dep_nodes():
             if dep.state == PENDING and id(dep) not in seen:
@@ -346,8 +350,6 @@ def _run_node(node: Node) -> None:
             STATS.bump("memo_reused")
             # Feed the measured republish cost into the admission gate:
             # a future store cheaper to rebuild than this is a loss.
-            from .memo import record_commit_ms
-
             record_commit_ms(elapsed * 1e3)
             local = _node_stats(node)
             if local is not None:
@@ -467,12 +469,8 @@ def _run_batch(node: Node, t0: float) -> bool:
     of the batch fails — every node then runs singly through the
     normal §V path, so batching is failure-transparent.
     """
-    from ..internals import config
-
     if not config.ENGINE_OP_BATCH:
         return False
-    from . import opbatch
-
     peers = opbatch.claim_peers(node)
     if not peers:
         return False
@@ -522,8 +520,6 @@ def _memo_store(node: Node) -> None:
     entry, node.memo_entry = node.memo_entry, None
     if entry is None or node.pushed_mask is not None:
         return
-    from ..internals import config
-
     if not config.ENGINE_MEMO:
         return
     try:
@@ -534,8 +530,6 @@ def _memo_store(node: Node) -> None:
         if memo is None:
             return
         key, deps = entry
-        from .passes import cost
-
         memo.store(key, node.result, deps,
                    owner_uid=getattr(node.owner, "_uid", None),
                    cost_ms=cost.entry_savings_ms(node),

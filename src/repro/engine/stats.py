@@ -24,7 +24,7 @@ optimizer actually do anything?".  Counters:
 * ``pushdown_fallbacks`` — pushed chains that failed and transparently
   re-ran unpushed for exact §V state.
 * ``memo_hits`` / ``memo_misses`` — cross-forcing result-memo lookups
-  (CSE pass) that found / did not find a committed carrier for a
+  (the planner gate) that found / did not find a committed carrier for a
   re-submitted expression.
 * ``memo_reused``      — memo hits that actually republished the cached
   carrier through the commit gate (the kernel never ran).
@@ -350,6 +350,13 @@ class EngineStats:
             snap["kernel_count"] = dict(self.kernel_count)
             snap["spans_recorded"] = len(self._spans)
             return snap
+
+    def kernel_times(self) -> dict[str, float]:
+        """Copy of the per-kind kernel wall time alone — what the cost
+        model's calibration reads once per memo store, without paying
+        for a full :meth:`snapshot`."""
+        with self._lock:
+            return dict(self.kernel_time)
 
     def trace_events(self) -> list[dict]:
         """The recorded spans as Chrome trace events (copy), prefixed

@@ -259,9 +259,10 @@ def vxm(
         return empty_vec(a.ncols, out_type)
     out_cols = a.col_indices[flat]
     uv = semiring.mult.in1_type.coerce_array(u.values)
-    av = semiring.mult.in2_type.coerce_array(a.values)
     u_exp = np.repeat(uv, counts)
-    a_exp = av[flat]
+    # Gather, then cast (as mxv does): casting all of A's values first
+    # is O(nnz(A)) per call, and a BFS calls this once per level.
+    a_exp = semiring.mult.in2_type.coerce_array(a.values[flat])
     if mask_keys is not None and not (len(mask_keys) == 0 and mask_complement):
         keep = in_sorted(out_cols, mask_keys, invert=mask_complement,
                          space=a.ncols)

@@ -23,6 +23,15 @@ in the base) and *inserts* (genuinely new edges).  The same
 Library writes (``Matrix.update_batch``), live serving mutations, and
 journal replay all funnel through these helpers, so a replayed journal
 reproduces the exact carrier the live path published.
+
+**Pending tuples** are the same object at element granularity: in
+nonblocking mode a run of ``setElement``/``removeElement`` calls is one
+append-only list of ``(coordinate, value | REMOVED)`` writes, folded
+into the base carrier at force time by :func:`apply_vector_writes` /
+:func:`apply_matrix_writes` — last writer wins per coordinate, removed
+coordinates are filtered out of the base, and the surviving upserts go
+through the positional merge above (O(n + k log k) for k writes
+instead of k O(n) splices).
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from ..core.errors import IndexOutOfBoundsError, InvalidValueError
 from ..core.types import Type
-from .containers import in_sorted, mat_from_coo, pair_keys
+from .containers import VecData, in_sorted, mat_from_coo, pair_keys
 
 __all__ = [
     "WriteDelta",
@@ -42,9 +51,20 @@ __all__ = [
     "build_delta",
     "apply_delta",
     "insert_edges",
+    "REMOVED",
+    "apply_vector_writes",
+    "apply_matrix_writes",
 ]
 
 _INT = np.int64
+
+class _Removed:
+    def __repr__(self) -> str:
+        return "REMOVED"
+
+
+#: The value slot of a pending ``removeElement`` write.
+REMOVED = _Removed()
 
 
 @dataclass(frozen=True)
@@ -153,6 +173,43 @@ def build_delta(base: Any, rows, cols, vals) -> WriteDelta:
     return WriteDelta(base=base, rows=r, cols=c, vals=v, is_new=is_new)
 
 
+def _positional_merge(
+    base_keys: np.ndarray,
+    keys: np.ndarray,
+    is_new: np.ndarray,
+    columns: list[tuple[np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Merge a sorted unique batch into a sorted unique base by position.
+
+    ``is_new`` must mark exactly the batch *keys* absent from
+    *base_keys*.  Each ``(base column, batch column)`` pair comes back
+    as one merged column: base entries shifted right past the inserts
+    before them, new keys spliced in, existing keys overwritten by the
+    batch (last write wins).  One ``searchsorted`` places every batch
+    key and a ``bincount``/``cumsum`` pair every base entry —
+    O(nnz + d log d), no re-sort of the base.
+    """
+    pos = np.searchsorted(base_keys, keys)
+    nnz = len(base_keys)
+    pos_ins = pos[is_new]
+    # prefix[i] = inserts landing at or before base slot i, which is
+    # exactly how far existing entry i shifts right in the output.
+    prefix = np.cumsum(np.bincount(pos_ins, minlength=nnz + 1))
+    dst_exist = np.arange(nnz, dtype=_INT) + prefix[:nnz]
+    dst_ins = pos_ins + np.arange(len(pos_ins), dtype=_INT)
+    dup = ~is_new
+    dst_dup = dst_exist[pos[dup]] if dup.any() else None
+    merged = []
+    for base_col, batch_col in columns:
+        out = np.empty(nnz + len(dst_ins), dtype=base_col.dtype)
+        out[dst_exist] = base_col
+        out[dst_ins] = batch_col[is_new]
+        if dst_dup is not None:
+            out[dst_dup] = batch_col[dup]
+        merged.append(out)
+    return merged
+
+
 def _merge_sorted(
     d: Any,
     rows: np.ndarray,
@@ -165,34 +222,17 @@ def _merge_sorted(
     ``is_new`` must mark exactly the keys absent from *d*.  Output goes
     back through :func:`mat_from_coo` so the format policy can repack.
     """
-    t: Type = d.type
     base_rows = d.row_indices()
     base_cols = d.col_indices
-    base_keys = pair_keys(base_rows, base_cols, d.ncols)
-    keys = pair_keys(rows, cols, d.ncols)
-    pos = np.searchsorted(base_keys, keys)
-    nnz = d.nvals
-    pos_ins = pos[is_new]
-    n_ins = len(pos_ins)
-    # prefix[i] = inserts landing at or before base slot i, which is
-    # exactly how far existing entry i shifts right in the output.
-    prefix = np.cumsum(np.bincount(pos_ins, minlength=nnz + 1))
-    dst_exist = np.arange(nnz, dtype=_INT) + prefix[:nnz]
-    dst_ins = pos_ins + np.arange(n_ins, dtype=_INT)
-    out_rows = np.empty(nnz + n_ins, dtype=_INT)
-    out_cols = np.empty(nnz + n_ins, dtype=_INT)
-    out_vals = t.empty(nnz + n_ins)
-    out_rows[dst_exist] = base_rows
-    out_cols[dst_exist] = base_cols
-    out_vals[dst_exist] = d.values
-    out_rows[dst_ins] = rows[is_new]
-    out_cols[dst_ins] = cols[is_new]
-    out_vals[dst_ins] = vals[is_new]
-    dup = ~is_new
-    if dup.any():
-        out_vals[dst_exist[pos[dup]]] = vals[dup]
+    out_rows, out_cols, out_vals = _positional_merge(
+        pair_keys(base_rows, base_cols, d.ncols),
+        pair_keys(rows, cols, d.ncols),
+        is_new,
+        [(base_rows, rows), (base_cols, cols), (d.values, vals)],
+    )
     return mat_from_coo(
-        d.nrows, d.ncols, t, out_rows, out_cols, out_vals, presorted=True
+        d.nrows, d.ncols, d.type, out_rows, out_cols, out_vals,
+        presorted=True,
     )
 
 
@@ -219,3 +259,71 @@ def insert_edges(
     if len(rows) == 0:
         return d
     return _merge_sorted(d, rows, cols, vals, np.ones(len(rows), dtype=bool))
+
+
+# -- pending tuples: a run of element writes folded in one merge ---------------
+
+
+def _settle_writes(writes: list) -> tuple[list, dict]:
+    """Resolve a run of ``(coordinate, value | REMOVED)`` writes last
+    writer wins: ``(removed coordinates, {coordinate: value})``."""
+    final = dict(writes)
+    drops = [c for c, v in final.items() if v is REMOVED]
+    for c in drops:
+        del final[c]
+    return drops, final
+
+
+def _typed_values(t: Type, values, n: int) -> np.ndarray:
+    # ``fromiter`` stores each (already coerced) value as one element —
+    # ``np.array`` would splat a tuple-valued UDT into a second axis.
+    return np.fromiter(values, dtype=t.np_dtype, count=n)
+
+
+def apply_vector_writes(d: VecData, writes: list) -> VecData:
+    """*d* with a run of element writes applied (values pre-coerced)."""
+    t: Type = d.type
+    drops, final = _settle_writes(writes)
+    if drops:
+        keep = in_sorted(
+            d.indices, np.sort(np.array(drops, dtype=_INT)), invert=True
+        )
+        if not keep.all():
+            d = VecData(d.size, t, d.indices[keep], d.values[keep])
+    if not final:
+        return d
+    idx = np.fromiter(final, dtype=_INT, count=len(final))
+    vals = _typed_values(t, final.values(), len(final))
+    order = np.argsort(idx)
+    idx, vals = idx[order], vals[order]
+    out_idx, out_vals = _positional_merge(
+        d.indices, idx, in_sorted(idx, d.indices, invert=True),
+        [(d.indices, idx), (d.values, vals)],
+    )
+    return VecData(d.size, t, out_idx, out_vals)
+
+
+def apply_matrix_writes(d: Any, writes: list) -> Any:
+    """*d* (either format) with a run of element writes applied: the
+    removed coordinates are filtered out of the row-major stream, the
+    upserts ride :func:`build_delta` → :func:`apply_delta`."""
+    t: Type = d.type
+    drops, final = _settle_writes(writes)
+    if drops:
+        r, c = np.array(drops, dtype=_INT).T
+        rows = d.row_indices()
+        keep = in_sorted(
+            pair_keys(rows, d.col_indices, d.ncols),
+            np.sort(pair_keys(r, c, d.ncols)), invert=True,
+        )
+        if not keep.all():
+            d = mat_from_coo(
+                d.nrows, d.ncols, t,
+                rows[keep], d.col_indices[keep], d.values[keep],
+                presorted=True,
+            )
+    if not final:
+        return d
+    r, c = np.array(list(final), dtype=_INT).T
+    vals = _typed_values(t, final.values(), len(final))
+    return apply_delta(d, build_delta(d, r, c, vals))

@@ -58,16 +58,19 @@ import numpy as np
 
 from ..core.errors import InvalidObjectError, InvalidValueError
 from ..core.types import from_name
+from ..engine.memo import patch_block
 from ..engine.stats import STATS
 from ..faults.plane import maybe_inject
 from ..formats.serialize import blob_digest, carrier_deserialize, carrier_serialize
 from ..internals import config
 from ..internals.containers import mat_from_coo
+from ..internals.stream import apply_delta, build_delta
 
 __all__ = [
     "CheckpointStore",
     "RestoreState",
     "apply_edges",
+    "carry_blocks",
     "pack_record",
     "iter_records",
     "OP_REGISTER",
@@ -181,9 +184,10 @@ def apply_edges(d, rows, cols, vals):
     lexsort over the full COO stream, which charged O(nnz log nnz) per
     mutation no matter how small the batch.
     """
-    from ..internals.stream import apply_delta, build_delta
+    return _merge_delta(d, build_delta(d, rows, cols, vals))
 
-    delta = build_delta(d, rows, cols, vals)
+
+def _merge_delta(d, delta):
     if delta.n == 0:
         # Replay determinism: an empty batch still re-packs through the
         # format policy exactly like the pre-delta implementation did.
@@ -194,6 +198,26 @@ def apply_edges(d, rows, cols, vals):
     out = apply_delta(d, delta)
     out.check()
     return out
+
+
+def carry_blocks(blocks: dict, graph: str, delta) -> None:
+    """Advance the checkpointed warm blocks of *graph* across one write.
+
+    *blocks* maps ``(graph, kind, params)`` to ``(carrier, cost_ms)``
+    and describes the graph as it was when the blocks were built; a
+    write that leaves them alone makes them wrong (a stale ``pattern``
+    block answers pagerank for a graph that no longer exists).  Each
+    block goes through the memo's own delta rule
+    (:func:`repro.engine.memo.patch_block` — what a live tenant's
+    blocks went through for the same write) and is dropped when there
+    is none.  ``delta=None`` is a full replacement: everything drops.
+    """
+    for key in [k for k in blocks if k[0] == graph]:
+        carrier, cost_ms = blocks.pop(key)
+        if delta is not None:
+            carrier = patch_block(key[1], carrier, key[2], delta)
+            if carrier is not None:
+                blocks[key] = (carrier, cost_ms)
 
 
 def _tuplify(value):
@@ -457,6 +481,7 @@ class CheckpointStore:
                 continue
             if op == OP_REGISTER:
                 state.graphs[name] = carrier_deserialize(body)
+                carry_blocks(state.blocks, name, None)
             elif op == OP_MUTATE:
                 base = state.graphs.get(name)
                 if base is None:
@@ -470,7 +495,11 @@ class CheckpointStore:
                 vals = np.frombuffer(
                     body, dtype=t.np_dtype, count=n, offset=16 * n
                 )
-                state.graphs[name] = apply_edges(base, rows, cols, vals)
+                delta = build_delta(base, rows, cols, vals)
+                state.graphs[name] = _merge_delta(base, delta)
+                # The blocks describe the snapshot, not the replayed
+                # graph: every write must reach them too.
+                carry_blocks(state.blocks, name, delta)
             state.replayed += 1
         STATS.bump("journal_replayed", state.replayed)
         return state

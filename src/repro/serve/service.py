@@ -55,11 +55,16 @@ from ..core.errors import InvalidValueError
 from ..core.matrix import Matrix
 from ..engine.stats import STATS
 from ..internals import config
-from ..internals.stream import apply_delta, build_delta, coerce_edges
+from ..internals.stream import (
+    WriteDelta,
+    apply_delta,
+    build_delta,
+    coerce_edges,
+)
 from .batch import Group, coalesce
 from .health import HealthMonitor
 from .query import Query, QueryResult
-from .recovery import CheckpointStore
+from .recovery import CheckpointStore, carry_blocks
 from .session import Session
 
 __all__ = ["GraphService"]
@@ -92,9 +97,11 @@ class GraphService:
         self._graph_gen: dict[str, int] = {}   # name -> publish generation
         self._batch_views: dict[str, Matrix] = {}
         self._sessions: dict[str, Session] = {}
-        #: view uid -> (graph name, id(carrier)): lets the checkpointer
-        #: attribute algo-memo entries (keyed by view uid) to the
-        #: resident graph they were built over.
+        #: view uid -> (graph name, publish generation): lets the
+        #: checkpointer attribute algo-memo entries (keyed by view uid)
+        #: to the resident graph *value* they were built over.  The
+        #: generation only ever grows; ``id(carrier)`` would not do —
+        #: carriers die every generation and their ids come back.
         self._view_uids: dict[int, tuple[str, int]] = {}
         #: (graph, kind, params) -> (carrier, cost_ms): warm blocks from
         #: a restore, seeded into each context that views the graph.
@@ -190,9 +197,7 @@ class GraphService:
             self._store.journal_mutate(
                 name, rows, cols, vals, carrier.type.name
             )
-        self._publish_carrier(
-            name, new, delta=(delta.rows, delta.cols, delta.vals)
-        )
+        self._publish_carrier(name, new, delta)
         return new
 
     # -- streaming ingest -----------------------------------------------------
@@ -260,20 +265,26 @@ class GraphService:
             return out
 
     def _publish_carrier(
-        self, name: str, carrier: Any, delta: tuple | None = None
+        self, name: str, carrier: Any, delta: WriteDelta | None = None
     ) -> None:
+        """Make *carrier* the resident value of *name*: *delta* is the
+        write that produced it from the previous value, ``None`` a full
+        replacement."""
         with self._lock:
             self._graphs[name] = carrier
             self._batch_views.pop(name, None)
             gen = self._graph_gen.get(name, 0) + 1
             self._graph_gen[name] = gen
+            # Blocks a restore brought along describe the previous
+            # value; they follow the write or go.
+            carry_blocks(self._warm_blocks, name, delta)
             if delta is None:
                 # Full replacement: history before it cannot advance a
                 # stale view to this value.
                 self._graph_deltas.pop(name, None)
             else:
                 hist = self._graph_deltas.setdefault(name, OrderedDict())
-                hist[gen] = delta
+                hist[gen] = (delta.rows, delta.cols, delta.vals)
                 while len(hist) > _DELTA_HISTORY:
                     hist.popitem(last=False)
 
@@ -298,14 +309,10 @@ class GraphService:
             return out
 
     def _note_view_patched(self, uid: int, name: str, gen: int) -> None:
-        """Re-attribute a patched view's uid to the carrier it now
-        matches, so its algo-memo blocks stay checkpointable."""
+        """Re-attribute a patched view's uid to the generation it now
+        holds, so its algo-memo blocks stay checkpointable."""
         with self._lock:
-            if self._graph_gen.get(name, 0) != gen:
-                return  # the service moved on; attribution would be stale
-            carrier = self._graphs.get(name)
-            if carrier is not None:
-                self._view_uids[uid] = (name, id(carrier))
+            self._view_uids[uid] = (name, gen)
 
     def graph_generation(self, name: str) -> int:
         """Publish generation of graph *name* (0 = never registered)."""
@@ -331,6 +338,7 @@ class GraphService:
         """
         with self._lock:
             carrier = self._graphs.get(name)
+            gen = self._graph_gen.get(name, 0)
             warm = [
                 (key, blk) for key, blk in self._warm_blocks.items()
                 if key[0] == name
@@ -340,7 +348,7 @@ class GraphService:
         mat = Matrix.from_data(carrier, ctx)
         uid, version = mat._uid, mat._version
         with self._lock:
-            self._view_uids[uid] = (name, id(carrier))
+            self._view_uids[uid] = (name, gen)
         if warm and config.get_option("ENGINE_ALGO_MEMO"):
             memo = ctx.result_memo(create=True)
             if memo is not None:
@@ -527,16 +535,18 @@ class GraphService:
             with self._lock:
                 self._check_open()
                 graphs = dict(self._graphs)
+                gens = dict(self._graph_gen)
             return self._store.write_checkpoint(
                 graphs,
-                blocks=self._collect_warm_blocks(graphs),
+                blocks=self._collect_warm_blocks(gens),
                 calibration=cost.export_calibration(),
                 service=self.name,
             )
 
-    def _collect_warm_blocks(self, graphs: dict[str, Any]) -> dict:
-        """Algo-memo entries attributable to a *current* resident graph,
-        keyed portably as ``(graph name, block kind, params)``."""
+    def _collect_warm_blocks(self, gens: dict[str, int]) -> dict:
+        """Algo-memo entries attributable to a *current* resident graph
+        (*gens*: name -> the generation being checkpointed), keyed
+        portably as ``(graph name, block kind, params)``."""
         contexts = [self._batch_ctx]
         contexts.extend(s.ctx for s in self.sessions().values())
         with self._lock:
@@ -560,9 +570,9 @@ class GraphService:
                 mapped = view_uids.get(vkey[0])
                 if mapped is None:
                     continue
-                gname, carrier_id = mapped
-                if gname not in graphs or id(graphs[gname]) != carrier_id:
-                    continue  # block belongs to a superseded carrier
+                gname, gen = mapped
+                if gens.get(gname) != gen:
+                    continue  # block belongs to a superseded generation
                 out[(gname, kind, params)] = (carrier, cost_ms)
         return out
 

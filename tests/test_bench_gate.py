@@ -22,7 +22,7 @@ _spec.loader.exec_module(bench_gate)
 
 
 def _results(mm=0.5, cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5,
-             hyp=0.01, batch=0.6, warm=0.2, ingest=0.3, store=0.3):
+             hyp=0.01, batch=0.6, warm=0.2, ingest=0.3, store=0.3, vxm=1.2):
     """A full fresh/baseline results dict with the given gated ratios
     (blocking_ms pinned to 100 so ratio == optimized ms / 100)."""
     return {
@@ -37,6 +37,11 @@ def _results(mm=0.5, cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5,
         "repeated_algorithm": {
             "blocking_ms": 100.0, "nb_warm_ms": algo * 100.0,
             "algo_memo_hits": 10,
+        },
+        # Plain engine overhead: no rewrite, hence no fired-counter.
+        "bfs_vxm": {
+            "blocking_ms": 100.0, "nonblocking_ms": vxm * 100.0,
+            "levels": 687,
         },
         "serving": {
             "blocking_ms": 100.0, "nb_batched_ms": serve * 100.0,
@@ -91,6 +96,14 @@ class TestRatioGate:
         fresh["repeated_algorithm"]["algo_memo_hits"] = 0
         failures = bench_gate.check(fresh, _results(), 0.25)
         assert any("never fired" in f for f in failures)
+
+    def test_overhead_ratio_is_gated_without_a_counter(self):
+        """``bfs_vxm`` has nothing to rewrite: its nonblocking/blocking
+        ratio is gated like the others, but no counter has to fire."""
+        assert bench_gate.check(_results(vxm=1.4), _results(), 0.25) == []
+        failures = bench_gate.check(_results(vxm=1.6), _results(), 0.25)
+        assert len(failures) == 1 and "bfs_vxm" in failures[0]
+        assert "never fired" not in failures[0]
 
     def test_fresh_ratios_covers_every_gated_metric(self):
         ratios = bench_gate.fresh_ratios(_results())

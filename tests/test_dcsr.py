@@ -396,7 +396,10 @@ class TestFormatSoundness:
         under another — the key fingerprint forces a rebuild."""
         from repro.algorithms._blocks import pattern_matrix
 
-        with config.option("ENGINE_ALGO_MEMO", True):
+        # The block memo rides on the result memo: pin both, so the
+        # REPRO_RESULT_CACHE=0 ablation row still tests the fingerprint.
+        with config.option("ENGINE_ALGO_MEMO", True), \
+                config.option("ENGINE_MEMO", True):
             a = mat_from_dict(self.GRAPH, 8, 8)
             pattern_matrix(a)                       # miss: builds + stores
             before = STATS.snapshot()

@@ -333,3 +333,108 @@ class TestModeParityProperties:
         finally:
             PLANE.disable()
         assert got == oracle
+
+
+# ---------------------------------------------------------------------------
+# Pending tuples: random interleavings of element writes, captures and reads
+# on one object, both modes, Vector and Matrix (CSR and DCSR), bit-exact.
+# ---------------------------------------------------------------------------
+
+from repro.core.scalar import Scalar  # noqa: E402
+
+from .test_dcsr import force_csr, force_dcsr  # noqa: E402
+
+_W = 6
+
+_write_op = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, _W * _W - 1),
+              st.integers(-3, 3)),
+    st.tuples(st.just("remove"), st.integers(0, _W * _W - 1), st.none()),
+    st.tuples(st.just("set_scalar"), st.integers(0, _W * _W - 1),
+              st.one_of(st.none(), st.integers(-3, 3))),
+    st.tuples(st.sampled_from(
+        ("apply", "assign", "dup", "nvals", "extract",
+         "wait_complete", "wait_materialize")),
+        st.integers(0, _W * _W - 1), st.none()),
+)
+_write_chain = st.lists(_write_op, min_size=1, max_size=24)
+
+
+def _exact(obj):
+    """Every stored entry, position and value bytes included."""
+    return tuple((a.dtype.str, a.tolist()) for a in obj.extract_tuples())
+
+
+def _run_writes(ctx, ops, matrix: bool):
+    """Play *ops* against one object; returns everything observable:
+    each read, each captured consumer's value, and the final state."""
+    t = T.FP64
+    if matrix:
+        obj = Matrix.new(t, _W, _W, ctx)
+        coord = lambda p: (p // _W, p % _W)  # noqa: E731
+        fresh = lambda: Matrix.new(t, _W, _W, ctx)  # noqa: E731
+    else:
+        obj = Vector.new(t, _W * _W, ctx)
+        coord = lambda p: (p,)  # noqa: E731
+        fresh = lambda: Vector.new(t, _W * _W, ctx)  # noqa: E731
+    seen, captured = [], []
+    for name, p, x in ops:
+        if name == "set":
+            obj.set_element(float(x), *coord(p))
+        elif name == "remove":
+            obj.remove_element(*coord(p))
+        elif name == "set_scalar":
+            s = Scalar.new(t, ctx)
+            if x is not None:
+                s.set_element(float(x))
+            obj.set_element(s, *coord(p))
+        elif name == "apply":
+            out = fresh()
+            apply(out, None, None, AINV[t], obj)
+            captured.append(out)
+        elif name == "assign":
+            out = fresh()
+            if matrix:
+                assign(out, obj, None, obj, None, None, desc=DESC_S)
+            else:
+                assign(out, obj, None, obj, None, desc=DESC_S)
+            captured.append(out)
+        elif name == "dup":
+            captured.append(obj.dup())
+        elif name == "nvals":
+            seen.append(obj.nvals())
+        elif name == "extract":
+            probe = Scalar.new(t, ctx)
+            obj.extract_element(*coord(p), out=probe)
+            seen.append(probe.extract_element() if probe.nvals() else None)
+        elif name == "wait_complete":
+            obj.wait(WaitMode.COMPLETE)
+        else:
+            obj.wait(WaitMode.MATERIALIZE)
+    # Consumers are forced last: each must hold what it captured.
+    return seen, [_exact(c) for c in captured], _exact(obj)
+
+
+def _write_parity(ops, matrix):
+    results = [_run_writes(Context.new(mode, None, None), ops, matrix)
+               for mode in (Mode.BLOCKING, Mode.NONBLOCKING)]
+    assert results[0] == results[1]
+
+
+class TestPendingTupleParity:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_write_chain)
+    def test_vector(self, ops):
+        _write_parity(ops, matrix=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_write_chain)
+    def test_matrix_csr(self, ops):
+        with force_csr():
+            _write_parity(ops, matrix=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_write_chain)
+    def test_matrix_dcsr(self, ops):
+        with force_dcsr():
+            _write_parity(ops, matrix=True)

@@ -12,7 +12,11 @@ plan IR.  This battery checks each pass's *observable* contract:
 * a fault at any pass boundary skips that pass (the previous IR stays
   valid) and the forcing still completes with exact results;
 * every pass and kernel records a span that round-trips through the
-  Chrome-trace JSON writer.
+  Chrome-trace JSON writer;
+* the applicability gate runs a pass only when its precondition holds
+  on the forced subgraph — and when none does, planning leaves no
+  trace at all (no span, no counter), while the result memo, consulted
+  directly, still hits.
 """
 
 import json
@@ -499,3 +503,204 @@ class TestStructuralKeys:
         canon = {id(n2): id(n1)}
         assert (structural_key(self._tail(y1), canon)
                 == structural_key(self._tail(y2), canon))
+
+
+# ---------------------------------------------------------------------------
+# The applicability gate
+# ---------------------------------------------------------------------------
+
+
+def _planner_spans():
+    return [e["name"] for e in STATS.trace_events()
+            if e.get("cat") == "planner" and e.get("ph") == "X"]
+
+
+_REWRITE_COUNTERS = (
+    "cse_hits", "cse_reused", "masks_pushed", "chains_fused", "nodes_fused",
+    "cost_decisions", "planner_pass_failures",
+)
+
+
+def _assert_no_planning():
+    assert _planner_spans() == []
+    snap = STATS.snapshot()
+    assert {k: snap[k] for k in _REWRITE_COUNTERS} == dict.fromkeys(
+        _REWRITE_COUNTERS, 0)
+
+
+class TestApplicabilityGate:
+    """Each pass: a minimal subgraph where its precondition holds (it
+    runs and fires as before) and a near miss where it does not (no
+    ``planner.*`` span, counters untouched)."""
+
+    @pytest.fixture(autouse=True)
+    def all_passes_on(self):
+        with config.option("ENGINE_FUSION", True), \
+                config.option("ENGINE_MEMO", True):
+            yield
+
+    # -- CSE ----------------------------------------------------------------
+
+    def test_cse_fires_on_two_nodes_of_one_signature(self):
+        assert _nonblocking(_dup_mxm_pipeline) == \
+            _blocking_oracle(_dup_mxm_pipeline)
+        assert _planner_spans() == [
+            "planner.normalize", "planner.cse", "planner.schedule"]
+        assert STATS.snapshot()["cse_reused"] == 1
+
+    def test_cse_near_miss_different_operations(self):
+        """Two pure products, but over different semirings: no two
+        nodes share a signature, so nothing could alias."""
+        from repro.core.semiring import MIN_PLUS_SEMIRING
+
+        def pipeline(ctx):
+            a = _graph(ctx, seed=21)
+            x1 = Matrix.new(T.FP64, N, N, ctx)
+            mxm(x1, None, None, _sr(), a, a)
+            x2 = Matrix.new(T.FP64, N, N, ctx)
+            mxm(x2, None, None, MIN_PLUS_SEMIRING[T.FP64], a, a)
+            s = Matrix.new(T.FP64, N, N, ctx)
+            ewise_add(s, None, None, B.PLUS[T.FP64], x1, x2)
+            s.wait(WaitMode.MATERIALIZE)
+            return mat_to_dict(s)
+
+        assert _nonblocking(pipeline) == _blocking_oracle(pipeline)
+        _assert_no_planning()
+        assert STATS.snapshot()["kernel_count"].get("mxm") == 2
+
+    # -- pushdown -------------------------------------------------------------
+
+    def test_pushdown_fires_on_masked_consumer_of_a_pushable_producer(self):
+        """With fusion ablated the pushdown precondition alone holds,
+        and only that pass runs."""
+        with config.option("ENGINE_FUSION", False):
+            pipeline = _pushdown_pipeline(DESC_RSC)
+            assert _nonblocking(pipeline) == _blocking_oracle(pipeline)
+        assert _planner_spans() == [
+            "planner.normalize", "planner.pushdown", "planner.schedule"]
+        assert STATS.snapshot()["masks_pushed"] == 1
+
+    def test_pushdown_near_miss_materialized_producer(self):
+        """The same masked consumer over an already-forced product: no
+        pending producer to push into."""
+        def pipeline(ctx):
+            a = _graph(ctx, seed=7)
+            m = _graph(ctx, seed=8, density=0.4)
+            c = Matrix.new(T.FP64, N, N, ctx)
+            mxm(c, None, None, _sr(), a, a)
+            c.wait(WaitMode.MATERIALIZE)
+            STATS.reset()
+            apply(c, m, None, U.IDENTITY[T.FP64], c, DESC_RSC)
+            c.wait(WaitMode.MATERIALIZE)
+            return mat_to_dict(c)
+
+        oracle = _blocking_oracle(pipeline)
+        assert _nonblocking(pipeline) == oracle
+        _assert_no_planning()
+
+    # -- fuse -----------------------------------------------------------------
+
+    def test_fuse_fires_on_stage_consumer_of_a_pure_producer(self):
+        def pipeline(ctx):
+            a = _graph(ctx, seed=12)
+            c = Matrix.new(T.FP64, N, N, ctx)
+            mxm(c, None, None, _sr(), a, a)
+            apply(c, None, None, U.AINV[T.FP64], c)
+            c.wait(WaitMode.MATERIALIZE)
+            return mat_to_dict(c)
+
+        assert _nonblocking(pipeline) == _blocking_oracle(pipeline)
+        assert _planner_spans() == [
+            "planner.normalize", "planner.cost", "planner.fuse",
+            "planner.schedule"]
+        snap = STATS.snapshot()
+        assert snap["chains_fused"] == 1 and snap["nodes_fused"] == 1
+
+    def test_fuse_near_miss_producer_is_a_live_tail(self):
+        """The producer is still its owner's tail (observable), so the
+        consumer could not absorb it: the precondition fails."""
+        def pipeline(ctx):
+            a = _graph(ctx, seed=12)
+            y = Matrix.new(T.FP64, N, N, ctx)
+            mxm(y, None, None, _sr(), a, a)
+            out = Matrix.new(T.FP64, N, N, ctx)
+            apply(out, None, None, U.AINV[T.FP64], y)
+            out.wait(WaitMode.MATERIALIZE)
+            return mat_to_dict(out), mat_to_dict(y)
+
+        assert _nonblocking(pipeline) == _blocking_oracle(pipeline)
+        _assert_no_planning()
+
+    # -- the result memo, consulted directly ------------------------------------
+
+    def test_one_node_resubmission_hits_the_memo_without_planning(self):
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        a = _graph(ctx, seed=30)
+        first = Matrix.new(T.FP64, N, N, ctx)
+        mxm(first, None, None, _sr(), a, a)
+        first.wait(WaitMode.MATERIALIZE)
+        STATS.reset()
+        again = Matrix.new(T.FP64, N, N, ctx)
+        mxm(again, None, None, _sr(), a, a)
+        again.wait(WaitMode.MATERIALIZE)
+        snap = STATS.snapshot()
+        assert snap["memo_hits"] == 1 and snap["memo_reused"] == 1
+        assert snap["kernel_count"].get("mxm") is None    # never ran
+        assert _planner_spans() == []
+        assert mat_to_dict(again) == mat_to_dict(first)
+
+    def test_memo_hit_is_claimed_when_passes_do_run(self):
+        """A memo hit inside a subgraph that is planned stays locked:
+        the fuse pass must not absorb the node the memo answers."""
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        a = _graph(ctx, seed=31)
+        first = Matrix.new(T.FP64, N, N, ctx)
+        mxm(first, None, None, _sr(), a, a)
+        first.wait(WaitMode.MATERIALIZE)
+        STATS.reset()
+        c = Matrix.new(T.FP64, N, N, ctx)
+        mxm(c, None, None, _sr(), a, a)             # memo hit
+        apply(c, None, None, U.AINV[T.FP64], c)     # would fuse it
+        c.wait(WaitMode.MATERIALIZE)
+        snap = STATS.snapshot()
+        assert snap["memo_reused"] == 1
+        assert snap["chains_fused"] == 0
+        assert "planner.fuse" in _planner_spans()   # it ran, and refused
+        assert mat_to_dict(c) == {
+            k: -v for k, v in mat_to_dict(first).items()}
+
+    def test_in_place_node_stores_nothing(self):
+        """``apply(f, …, f)`` is keyed on a version its own submission
+        superseded: it may hit, it never stores."""
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        f = Vector.new(T.FP64, N, ctx)
+        f.set_element(1.0, 3)
+        f.wait(WaitMode.MATERIALIZE)
+        STATS.reset()
+        apply(f, None, None, U.AINV[T.FP64], f)
+        f.wait(WaitMode.MATERIALIZE)
+        assert STATS.snapshot()["memo_stores"] == 0
+        out = Vector.new(T.FP64, N, ctx)
+        apply(out, None, None, U.AINV[T.FP64], f)   # not in place: stored
+        out.wait(WaitMode.MATERIALIZE)
+        assert STATS.snapshot()["memo_stores"] == 1
+
+    # -- the loop the gate exists for ---------------------------------------------
+
+    def test_bfs_parents_emits_no_planner_span(self):
+        from repro.algorithms import bfs_parents
+        from repro.generators import grid_2d, to_matrix
+
+        def grid(mode):
+            g = to_matrix(*grid_2d(6), ctx=Context.new(mode, None, None))
+            g.wait(WaitMode.MATERIALIZE)
+            return g
+
+        g = grid(Mode.NONBLOCKING)
+        STATS.reset()
+        parents = bfs_parents(g, 0)
+        parents.wait(WaitMode.MATERIALIZE)
+        assert STATS.snapshot()["forces"] >= 10     # one per level
+        _assert_no_planning()
+        oracle = bfs_parents(grid(Mode.BLOCKING), 0)
+        assert parents.to_dict() == oracle.to_dict()

@@ -22,6 +22,7 @@ Battery structure:
 """
 
 import asyncio
+import contextlib
 import tempfile
 import time
 
@@ -78,6 +79,26 @@ def assert_carriers_equal(a, b):
     np.testing.assert_array_equal(ra, rb)
     np.testing.assert_array_equal(ca, cb)
     np.testing.assert_array_equal(va, vb)
+
+
+@contextlib.contextmanager
+def _block_memo_on():
+    """Pin the algorithm-block memo *and* the result memo it rides on:
+    the CI ablation rows export each off, and the warm-block tests are
+    about what happens when blocks exist."""
+    with config.option("ENGINE_ALGO_MEMO", True), \
+            config.option("ENGINE_MEMO", True):
+        yield
+
+
+def _cold_answer(carrier, query):
+    """What a service that has only ever seen *carrier* answers."""
+    cold = GraphService()
+    try:
+        cold.register_graph("g", Matrix.from_data(carrier))
+        return cold.open_session("t").run(query).value
+    finally:
+        cold.close()
 
 
 @pytest.fixture(autouse=True)
@@ -192,7 +213,7 @@ class TestCheckpointRestore:
         restored.close()
 
     def test_warm_blocks_and_calibration_rehydrate(self, tmp_path):
-        with config.option("ENGINE_ALGO_MEMO", True):
+        with _block_memo_on():
             svc = GraphService(checkpoint_dir=str(tmp_path))
             svc.register_graph("g", ring(24, 5))
             s = svc.open_session("t")
@@ -209,6 +230,102 @@ class TestCheckpointRestore:
             after = STATS.snapshot()["algo_memo_hits"]
             assert after > before  # restored blocks served the cold query
             restored.close()
+
+    def test_replay_reaches_restored_blocks(self, tmp_path):
+        """Checkpoint, then pattern-changing writes, then a crash: the
+        checkpointed blocks describe the snapshot, the journal moves the
+        graph on.  Replay must patch or drop them — a stale ``pattern``
+        block made the first pagerank after restore answer for a graph
+        that no longer existed (PR 11 finding 2, off by 0.28 L1)."""
+        with _block_memo_on():
+            svc = GraphService(checkpoint_dir=str(tmp_path))
+            svc.register_graph("g", ring(24, 5, FP64))
+            s = svc.open_session("t")
+            s.run(Query.make("pagerank", "g"))   # builds memo blocks
+            assert len(svc.checkpoint()["blocks"]) > 0
+            # New edges into and out of vertex 0: ranks move visibly.
+            hub = np.arange(1, 24)
+            svc.mutate_graph(
+                "g", np.concatenate([hub, np.zeros(23, dtype=np.int64)]),
+                np.concatenate([np.zeros(23, dtype=np.int64), hub]),
+                np.ones(46),
+            )
+            final = svc._graphs["g"]
+            # No close(): the process dies here, the journal is all
+            # there is.
+
+            restored = GraphService.restore(str(tmp_path))
+            assert_carriers_equal(restored._graphs["g"], final)
+            got = restored.open_session("t").run(
+                Query.make("pagerank", "g")).value["ranks"]
+            restored.close()
+            svc.close()
+
+            want = _cold_answer(final, Query.make("pagerank", "g"))["ranks"]
+        assert sum(abs(got[k] - want[k]) for k in want) < 1e-6
+
+    def test_writes_after_restore_reach_restored_blocks(self, tmp_path):
+        """Same staleness on the live side: a tenant that opens its
+        first view *after* a post-restore write must not be seeded with
+        blocks of the pre-write graph."""
+        with _block_memo_on():
+            svc = GraphService(checkpoint_dir=str(tmp_path))
+            svc.register_graph("g", ring(24, 5, FP64))
+            svc.open_session("t").run(Query.make("pagerank", "g"))
+            svc.checkpoint()
+            svc.close()
+
+            restored = GraphService.restore(str(tmp_path))
+            hub = np.arange(1, 24)
+            restored.mutate_graph(
+                "g", hub, np.zeros(23, dtype=np.int64), np.ones(23))
+            final = restored._graphs["g"]
+            got = restored.open_session("late").run(
+                Query.make("pagerank", "g")).value["ranks"]
+            restored.close()
+
+            want = _cold_answer(final, Query.make("pagerank", "g"))["ranks"]
+        assert sum(abs(got[k] - want[k]) for k in want) < 1e-6
+
+    def test_checkpoint_attributes_blocks_by_generation_not_id(self, tmp_path):
+        """Carriers die every generation and ``id()`` values come back:
+        a block built over a long-gone generation must never be
+        checkpointed as the current graph's (PR 11 finding 1).  Each
+        round leaves one orphaned block behind (a dropped view's memo
+        entry) and publishes a new generation; the rounds stop at the
+        first generation whose carrier reuses an orphan's id — the
+        state the old ``id(carrier)`` attribution mistook for current."""
+        from repro.algorithms._blocks import pattern_matrix
+        from repro.core.types import BOOL
+
+        with _block_memo_on():
+            svc = GraphService(checkpoint_dir=str(tmp_path))
+            svc.register_graph("g", ring(16, 3, FP64))
+            session = svc.open_session("t", memo_capacity=4096)
+            orphan_ids = set()
+            for gen in range(400):
+                view = svc.graph_view("g", session.ctx)
+                pattern_matrix(view, BOOL).wait()
+                orphan_ids.add(id(svc._graphs["g"]))
+                del view
+                # A new edge every round: the pattern really changes.
+                svc.mutate_graph("g", [gen % 16], [(gen * 7 + 2) % 16], [1.0])
+                if id(svc._graphs["g"]) in orphan_ids:
+                    break
+            else:
+                pytest.skip("the allocator never reused a carrier id")
+            final = svc._graphs["g"]
+            man = svc.checkpoint()
+            # Nothing was built over the current generation.
+            assert man["blocks"] == []
+            svc.close()
+
+            restored = GraphService.restore(str(tmp_path))
+            got = restored.open_session("t").run(
+                Query.make("bfs", "g", source=0)).value
+            restored.close()
+            want = _cold_answer(final, Query.make("bfs", "g", source=0))
+        assert got == want
 
     def test_mutation_durable_before_ack(self, tmp_path):
         # The WAL property, observed from outside: after mutate_graph

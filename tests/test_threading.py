@@ -1,5 +1,6 @@
 """Multithreading battery (§III): thread safety and the Fig. 1 hand-off."""
 
+import sys
 import threading
 
 import numpy as np
@@ -82,6 +83,76 @@ class TestIndependentThreadSafety:
 
         _run_threads(reader, reader)
         assert all("duplicate" in s for s in seen)
+
+
+class TestPendingTupleRace:
+    """Appends run under the owner's lock, forcings under the engine's:
+    a write acknowledged before a forcing collects the run is in the
+    forced result, a write racing the forcing opens a new run — never
+    lost, never applied twice."""
+
+    def test_append_vs_force(self):
+        n_writes, n_forcers = 4000, 3    # more threads than cores
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        v = Vector.new(T.INT64, n_writes + 1, ctx)
+        acked = [0]                      # writes acknowledged so far
+        done = threading.Event()
+        failures = []
+
+        def writer():
+            try:
+                for i in range(n_writes):
+                    v.set_element(i, i)          # a new coordinate
+                    v.set_element(i, n_writes)   # a rewritten one
+                    acked[0] = i + 1
+            except Exception as exc:  # pragma: no cover
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def forcer():
+            try:
+                last = 0
+                while not done.is_set():
+                    before = acked[0]
+                    idx, vals = v.extract_tuples()
+                    rewritten = len(idx) > 0 and idx[-1] == n_writes
+                    seen = len(idx) - rewritten   # coordinates 0..seen-1
+                    # Every write acknowledged before the forcing began
+                    # is in its result, and nothing ever disappears.
+                    assert seen >= before, (seen, before)
+                    assert seen >= last, (seen, last)
+                    last = seen
+                    assert np.array_equal(idx[:seen], np.arange(seen))
+                    assert np.array_equal(vals[:seen], np.arange(seen))
+                    if rewritten:
+                        # Written right after coordinate i with value i:
+                        # it holds the latest counter or the one before
+                        # — never an older run's, re-applied.
+                        assert seen - 2 <= vals[-1] <= seen - 1, (vals[-1], seen)
+                    else:
+                        assert seen <= 1
+            except Exception as exc:
+                failures.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=forcer)
+                        for _ in range(n_forcers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert not failures, failures[0]
+        idx, vals = v.extract_tuples()
+        assert len(idx) == n_writes + 1
+        assert np.array_equal(idx[:-1], vals[:-1])
+        assert vals[-1] == n_writes - 1
 
 
 class TestFigOnePattern:
