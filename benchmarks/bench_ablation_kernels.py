@@ -1,12 +1,14 @@
 """AB1 — ablations of the kernel design choices DESIGN.md calls out.
 
 * masked-SpGEMM push-down on vs off (the reason ``C⟨L⟩ = L·Lᵀ`` wins);
-* FIRST/SECOND/ONEB multiply shortcuts on vs off;
+* the FIRST/SECOND/ONEB multiply shortcuts, timed as the only path
+  (their off-variant was retired with the knob; EXPERIMENTS AB1 keeps
+  the last on-vs-off measurement);
 * ESC SpGEMM row-partitioning across context thread counts.
 
 Expected shapes: push-down wins and its advantage grows with mask
-selectivity; shortcuts shave the gather of the ignored operand; thread
-scaling is modest-but-real (NumPy releases the GIL in kernels).
+selectivity; thread scaling is modest-but-real (NumPy releases the GIL
+in kernels).
 """
 
 import time
@@ -48,11 +50,10 @@ def _masked_mxm(low, pushdown: bool):
     return c
 
 
-def _plain_mxm(a, semiring, shortcuts: bool):
-    with config.option("MULT_SHORTCUTS", shortcuts):
-        c = Matrix.new(T.FP64, a.nrows, a.ncols)
-        mxm(c, None, None, semiring, a, a)
-        c.wait()
+def _plain_mxm(a, semiring):
+    c = Matrix.new(T.FP64, a.nrows, a.ncols)
+    mxm(c, None, None, semiring, a, a)
+    c.wait()
     return c
 
 
@@ -92,16 +93,8 @@ class TestMultShortcuts:
         [("min_first", MIN_FIRST_SEMIRING), ("plus_second", PLUS_SECOND_SEMIRING)],
         ids=["min_first", "plus_second"],
     )
-    def test_shortcut_on(self, benchmark, name, sr):
-        benchmark(_plain_mxm, rmat_graph(SCALE), sr[T.FP64], True)
-
-    @pytest.mark.parametrize(
-        "name,sr",
-        [("min_first", MIN_FIRST_SEMIRING), ("plus_second", PLUS_SECOND_SEMIRING)],
-        ids=["min_first", "plus_second"],
-    )
-    def test_shortcut_off(self, benchmark, name, sr):
-        benchmark(_plain_mxm, rmat_graph(SCALE), sr[T.FP64], False)
+    def test_shortcut(self, benchmark, name, sr):
+        benchmark(_plain_mxm, rmat_graph(SCALE), sr[T.FP64])
 
 
 def test_ablation_report(benchmark, capsys, tri_inputs):
@@ -122,10 +115,8 @@ def test_ablation_report(benchmark, capsys, tri_inputs):
     g = rmat_graph(SCALE)
     for label, sr in (("min.first mxm", MIN_FIRST_SEMIRING[T.FP64]),
                       ("plus.second mxm", PLUS_SECOND_SEMIRING[T.FP64])):
-        s_on = timed(lambda: _plain_mxm(g, sr, True))
-        s_off = timed(lambda: _plain_mxm(g, sr, False))
-        rows.append([label, f"{s_on:8.2f}", f"{s_off:8.2f}",
-                     f"{s_off / s_on:5.2f}x"])
+        s_on = timed(lambda: _plain_mxm(g, sr))
+        rows.append([label, f"{s_on:8.2f}", "       -", "    -"])
     b_on = timed(lambda: _bfs(True))
     b_off = timed(lambda: _bfs(False))
     rows.append(["BFS (complement push-down)", f"{b_on:8.2f}",

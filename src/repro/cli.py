@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-result-cache", action="store_true",
         help="disable the cross-forcing result memo (ablation; same as "
-             "REPRO_RESULT_CACHE=0)",
+             "REPRO_ENGINE_MEMO=0)",
     )
     p.add_argument(
         "--store-dir", metavar="DIR", default=None,

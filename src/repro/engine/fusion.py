@@ -10,9 +10,10 @@ each rewrite pass for its precondition:
   (:func:`repro.engine.passes.cse.signature`);
 * ``pushdown`` — a masked consumer sits over a pending, pure, pushable
   producer (:func:`repro.engine.passes.pushdown.can_fire`);
-* ``fuse`` (and ``cost``, which only arbitrates or vetoes fusions) — a
-  stage-form consumer could absorb its pipe source
+* ``fuse`` — a stage-form consumer could absorb its pipe source
   (:func:`repro.engine.passes.fuse.can_fire`);
+* ``cost`` — both ``pushdown`` and ``fuse`` can fire: arbitrating
+  between them is all the pass does;
 
 and, in the same scan, consults the cross-forcing result memo for every
 eligible node directly — one key, one dict probe
@@ -200,7 +201,7 @@ def _gate(nodes: list) -> tuple[list, list, list]:
     passes = [("normalize", normalize.run)]
     if can_cse:
         passes.append(("cse", cse.run))
-    if can_fuse:
+    if can_push and can_fuse:
         passes.append(("cost", cost.run))
     if can_push:
         passes.append(("pushdown", pushdown.run))
@@ -232,23 +233,14 @@ def plan_subgraph(nodes: list) -> None:
             # not be absorbed as a planner-pass failure.
             cancel.checkpoint(f"planner.{name}")
             t0 = time.perf_counter()
-            fusions_before = len(ir.fusions)
             try:
                 with armed():  # the skip below is this site's recovery
                     maybe_inject(f"planner.{name}", nodes=len(nodes))
                 ir = pass_fn(ir)
             except Exception:
                 STATS.bump("planner_pass_failures")
-            elapsed = time.perf_counter() - t0
-            if name == "fuse" and len(ir.fusions) > fusions_before:
-                # Feed the adaptive cost model the measured bookkeeping
-                # of actually constructing chains, so it can veto
-                # fusions whose saving is smaller than this very cost.
-                cost.record_plan_overhead(
-                    elapsed, len(ir.fusions) - fusions_before,
-                )
             STATS.span(
-                f"planner.{name}", "planner", t0, elapsed,
+                f"planner.{name}", "planner", t0, time.perf_counter() - t0,
                 {"nodes": len(ir.nodes), "aliases": len(ir.aliases),
                  "pushdowns": len(ir.pushdowns), "fusions": len(ir.fusions)},
             )

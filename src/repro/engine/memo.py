@@ -1,7 +1,7 @@
 """Cross-forcing result cache (§III optimization latitude).
 
 The planner's CSE pass hash-conses duplicates *within* one forcing;
-this module extends the same idea across API calls: a bounded LRU memo
+this module extends the same idea across API calls: a bounded memo
 of ``memo key → committed carrier`` per :class:`~repro.core.context.
 Context`, where the key (:func:`repro.engine.dag.memo_key`) identifies
 a pure built-in computation over *versioned* input handles.  When a
@@ -62,24 +62,21 @@ inherited: a patched entry exists only under the new version's key,
 and patching happens before the write returns, so no forcing can
 observe a stale carrier under a live key.
 
-Eviction policy (``MEMO_EVICTION``): capacity pressure used to evict by
-recency alone, which throws away an expensive SpGEMM product to keep a
-trivial apply just because the apply came later.  The default ``cost``
-policy instead scores each entry by what evicting it would *cost to
-rebuild* — the calibrated savings estimate recorded at store time
-(products avoided × observed kernel rate, or the measured build time
-for algorithm building blocks) — exponentially aged by how many
-lookups/stores ago the entry was last touched (half-life = one
-capacity's worth of touches, so a stale expensive entry does eventually
-yield to fresh cheap ones).  The victim is the minimum-score entry;
-``MEMO_EVICTION=lru`` restores the pure recency order bit-for-bit.
+Eviction: under capacity pressure each entry is scored by what
+evicting it would *cost to rebuild* — the calibrated savings estimate
+recorded at store time (products avoided × observed kernel rate, or the
+measured build time for algorithm building blocks) — exponentially aged
+by how many lookups/stores ago the entry was last touched (half-life =
+one capacity's worth of touches, so a stale expensive entry does
+eventually yield to fresh cheap ones).  The victim is the minimum-score
+entry: an expensive SpGEMM product outlives a trivial apply that came
+later, and equal costs fall back to recency.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Any, Iterable
 
 from ..internals import config
@@ -178,17 +175,17 @@ _TRACKED_UIDS: set[int] = set()
 
 
 class ResultMemo:
-    """A bounded LRU map of memo key → committed result carrier."""
+    """A bounded map of memo key → committed result carrier."""
 
     def __init__(self, capacity: int | None = None):
         self._lock = threading.Lock()
         self._capacity = capacity
-        #: monotonic touch clock: advances on every hit and store; the
-        #: cost policy ages scores by touches-since-last-use.
+        #: monotonic touch clock: advances on every hit and store;
+        #: eviction ages scores by touches-since-last-use.
         self._tick = 0
         #: key -> [carrier, frozenset of dep uids, owner uid | None,
         #:         rebuild-cost estimate (ms), last-touched tick]
-        self._entries: "OrderedDict[tuple, list]" = OrderedDict()
+        self._entries: dict[tuple, list] = {}
         #: dep uid -> set of keys depending on it (write invalidation)
         self._by_dep: dict[int, set[tuple]] = {}
         #: owner uid -> set of keys whose carrier was committed to it
@@ -212,8 +209,8 @@ class ResultMemo:
 
     def lookup(self, key: tuple) -> Any | None:
         """The cached carrier for *key*, or ``None`` (counted as a miss).
-        A hit refreshes the entry's recency (LRU position and cost-score
-        age); the *hit* counter is bumped by the schedule pass when the
+        A hit refreshes the entry's recency (its eviction-score age);
+        the *hit* counter is bumped by the schedule pass when the
         decision is committed.
 
         On an in-memory miss, algorithm-block keys fall through to the
@@ -227,7 +224,6 @@ class ResultMemo:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self._tick += 1
                 entry[4] = self._tick
                 return entry[0]
@@ -286,8 +282,8 @@ class ResultMemo:
         """Record a committed carrier, evicting past capacity.
 
         ``cost_ms`` is the estimated cost of rebuilding this entry (the
-        savings a future hit buys); the cost eviction policy keeps the
-        entries whose aged estimate is highest.  ``estimated=True``
+        savings a future hit buys); eviction keeps the entries whose
+        aged estimate is highest.  ``estimated=True``
         marks a cost-model estimate (expression stores) rather than a
         measured build time — only those are subject to the
         ``MEMO_ADMISSION`` gate, which skips the store outright when
@@ -326,22 +322,17 @@ class ResultMemo:
     def _evict_one(self, just_stored: tuple) -> None:
         # Caller holds self._lock; len(self._entries) > 1 is guaranteed
         # (capacity >= 1 and we are past it).
-        policy = config.get_option("MEMO_EVICTION")
-        if policy == "lru":
-            victim = next(iter(self._entries))
-        else:
-            victim = min(
-                (k for k in self._entries if k != just_stored),
-                key=self._score,
-            )
+        victim = min(
+            (k for k in self._entries if k != just_stored),
+            key=self._score,
+        )
         score = self._score(victim)
         cost_ms = self._entries[victim][3]
         self._drop(victim)
         STATS.bump("memo_evictions")
         STATS.instant(
             "memo:evict", "memo",
-            {"policy": policy, "cost_ms": round(cost_ms, 6),
-             "score_ms": round(score, 6)},
+            {"cost_ms": round(cost_ms, 6), "score_ms": round(score, 6)},
         )
 
     def _score(self, key: tuple) -> float:

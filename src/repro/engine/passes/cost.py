@@ -32,24 +32,9 @@ decision emits a ``cost:`` trace instant with both estimates — so
 skipped or disabled cost pass (``ENGINE_COSTMODEL=0``) degrades to the
 fixed order.
 
-Beyond the arbitration, the same calibrated model now drives three more
-decisions:
-
-* **memo entry scoring** (:func:`entry_savings_ms`) — what a result-memo
-  hit on a node would save, feeding the cost-weighted eviction policy
-  in :mod:`repro.engine.memo`.
-* **adaptive fusion veto** (``COST_ADAPTIVE_FUSION``) — the planner
-  driver reports how long the fuse pass spends per constructed chain
-  (:func:`record_plan_overhead`); once that is measured, a producer
-  whose estimated fusion saving is a small fraction of the per-chain
-  bookkeeping is decided ``"nofuse"`` and runs standalone.  No static
-  prior: until a chain has actually been built (and timed) in this
-  stats epoch, nothing is vetoed.
-* **adaptive SpGEMM partitioning** (``COST_ADAPTIVE_PARTITIONS``) —
-  :func:`partition_count` picks the row-block count for
-  ``internals/parallel.py`` per context from measured throughput
-  (elements/second) of previous splits, exploring the power-of-two
-  ladder below ``nthreads`` before settling on the best observed.
+The same calibrated model also scores result-memo entries
+(:func:`entry_savings_ms`): what a hit on a node would save feeds the
+eviction order in :mod:`repro.engine.memo`.
 """
 
 from __future__ import annotations
@@ -70,9 +55,7 @@ from .ir import PlanIR
 
 __all__ = [
     "run", "estimate_nnz", "calibrated_rates", "entry_savings_ms",
-    "record_plan_overhead", "partition_count", "record_partition_sample",
     "export_calibration", "seed_calibration",
-    "export_partition_samples", "seed_partition_samples",
     "commit_format", "should_delta_patch",
 ]
 
@@ -85,45 +68,24 @@ __all__ = [
 _BASE_PRODUCT_MS = 5e-6
 _BASE_STAGE_MS = 1e-6
 
-#: Fusion is vetoed only when the measured per-chain bookkeeping
-#: exceeds this multiple of the estimated saving — a deliberate bias
-#: toward fusing, so only genuinely tiny producers run standalone.
-_NOFUSE_MARGIN = 4.0
-
 _cal_lock = threading.Lock()
 #: Cumulative elements this pass estimated per bucket, matched against
 #: the cumulative kernel wall time STATS records for the same kinds.
 _estimated_elems = {"product": 0.0, "stage": 0.0}
-#: Measured plan bookkeeping: cumulative fuse-pass wall time attributed
-#: to forcings that built chains, and how many chains they built.
-_plan_overhead = {"ms": 0.0, "chains": 0}
-#: Per-context SpGEMM split telemetry: ctx key -> {nblocks: [elems, s]}.
-_partition_samples: dict = {}
 #: Warm-restart priors (checkpoint rehydration): measured rates from a
 #: previous process image, used instead of the static ``_BASE_*``
 #: defaults until *this* process has its own measurements.
 _seeded_rates: dict = {}
-#: Warm-restart partition priors: merged split-throughput samples from
-#: a previous process (``nblocks -> [elems, seconds]``), consulted by
-#: :func:`partition_count` under live per-context samples — so a fresh
-#: process skips the explore ladder and goes straight to the split the
-#: previous image found best.
-_seeded_partitions: dict = {}
 
 
 def _reset_calibration() -> None:
     """Stats epoch rolled over (``STATS.reset``): drop the estimate
     accumulators so the ratio against the freshly-zeroed kernel times
-    stays consistent, along with the bookkeeping/split telemetry and
-    any warm-restart priors."""
+    stays consistent, along with any warm-restart priors."""
     with _cal_lock:
         _estimated_elems["product"] = 0.0
         _estimated_elems["stage"] = 0.0
-        _plan_overhead["ms"] = 0.0
-        _plan_overhead["chains"] = 0
-        _partition_samples.clear()
         _seeded_rates.clear()
-        _seeded_partitions.clear()
 
 
 def export_calibration() -> dict:
@@ -147,47 +109,6 @@ def seed_calibration(rates: dict) -> None:
                 continue
             if value > 0.0:
                 _seeded_rates[bucket] = value
-
-
-def export_partition_samples() -> dict:
-    """Measured SpGEMM split throughput, merged across contexts and
-    keyed by block count (JSON-portable: ``{"4": [elems, seconds]}``).
-
-    Context keys are process-local uids, so the per-context structure
-    does not survive a restart — but the *physics* (how this machine's
-    throughput scales with split count) does, and that is what the
-    warm-start store persists.
-    """
-    with _cal_lock:
-        merged: dict[int, list[float]] = {}
-        buckets = list(_partition_samples.values())
-        buckets.append(_seeded_partitions)
-        for bucket in buckets:
-            for nblocks, cell in bucket.items():
-                out = merged.setdefault(int(nblocks), [0.0, 0.0])
-                out[0] += float(cell[0])
-                out[1] += float(cell[1])
-    return {str(k): [v[0], v[1]] for k, v in sorted(merged.items())}
-
-
-def seed_partition_samples(samples: dict) -> None:
-    """Install persisted split-throughput samples as warm priors.
-
-    Live per-context measurements always shadow them, and a stats
-    reset clears them — same contract as :func:`seed_calibration`.
-    Malformed cells are skipped (the sidecar may come from any disk).
-    """
-    with _cal_lock:
-        for key, cell in samples.items():
-            try:
-                nblocks = int(key)
-                elems = float(cell[0])
-                seconds = float(cell[1])
-            except (TypeError, ValueError, IndexError, KeyError):
-                continue
-            if nblocks < 2 or elems <= 0.0 or seconds <= 0.0:
-                continue
-            _seeded_partitions[nblocks] = [elems, seconds]
 
 
 register_reset_hook(_reset_calibration)
@@ -321,77 +242,6 @@ def entry_savings_ms(node: Node) -> float:
         return 0.0
 
 
-def record_plan_overhead(seconds: float, chains: int) -> None:
-    """The planner driver measured the fuse pass taking *seconds* while
-    constructing *chains* new fused chains (only called when > 0)."""
-    with _cal_lock:
-        _plan_overhead["ms"] += seconds * 1e3
-        _plan_overhead["chains"] += chains
-
-
-def _overhead_per_chain_ms() -> float:
-    with _cal_lock:
-        if _plan_overhead["chains"] < 1:
-            return 0.0
-        return _plan_overhead["ms"] / _plan_overhead["chains"]
-
-
-def record_partition_sample(
-    ctx_key: int, nblocks: int, elems: float, seconds: float,
-) -> None:
-    """One parallel SpGEMM finished: *nblocks*-way split pushed an
-    estimated *elems* products in *seconds* on context *ctx_key*."""
-    if seconds <= 0 or elems <= 0:
-        return
-    with _cal_lock:
-        bucket = _partition_samples.setdefault(ctx_key, {})
-        cell = bucket.setdefault(nblocks, [0.0, 0.0])
-        cell[0] += elems
-        cell[1] += seconds
-
-
-def partition_count(ctx_key: int, nthreads: int, est_elems: float) -> int:
-    """Row-block count for a parallel SpGEMM on context *ctx_key*.
-
-    Explores the power-of-two ladder ``nthreads, nthreads/2, …, 2``
-    (each candidate must be measured once before the model judges),
-    then exploits the split with the best observed throughput.  Falls
-    back to ``nthreads`` — the static policy — when adaptivity is off
-    or nothing is measured yet.
-    """
-    nthreads = max(1, nthreads)
-    if not config.COST_ADAPTIVE_PARTITIONS or nthreads <= 2:
-        return nthreads
-    candidates = []
-    c = nthreads
-    while c >= 2:
-        candidates.append(c)
-        if c == 2:
-            break
-        c = max(2, c // 2)
-    with _cal_lock:
-        bucket = _partition_samples.get(ctx_key, {})
-        if _seeded_partitions:
-            # Warm-restart priors fill unexplored rungs of the ladder
-            # (a seeded process skips straight to exploit); live
-            # measurements for the same split shadow them.
-            merged = dict(_seeded_partitions)
-            merged.update(bucket)
-            bucket = merged
-        for cand in candidates:
-            if cand not in bucket:
-                return cand  # explore: measure this split at least once
-        best = max(candidates, key=lambda k: bucket[k][0] / bucket[k][1])
-    if best != nthreads:
-        STATS.bump("cost_partition_decisions")
-        STATS.instant(
-            "cost:partition", "planner",
-            {"nthreads": nthreads, "chosen": best,
-             "est_elems": round(est_elems, 1)},
-        )
-    return best
-
-
 def commit_format(label: str, carrier):
     """Cost-model format decision at the transaction commit gate.
 
@@ -432,20 +282,25 @@ def commit_format(label: str, carrier):
     return out
 
 
+#: A delta is patched only while it is at most this fraction of the
+#: base's nnz; past it a rebuild is declared cheaper (cold fallback).
+_DELTA_PATCH_RATIO = 0.25
+
+
 def should_delta_patch(kind: str, delta_nnz: int, base_nnz: int) -> bool:
     """Patch-vs-rebuild arbitration for the memo's delta tier.
 
     Patching a block costs O(delta) array work under the memo lock;
     rebuilding costs a full kernel pass over the base.  The crossover
-    is linear in the size ratio, so the rule is a single calibratable
-    threshold (``DELTA_PATCH_LIMIT``) with an absolute floor of 16
-    edges — tiny deltas always patch, even into tiny graphs.  Every
-    decision emits a ``cost:delta-patch`` instant.
+    is linear in the size ratio, so the rule is a single threshold
+    (:data:`_DELTA_PATCH_RATIO`) with an absolute floor of 16 edges —
+    tiny deltas always patch, even into tiny graphs.  Every decision
+    emits a ``cost:delta-patch`` instant.
     """
     if not config.ENGINE_DELTA:
         return False
-    limit = float(config.DELTA_PATCH_LIMIT)
-    patch = float(delta_nnz) <= max(16.0, limit * float(base_nnz))
+    patch = float(delta_nnz) <= max(
+        16.0, _DELTA_PATCH_RATIO * float(base_nnz))
     STATS.instant(
         "cost:delta-patch", "planner",
         {"kind": kind, "delta_nnz": int(delta_nnz),
@@ -494,63 +349,13 @@ def _conflict_pairs(ir: PlanIR):
         yield y, x, m
 
 
-def _veto_tiny_fusions(ir: PlanIR, decisions: dict) -> None:
-    """Decide ``"nofuse"`` for producers whose estimated fusion saving
-    is dwarfed by the *measured* per-chain plan bookkeeping.
-
-    Evidence-gated: until this stats epoch has timed the fuse pass
-    building at least one chain, nothing is vetoed — so isolated
-    forcings (and freshly reset test fixtures) always fuse.
-    """
-    from .fuse import _absorbable
-
-    overhead_ms = _overhead_per_chain_ms()
-    if overhead_ms <= 0.0:
-        return
-    in_graph = {id(n) for n in ir.nodes}
-    _, stage_ms = calibrated_rates()
-    for y in ir.nodes:
-        if y.state != PENDING or y.stages is None or id(y) in ir.locked:
-            continue
-        x = y.inputs[y.pipe_input].node
-        if (
-            x is None
-            or id(x) not in in_graph
-            or id(x) in ir.locked
-            or id(x) in decisions
-            or not _absorbable(y, x)
-        ):
-            continue
-        fuse_gain = _node_nnz(x) * stage_ms
-        if fuse_gain * _NOFUSE_MARGIN >= overhead_ms:
-            continue
-        decisions[id(x)] = "nofuse"
-        STATS.bump("cost_fusions_skipped")
-        STATS.instant(
-            f"cost:nofuse:{x.label}", "planner",
-            {
-                "producer": x.label, "consumer": y.label,
-                "fuse_gain_ms": round(fuse_gain, 6),
-                "plan_overhead_ms": round(overhead_ms, 6),
-            },
-        )
-
-
 def run(ir: PlanIR) -> PlanIR:
+    # The gate schedules this pass only when both contenders can fire
+    # (so both are enabled): arbitration is all it does.
     if not config.ENGINE_COSTMODEL:
         return ir
     decisions = dict(ir.decisions)
-    if config.COST_ADAPTIVE_FUSION and config.ENGINE_FUSION:
-        _veto_tiny_fusions(ir, decisions)
-    if not (config.ENGINE_PUSHDOWN and config.MASK_PUSHDOWN
-            and config.ENGINE_FUSION):
-        # Only one contender enabled: nothing to arbitrate.
-        if len(decisions) == len(ir.decisions):
-            return ir
-        return ir.replace(decisions=decisions)
     for y, x, m in _conflict_pairs(ir):
-        if decisions.get(id(x)) == "nofuse":
-            continue  # already vetoed: pushdown may still claim it
         products = estimate_products(x)
         out_nnz = _node_nnz(x)
         kill = _mask_kill_fraction(m.source, m.complement)

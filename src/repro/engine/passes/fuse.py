@@ -22,8 +22,7 @@ arbitrates who gets the producer.
 
 **Precondition** (:func:`can_fire`): a stage-form consumer whose pipe
 source is a producer it could absorb right now.  The gate runs this
-pass (and the cost pass, which only ever arbitrates or vetoes fusions)
-only when some node of the forcing meets it.
+pass only when some node of the forcing meets it.
 
 This pass only *decides*; absorbed producers are recorded in
 ``ir.elided`` and flipped to ELIDED by the schedule pass.
@@ -111,9 +110,6 @@ def run(ir: PlanIR) -> PlanIR:
                 or id(x) not in in_graph
                 or id(x) in locked
                 or id(x) in elided
-                # Adaptive cost veto: a producer this tiny loses more
-                # to plan bookkeeping than fusing it saves.
-                or ir.decisions.get(id(x)) == "nofuse"
                 or not _absorbable(consumer, x)
             ):
                 break

@@ -3,117 +3,9 @@
 The lazy engine's whole value proposition — defer, fuse, elide, share,
 run independent work concurrently — is invisible from the API surface,
 so the engine keeps a process-wide counter block that answers "did the
-optimizer actually do anything?".  Counters:
-
-* ``nodes_built``      — DAG nodes created (one per deferred method).
-* ``nodes_forced``     — nodes whose kernel actually ran.
-* ``nodes_fused``      — producer nodes absorbed into a consumer's
-  fused pipeline (their standalone kernel + write-back never ran).
-* ``chains_fused``     — fused pipelines constructed (≥1 absorption).
-* ``transposes_elided``— transpose pairs cancelled inside a pipeline.
-* ``selects_hoisted``  — value-independent selects moved ahead of maps
-  (filter-before-map: the map then touches fewer stored values).
-* ``cse_hits``         — pending nodes recognised as structurally
-  identical to an earlier node (hash-cons pass) and aliased to it.
-* ``cse_reused``       — aliases that actually published the shared
-  result (the duplicate kernel never ran).
-* ``cse_fallbacks``    — aliases whose representative failed (or whose
-  commit was rejected) and that re-ran their own kernel instead.
-* ``masks_pushed``     — masked consumers whose mask filter was pushed
-  into the producing mxm/mxv/vxm/eWiseMult kernel (pushdown pass).
-* ``pushdown_fallbacks`` — pushed chains that failed and transparently
-  re-ran unpushed for exact §V state.
-* ``memo_hits`` / ``memo_misses`` — cross-forcing result-memo lookups
-  (the planner gate) that found / did not find a committed carrier for a
-  re-submitted expression.
-* ``memo_reused``      — memo hits that actually republished the cached
-  carrier through the commit gate (the kernel never ran).
-* ``memo_fallbacks``   — memo hits whose republish was rejected (commit
-  gate) and that re-ran their own kernel instead.
-* ``memo_stores``      — committed results recorded into a context's
-  result memo for later forcings.
-* ``memo_evictions``   — evictions from a full result memo (the victim
-  is the LRU entry or the lowest cost-score entry, per
-  ``MEMO_EVICTION``; each eviction emits a ``memo:evict`` instant).
-* ``memo_admission_skips`` — expression stores rejected by the
-  cost-model admission gate (``MEMO_ADMISSION``): the estimated rebuild
-  savings were below the measured commit overhead, so caching would
-  cost more than recomputing.
-* ``memo_invalidations`` — memo entries dropped because an input handle
-  advanced (write) or was freed.
-* ``algo_memo_hits`` / ``algo_memo_misses`` — algorithm building-block
-  lookups (pattern matrices, degree vectors, …) served from / absent
-  from the context's result memo.
-* ``algo_memo_stores`` — building blocks materialized and recorded for
-  later algorithm calls.
-* ``algo_memo_fallbacks`` — cached building blocks whose republish was
-  rejected at the commit gate and that were rebuilt instead.
-* ``cost_decisions``   — pushdown-vs-fusion conflicts arbitrated by the
-  cost model (each also emits a ``cost:`` trace instant).
-* ``cost_fusions_skipped`` — fusions vetoed by the adaptive cost model
-  because the measured per-chain plan bookkeeping exceeded the
-  estimated saving (tiny producers ran standalone).
-* ``cost_partition_decisions`` — SpGEMM row-partition counts chosen by
-  the per-context measured-scaling model instead of the static
-  ``nthreads`` split.
-* ``planner_pass_failures`` — planner passes skipped after an injected
-  or real fault (the forcing proceeds without that pass's rewrites).
-* ``forces``           — subgraph forcings (``wait``/read/input use).
-* ``completes_deferred`` — ``wait(COMPLETE)`` calls that legally left a
-  fused-but-unforced sequence in place (§V deferral freedom).
-* ``parallel_batches`` / ``parallel_nodes`` — scheduler dispatches that
-  ran ≥2 independent ready nodes concurrently, and how many nodes.
-* ``errors_deferred``  — execution errors recorded during a forcing.
-* ``faults_injected``  — faults fired by the injection plane
-  (:mod:`repro.faults`).
-* ``retries`` / ``retries_recovered`` / ``retries_exhausted`` —
-  transient-fault retry attempts, operations that succeeded after ≥1
-  retry, and operations that burned the whole retry budget.
-* ``worker_faults``    — simulated engine-pool node failures absorbed
-  by re-running the node on the dispatcher thread.
-* ``degraded_serial``  — parallel batch paths that fell back to serial
-  execution after persistent faults.
-* ``degraded_local``   — distributed ops that fell back to
-  single-process execution on an unhealthy cluster.
-* ``comm_timeouts``    — communicator receives/collectives that timed
-  out (dead-rank detection).
-* ``serve_submitted`` / ``serve_completed`` / ``serve_rejected`` —
-  serving-layer queries admitted, finished, and shed by admission
-  control (:mod:`repro.serve`).
-* ``serve_batches`` / ``serve_batched_queries`` — coalesced
-  multi-source submissions the serving batcher formed, and how many
-  client queries rode in them.
-* ``format_dcsr_commits`` — matrix commits the format policy packed
-  (or kept) doubly-compressed (hypersparse DCSR tier); each repack
-  emits a ``cost:format`` instant with the shape and decision.
-* ``format_densify_fallbacks`` — hypersparse carriers densified to CSR
-  for a kernel family with no native DCSR path (each emits a
-  ``format:densify:<family>`` instant with the conversion time).
-* ``memo_delta_patches`` / ``memo_delta_drops`` — dependent memo
-  entries updated *in place* from a batched write's delta (patch rule
-  applied, entry re-keyed at the new handle version; each patched
-  handle emits a ``memo:patch`` instant) vs dropped the classic way
-  (no rule, wrong version, or the cost model preferred a rebuild).
-* ``algo_warm_hits`` / ``algo_warm_stores`` / ``algo_warm_fallbacks``
-  — warm-fixpoint blocks (prior pagerank ranks, component labels,
-  triangle counts) served to an incremental algorithm run, recorded
-  after a converged run, and warm entries that failed to apply (the
-  algorithm recomputed cold).
-* ``ingest_batches`` / ``ingest_edges_committed`` — streaming-ingest
-  flushes (one merged ``apply_edges`` + one coalesced journal record
-  + one publish each) and the edges they committed.
-* ``ingest_fast_merges`` — batched edge writes applied by the sorted
-  positional merge in :mod:`repro.internals.stream` (O(nnz + d log d))
-  instead of the full COO re-sort.
-* ``serve_views_patched`` — stale cached tenant views advanced to the
-  current graph generation by replaying recorded deltas in place
-  (handle identity preserved, so warm blocks survive the write).
-* ``batch_groups`` / ``engine_batched_ops`` — small-op batches the
-  scheduler coalesced into one blocked multi-vector kernel, and how
-  many pending ops rode in them (the ops saved kernel entries, row
-  expansions, and per-op commit bookkeeping).
-* ``spans_dropped``    — trace spans discarded after the in-memory
-  buffer filled (the counters above are never dropped).
+optimizer actually do anything?".  Each counter is declared once, with
+its meaning, in :data:`COUNTERS` below; ``docs/architecture.md``
+carries the reference table generated from it.
 
 Per-context rollups
 -------------------
@@ -165,86 +57,202 @@ _RESET_HOOKS: list = []
 def register_reset_hook(fn) -> None:
     _RESET_HOOKS.append(fn)
 
-_COUNTERS = (
-    "nodes_built",
-    "nodes_forced",
-    "nodes_fused",
-    "chains_fused",
-    "transposes_elided",
-    "selects_hoisted",
-    "cse_hits",
-    "cse_reused",
-    "cse_fallbacks",
-    "masks_pushed",
-    "pushdown_fallbacks",
-    "memo_hits",
-    "memo_misses",
-    "memo_reused",
-    "memo_fallbacks",
-    "memo_stores",
-    "memo_evictions",
-    "memo_admission_skips",
-    "memo_invalidations",
-    "algo_memo_hits",
-    "algo_memo_misses",
-    "algo_memo_stores",
-    "algo_memo_fallbacks",
-    "cost_decisions",
-    "cost_fusions_skipped",
-    "cost_partition_decisions",
-    "planner_pass_failures",
-    "forces",
-    "completes_deferred",
-    "parallel_batches",
-    "parallel_nodes",
-    "errors_deferred",
-    "faults_injected",
-    "retries",
-    "retries_recovered",
-    "retries_exhausted",
-    "worker_faults",
-    "degraded_serial",
-    "degraded_local",
-    "comm_timeouts",
-    "serve_submitted",
-    "serve_completed",
-    "serve_rejected",
-    "serve_batches",
-    "serve_batched_queries",
-    "serve_timeouts",
-    "serve_shutdown_rejected",
-    "cancel_stops",
-    "breaker_open_rejected",
-    "breaker_trips",
-    "breaker_probes",
-    "breaker_recoveries",
-    "journal_appends",
-    "journal_replayed",
-    "checkpoints_written",
-    "restores",
-    "restored_graphs",
-    "restored_blocks",
-    "format_dcsr_commits",
-    "format_densify_fallbacks",
-    "memo_delta_patches",
-    "memo_delta_drops",
-    "algo_warm_hits",
-    "algo_warm_stores",
-    "algo_warm_fallbacks",
-    "store_hits",
-    "store_misses",
-    "store_stores",
-    "store_corrupt",
-    "store_evictions",
-    "store_admission_skips",
-    "ingest_batches",
-    "ingest_edges_committed",
-    "ingest_fast_merges",
-    "serve_views_patched",
-    "batch_groups",
-    "engine_batched_ops",
-    "spans_dropped",
-)
+#: name -> doc: the one declaration of every process-wide counter, in
+#: the order ``snapshot``/``format`` report them.
+COUNTERS: dict[str, str] = {
+    "nodes_built":
+        "DAG nodes created (one per deferred method; a run of pending "
+        "tuples is one)",
+    "nodes_forced":
+        "nodes whose kernel actually ran",
+    "nodes_fused":
+        "producer nodes absorbed into a consumer's fused pipeline (their "
+        "standalone kernel and write-back never ran)",
+    "chains_fused":
+        "fused pipelines constructed (at least one absorption each)",
+    "transposes_elided":
+        "transpose pairs cancelled inside a pipeline",
+    "selects_hoisted":
+        "value-independent selects moved ahead of maps (the map then "
+        "touches fewer stored values)",
+    "cse_hits":
+        "pending nodes recognised as structurally identical to an earlier "
+        "node and aliased to it",
+    "cse_reused":
+        "aliases that published the shared result (the duplicate kernel "
+        "never ran)",
+    "cse_fallbacks":
+        "aliases whose representative failed or whose commit was rejected "
+        "and that re-ran their own kernel",
+    "masks_pushed":
+        "masked consumers whose filter was pushed into the producing "
+        "mxm/mxv/vxm/eWiseMult kernel",
+    "pushdown_fallbacks":
+        "pushed chains that failed and re-ran unpushed for exact §V state",
+    "memo_hits":
+        "result-memo lookups by the planner gate that found a committed "
+        "carrier for a re-submitted expression",
+    "memo_misses":
+        "result-memo lookups that found nothing, in memory or in the "
+        "warm-start store",
+    "memo_reused":
+        "memo hits that republished the cached carrier through the commit "
+        "gate (the kernel never ran)",
+    "memo_fallbacks":
+        "memo hits whose republish was rejected and that re-ran their own "
+        "kernel",
+    "memo_stores":
+        "committed results recorded into a context's result memo",
+    "memo_evictions":
+        "entries evicted from a full result memo, lowest recency-aged "
+        "rebuild-savings score first (each emits a `memo:evict` instant)",
+    "memo_admission_skips":
+        "expression stores the `MEMO_ADMISSION` gate rejected: estimated "
+        "rebuild saving below the measured commit overhead",
+    "memo_invalidations":
+        "memo entries dropped because an input handle advanced or was freed",
+    "algo_memo_hits":
+        "algorithm building-block lookups (pattern matrices, degree "
+        "vectors, …) served from the result memo",
+    "algo_memo_misses":
+        "algorithm building-block lookups that had to build",
+    "algo_memo_stores":
+        "building blocks materialized and recorded for later algorithm "
+        "calls",
+    "algo_memo_fallbacks":
+        "cached building blocks whose republish was rejected at the commit "
+        "gate and that were rebuilt",
+    "cost_decisions":
+        "pushdown-vs-fusion conflicts arbitrated by the cost model (each "
+        "emits a `cost:` instant)",
+    "planner_pass_failures":
+        "planner passes skipped after an injected or real fault (the "
+        "forcing proceeds without that pass's rewrites)",
+    "forces":
+        "subgraph forcings (`wait`, a read, use as an input)",
+    "completes_deferred":
+        "`wait(COMPLETE)` calls that legally left a fused-but-unforced "
+        "sequence in place",
+    "parallel_batches":
+        "scheduler dispatches that ran two or more independent ready nodes "
+        "concurrently",
+    "parallel_nodes":
+        "nodes that ran inside those concurrent dispatches",
+    "errors_deferred":
+        "execution errors recorded during a forcing",
+    "faults_injected":
+        "faults fired by the injection plane (`repro.faults`)",
+    "retries":
+        "transient-fault retry attempts",
+    "retries_recovered":
+        "operations that succeeded after at least one retry",
+    "retries_exhausted":
+        "operations that burned the whole retry budget",
+    "worker_faults":
+        "simulated engine-pool node failures absorbed by re-running the "
+        "node on the dispatcher thread",
+    "degraded_serial":
+        "parallel batch paths that fell back to serial execution after "
+        "persistent faults",
+    "degraded_local":
+        "distributed ops that fell back to single-process execution on an "
+        "unhealthy cluster",
+    "comm_timeouts":
+        "communicator receives/collectives that timed out (dead-rank "
+        "detection)",
+    "serve_submitted":
+        "serving-layer queries admitted",
+    "serve_completed":
+        "serving-layer queries finished",
+    "serve_rejected":
+        "serving-layer queries shed by admission control",
+    "serve_batches":
+        "coalesced multi-source submissions the serving batcher formed",
+    "serve_batched_queries":
+        "client queries that rode in those coalesced submissions",
+    "serve_timeouts":
+        "queries stopped by their deadline, in the queue or mid-execution "
+        "(transient `GrB_TIMEOUT`)",
+    "serve_shutdown_rejected":
+        "queries refused or failed because the server was stopping",
+    "cancel_stops":
+        "kernel or planner-pass boundaries at which a cancelled or expired "
+        "token stopped execution",
+    "breaker_open_rejected":
+        "queries shed because their tenant's circuit breaker was open",
+    "breaker_trips":
+        "tenant circuit breakers tripped by a failure streak",
+    "breaker_probes":
+        "probe queries admitted through a half-open breaker",
+    "breaker_recoveries":
+        "breakers closed again by a successful probe",
+    "journal_appends":
+        "write-ahead journal records made durable",
+    "journal_replayed":
+        "journal records replayed over a snapshot by a restore",
+    "checkpoints_written":
+        "checkpoints committed (blobs, manifest, journal rotation)",
+    "restores":
+        "`GraphService.restore` calls",
+    "restored_graphs":
+        "resident graphs rehydrated by restores",
+    "restored_blocks":
+        "warm algorithm blocks rehydrated from a checkpoint by restores",
+    "format_dcsr_commits":
+        "matrix commits the format policy packed or kept doubly-compressed "
+        "(each repack emits a `cost:format` instant)",
+    "format_densify_fallbacks":
+        "hypersparse carriers densified to CSR for a kernel family with no "
+        "native DCSR path (each emits a `format:densify:<family>` instant)",
+    "memo_delta_patches":
+        "dependent memo entries updated in place from a batched write's "
+        "delta and re-keyed at the new version (each patched handle emits a "
+        "`memo:patch` instant)",
+    "memo_delta_drops":
+        "dependent memo entries a delta write dropped instead (no rule, "
+        "wrong version, or the cost model preferred a rebuild)",
+    "algo_warm_hits":
+        "warm-fixpoint blocks (prior pagerank ranks, component labels, "
+        "triangle counts) served to an incremental algorithm run",
+    "algo_warm_stores":
+        "warm-fixpoint blocks recorded after a converged run",
+    "store_hits":
+        "warm-start store probes that returned a verified entry",
+    "store_misses":
+        "warm-start store probes that found nothing usable (absent, "
+        "unreadable or corrupt)",
+    "store_stores":
+        "entries written to the warm-start store",
+    "store_corrupt":
+        "store entries that failed a checksum and were quarantined as a "
+        "miss",
+    "store_evictions":
+        "store entries evicted to keep the directory under "
+        "`STORE_MAX_BYTES`",
+    "store_admission_skips":
+        "blocks not written to the store because rebuilding them is cheaper "
+        "than the measured republish overhead",
+    "ingest_batches":
+        "streaming-ingest flushes (one merged `apply_edges`, one journal "
+        "record, one publish each)",
+    "ingest_edges_committed":
+        "edges those flushes committed",
+    "ingest_fast_merges":
+        "batched edge writes applied by the sorted positional merge in "
+        "`internals/stream.py` instead of a full COO re-sort",
+    "serve_views_patched":
+        "stale cached tenant views advanced to the current graph generation "
+        "by replaying recorded deltas in place",
+    "batch_groups":
+        "small-op batches the scheduler coalesced into one multi-vector "
+        "kernel",
+    "engine_batched_ops":
+        "pending ops that rode in those batches",
+    "spans_dropped":
+        "trace spans discarded after the in-memory buffer filled (counters "
+        "are never dropped)",
+}
+_COUNTERS = tuple(COUNTERS)
 
 #: Counters a :class:`ContextStats` rollup tracks per context/tenant.
 CTX_COUNTERS = (

@@ -1,290 +1,218 @@
-"""Kernel-level tuning switches (ablation knobs).
+"""Tuning switches: one table, one parser, plain module attributes.
 
-DESIGN.md's ablation benches flip these to measure the design choices:
+:data:`OPTIONS` is the only place an option is declared — its default
+(whose type is the option's type) and a one-sentence doc.  At import every
+entry becomes a module attribute of the same name, so hot paths read
+``config.ENGINE_CSE`` as a plain attribute load; ``REPRO_<NAME>`` in
+the process env overrides the default (no other spelling is read, so
+the benchmark's ``REPRO_*`` scrub covers every option), and a value
+that does not parse falls back to the default.  :func:`set_option` /
+:class:`option` flip a switch at run time through the same parser
+(thread-safe enough for benchmarks and tests: one attribute store).
 
-* ``MASK_PUSHDOWN`` — when a (non-complemented) mask is present on mxm,
-  push its key set into the SpGEMM kernel so products outside the mask
-  are discarded *before* the sort/compress phase.  This is the classic
-  masked-SpGEMM optimization (the reason triangle counting writes
-  ``C⟨L⟩ = L·Lᵀ`` instead of filtering afterwards).
-* ``MULT_SHORTCUTS`` — specialise the expand/multiply phase for
-  FIRST/SECOND/ONEB multiply operators, skipping the gather of the
-  operand whose values the operator ignores.
-* ``ENGINE_FUSION`` — let the lazy engine's fusion planner absorb
-  producer chains into single-pass pipelines (off = every deferred node
-  runs as a standalone kernel with its own write-back; execution is
-  still lazy and topological).
-* ``ENGINE_CSE`` — hash-cons structurally identical pending nodes so a
-  repeated subexpression executes its kernel once and every duplicate
-  aliases the shared result (planner CSE pass).
-* ``ENGINE_PUSHDOWN`` — absorb a masked consumer's mask filter into the
-  producing mxm/mxv/vxm/eWiseMult kernel (planner pushdown pass; also
-  requires ``MASK_PUSHDOWN`` since it reuses the same kernel-level key
-  filter).
-* ``ENGINE_MEMO`` — the cross-forcing result cache: a bounded LRU memo
-  of (structural key over committed input versions → committed carrier)
-  per Context, consulted by the planner's CSE pass so a re-submitted
-  expression republishes the cached carrier instead of re-running its
-  kernel.  Env-overridable at import time via ``REPRO_RESULT_CACHE``
-  (or ``ENGINE_MEMO``) — the CI ablation matrix sets it to ``0``.
-* ``MEMO_CAPACITY`` — LRU bound on entries per Context result memo.
-* ``ENGINE_COSTMODEL`` — let the planner's cost pass arbitrate the
-  pushdown-vs-fusion conflict on shared producers by estimated kernel
-  savings (off = the fixed pass order decides: pushdown claims first).
-* ``ENGINE_ALGO_MEMO`` — route the pure preprocessing blocks of the
-  ``algorithms/`` layer (pattern/normalized adjacency, degree vectors,
-  lower triangles, wedge counts) through the per-Context result memo,
-  so a repeated pagerank/BFS/triangle call on an unchanged graph wraps
-  the cached carriers instead of re-running the setup kernels.
-* ``MEMO_EVICTION`` — result-memo eviction policy: ``"cost"`` (default)
-  evicts the entry with the lowest recency-aged rebuild-savings
-  estimate; ``"lru"`` reproduces the PR-4 recency-only order.
-* ``MEMO_ADMISSION`` — cost-model admission gate on *expression* memo
-  stores: skip caching a result whose estimated rebuild savings are
-  below the measured commit (republish) overhead — caching it would
-  cost more than recomputing.  Evidence-gated: nothing is skipped until
-  at least one republish has actually been measured.
-* ``SERVE_BATCH`` — let the serving layer's batcher coalesce compatible
-  queries (same-graph BFS → one multi-source ``msbfs`` submission;
-  identical analytics → one shared execution) instead of dispatching
-  each query alone.  Env-overridable via ``REPRO_SERVE_BATCH`` for the
-  CI ablation matrix.
-* ``COST_ADAPTIVE_FUSION`` — let the cost pass veto a fusion whose
-  estimated saving is dwarfed by the measured per-chain plan
-  bookkeeping (tiny producers run standalone instead).
-* ``COST_ADAPTIVE_PARTITIONS`` — pick SpGEMM row-partition counts per
-  Context from measured span scaling instead of always using
-  ``nthreads`` blocks.
-
-Hypersparse-tier knobs (:mod:`repro.internals.containers`,
-:mod:`repro.internals.dispatch`, :mod:`repro.engine.opbatch`):
-
-* ``FORMAT_AUTO`` — let the commit-time format policy pick between the
-  CSR carrier and the doubly-compressed hypersparse ``DcsrData``
-  carrier by row count vs occupancy (decisions traced as ``cost:``
-  instants).  Off pins every matrix to CSR — the pre-hypersparse
-  behavior, where row counts past ``MAX_NROWS`` raise the documented
-  ``GrB_OUT_OF_MEMORY``.  Env: ``FORMAT_AUTO`` (CI ablation row).
-* ``FORMAT_DCSR_MIN_ROWS`` — row count below which the policy never
-  picks DCSR (small matrices stay CSR regardless of density: the dense
-  row pointer is cheap and the kernels' direct indexing is faster).
-* ``FORMAT_DCSR_FACTOR`` — density threshold: a matrix at or above the
-  row floor goes DCSR when ``nnz * FACTOR < nrows`` (fewer than one
-  stored entry per FACTOR rows).
-* ``ENGINE_OP_BATCH`` — let the nonblocking scheduler coalesce many
-  pending single-vector products over the *same* committed matrix into
-  one blocked multi-vector kernel (the serve-layer batching idea pushed
-  down into the engine, so plain library users get it too).  Env:
-  ``ENGINE_OP_BATCH`` (CI ablation row).
-
-Streaming-delta knobs (:mod:`repro.internals.stream`,
-:mod:`repro.engine.memo` patch tier, :mod:`repro.algorithms.delta`):
-
-* ``ENGINE_DELTA`` — treat batched writes (``Matrix.update_batch`` /
-  ``GraphService.ingest_edges``) as *deltas*: memo entries whose kind
-  declares a patch rule (degree vectors, pattern matrices, tril, warm
-  fixpoints) are updated from the write set instead of dropped, warm
-  pagerank/components/triangles restart from the previous
-  fixpoint/count, and serving sessions patch their cached tenant views
-  in place across generations.  Off reproduces the pre-delta behavior:
-  every write invalidates every dependent block and all analytics
-  recompute cold.  Env: ``ENGINE_DELTA`` (CI ablation row).
-* ``DELTA_PATCH_LIMIT`` — patch-vs-rebuild arbitration threshold: a
-  delta is patched only while ``delta_nnz <= max(16, base_nnz *
-  DELTA_PATCH_LIMIT)``; past it the cost model declares a rebuild
-  cheaper and the entry is dropped (cold fallback).  Decisions traced
-  as ``cost:delta-patch`` instants.
-* ``INGEST_BATCH`` — edges ``GraphService.ingest_edges`` accumulates
-  per graph before an automatic flush (one merged ``apply_edges``, one
-  coalesced journal record, one publish).  Explicit ``flush_ingest()``
-  / ``checkpoint()`` / ``mutate_graph()`` flush earlier.
-
-Persistent warm-start store knobs (:mod:`repro.store`):
-
-* ``STORE_ENABLE`` — consult (and feed) the on-disk warm-start store:
-  committed algo-memo blocks round-trip through content-addressed §VII
-  blobs under ``STORE_DIR``, so a *fresh process* — a restarted
-  replica, a CLI run, the next CI job — answers its first
-  pagerank/BFS/triangles on an unchanged graph with zero setup
-  kernels.  Off reproduces the process-local behavior exactly (the CI
-  ablation row sets it to ``0``).  Env: ``REPRO_STORE``.
-* ``STORE_DIR`` — root directory of the warm-start store; empty (the
-  default) means no store is attached unless a directory is passed
-  explicitly (``GraphService(store_dir=...)``, ``--store-dir``).
-  Entries are written via atomic rename and read via checksum-verified
-  §VII deserialize, so concurrent readers and a writer — or CI's
-  parallel jobs sharing an actions cache — never observe a torn
-  entry; a corrupt entry degrades to a miss (``store:corrupt``
-  instant), never an error on the hot path.  Env: ``REPRO_STORE_DIR``.
-* ``STORE_MAX_BYTES`` — on-disk budget for store entries; when a write
-  pushes the total past it, least-recently-*used* entries (by atime,
-  best effort) are evicted under an advisory lock.  Env:
-  ``REPRO_STORE_MAX_BYTES`` (or ``STORE_MAX_BYTES``).
-
-Resilience knobs (the fault plane's retry/degradation policy,
-:mod:`repro.faults`):
-
-* ``RETRY_MAX`` — retries (after the first attempt) granted to a
-  transient execution failure before it surfaces.
-* ``RETRY_BASE_DELAY`` — base of the exponential backoff sleep
-  (``RETRY_BASE_DELAY * 2**attempt`` seconds).
-* ``COMM_TIMEOUT`` — seconds a ``Communicator`` receive/collective
-  waits before declaring the peer dead (``GrB_PANIC``).
-* ``DEGRADE_WORKER_FAULTS`` — worker faults a Context absorbs before
-  degrading its parallel paths to serial execution.
-
-Durability & recovery knobs (:mod:`repro.serve.recovery`,
-:mod:`repro.serve.health`):
-
-* ``CHECKPOINT_DIR`` — when non-empty, every ``GraphService`` attaches
-  a checkpoint + write-ahead-journal store rooted here; empty (the
-  default) means durability is off unless a directory is passed
-  explicitly.  Env: ``REPRO_CHECKPOINT_DIR``.
-* ``JOURNAL_FSYNC`` — fsync every journal record before acknowledging
-  the write (the zero-lost-acknowledged-mutations guarantee extends to
-  OS crashes, not just process kills).  Disable for throughput when a
-  torn tail on power loss is acceptable — replay already truncates at
-  the first corrupt record.  Env: ``REPRO_JOURNAL_FSYNC``.
-* ``QUERY_DEADLINE_MS`` — default per-query deadline applied by the
-  serving layer when a ``Query`` carries none; ``0`` (default) means
-  unbounded.  A query past its deadline stops at the next kernel or
-  planner-pass boundary with a transient ``GrB_TIMEOUT``.  Env:
-  ``REPRO_QUERY_DEADLINE_MS``.
-* ``BREAKER_THRESHOLD`` — consecutive per-tenant query failures (or
-  timeouts) that trip that tenant's circuit breaker; ``0`` disables
-  breakers.  Env: ``REPRO_BREAKER_THRESHOLD``.
-* ``BREAKER_COOLDOWN`` — seconds an open breaker sheds load before
-  half-opening to admit one probe query.  Env:
-  ``REPRO_BREAKER_COOLDOWN``.
-
-All default on; flip via :func:`set_option` (thread-safe enough for
-benchmarks: reads are plain attribute loads).  Values are coerced to
-the type of the option's default.
+``docs/architecture.md`` carries the reference table generated from
+:data:`OPTIONS` (``tools/gen_knob_reference.py``); the sections there
+explain the mechanisms each switch gates.
 """
 
 from __future__ import annotations
 
 import os
 
-
-def _env_flag(names: tuple[str, ...], default: bool) -> bool:
-    """Resolve a boolean knob from the first set environment variable."""
-    for name in names:
-        raw = os.environ.get(name)
-        if raw is not None:
-            return raw.strip().lower() not in ("0", "false", "no", "off", "")
-    return default
-
-
-def _env_str(name: str, default: str, allowed: tuple[str, ...]) -> str:
-    """Resolve a string knob from the environment (unknown → default)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    raw = raw.strip().lower()
-    return raw if raw in allowed else default
-
-
-def _env_num(name: str, default):
-    """Resolve a numeric knob from the environment (bad value → default)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return type(default)(raw)
-    except ValueError:
-        return default
-
-
-# Every engine knob reads its own environment variable at import so the
-# CI ablation matrix (and ad-hoc `ENGINE_CSE=0 pytest` runs) can flip a
-# single optimization off without touching code.
-MASK_PUSHDOWN: bool = True
-MULT_SHORTCUTS: bool = True
-ENGINE_FUSION: bool = _env_flag(("ENGINE_FUSION",), True)
-ENGINE_CSE: bool = _env_flag(("ENGINE_CSE",), True)
-ENGINE_PUSHDOWN: bool = _env_flag(("ENGINE_PUSHDOWN",), True)
-ENGINE_MEMO: bool = _env_flag(("REPRO_RESULT_CACHE", "ENGINE_MEMO"), True)
-MEMO_CAPACITY: int = 64
-MEMO_EVICTION: str = _env_str("MEMO_EVICTION", "cost", ("cost", "lru"))
-MEMO_ADMISSION: bool = _env_flag(("MEMO_ADMISSION",), True)
-SERVE_BATCH: bool = _env_flag(("REPRO_SERVE_BATCH", "SERVE_BATCH"), True)
-ENGINE_COSTMODEL: bool = _env_flag(("ENGINE_COSTMODEL",), True)
-ENGINE_ALGO_MEMO: bool = _env_flag(("ENGINE_ALGO_MEMO",), True)
-COST_ADAPTIVE_FUSION: bool = _env_flag(("COST_ADAPTIVE_FUSION",), True)
-COST_ADAPTIVE_PARTITIONS: bool = _env_flag(("COST_ADAPTIVE_PARTITIONS",), True)
-FORMAT_AUTO: bool = _env_flag(("FORMAT_AUTO",), True)
-FORMAT_DCSR_MIN_ROWS: int = _env_num("FORMAT_DCSR_MIN_ROWS", 1 << 20)
-FORMAT_DCSR_FACTOR: int = _env_num("FORMAT_DCSR_FACTOR", 16)
-ENGINE_OP_BATCH: bool = _env_flag(("ENGINE_OP_BATCH",), True)
-ENGINE_DELTA: bool = _env_flag(("ENGINE_DELTA",), True)
-STORE_ENABLE: bool = _env_flag(("REPRO_STORE",), True)
-STORE_DIR: str = os.environ.get("REPRO_STORE_DIR", "")
-STORE_MAX_BYTES: int = _env_num(
-    "REPRO_STORE_MAX_BYTES", _env_num("STORE_MAX_BYTES", 1 << 28)
-)
-DELTA_PATCH_LIMIT: float = _env_num("DELTA_PATCH_LIMIT", 0.25)
-INGEST_BATCH: int = _env_num("INGEST_BATCH", 1024)
-RETRY_MAX: int = 3
-RETRY_BASE_DELAY: float = 0.002
-COMM_TIMEOUT: float = 10.0
-DEGRADE_WORKER_FAULTS: int = 2
-CHECKPOINT_DIR: str = os.environ.get("REPRO_CHECKPOINT_DIR", "")
-JOURNAL_FSYNC: bool = _env_flag(("REPRO_JOURNAL_FSYNC", "JOURNAL_FSYNC"), True)
-QUERY_DEADLINE_MS: float = _env_num("REPRO_QUERY_DEADLINE_MS", 0.0)
-BREAKER_THRESHOLD: int = _env_num("REPRO_BREAKER_THRESHOLD", 5)
-BREAKER_COOLDOWN: float = _env_num("REPRO_BREAKER_COOLDOWN", 1.0)
-
-_DEFAULTS = {
-    "MASK_PUSHDOWN": True,
-    "MULT_SHORTCUTS": True,
-    "ENGINE_FUSION": ENGINE_FUSION,
-    "ENGINE_CSE": ENGINE_CSE,
-    "ENGINE_PUSHDOWN": ENGINE_PUSHDOWN,
-    "ENGINE_MEMO": ENGINE_MEMO,
-    "MEMO_CAPACITY": 64,
-    "MEMO_EVICTION": MEMO_EVICTION,
-    "MEMO_ADMISSION": MEMO_ADMISSION,
-    "SERVE_BATCH": SERVE_BATCH,
-    "ENGINE_COSTMODEL": ENGINE_COSTMODEL,
-    "ENGINE_ALGO_MEMO": ENGINE_ALGO_MEMO,
-    "COST_ADAPTIVE_FUSION": COST_ADAPTIVE_FUSION,
-    "COST_ADAPTIVE_PARTITIONS": COST_ADAPTIVE_PARTITIONS,
-    "FORMAT_AUTO": FORMAT_AUTO,
-    "FORMAT_DCSR_MIN_ROWS": FORMAT_DCSR_MIN_ROWS,
-    "FORMAT_DCSR_FACTOR": FORMAT_DCSR_FACTOR,
-    "ENGINE_OP_BATCH": ENGINE_OP_BATCH,
-    "ENGINE_DELTA": ENGINE_DELTA,
-    "STORE_ENABLE": STORE_ENABLE,
-    "STORE_DIR": STORE_DIR,
-    "STORE_MAX_BYTES": STORE_MAX_BYTES,
-    "DELTA_PATCH_LIMIT": DELTA_PATCH_LIMIT,
-    "INGEST_BATCH": INGEST_BATCH,
-    "RETRY_MAX": 3,
-    "RETRY_BASE_DELAY": 0.002,
-    "COMM_TIMEOUT": 10.0,
-    "DEGRADE_WORKER_FAULTS": 2,
-    "CHECKPOINT_DIR": CHECKPOINT_DIR,
-    "JOURNAL_FSYNC": JOURNAL_FSYNC,
-    "QUERY_DEADLINE_MS": QUERY_DEADLINE_MS,
-    "BREAKER_THRESHOLD": BREAKER_THRESHOLD,
-    "BREAKER_COOLDOWN": BREAKER_COOLDOWN,
+#: name -> (default, doc).  Every boolean switch defaults on.
+OPTIONS: dict[str, tuple] = {
+    "MASK_PUSHDOWN": (
+        True,
+        "push a non-complemented mxm mask's key set into the SpGEMM "
+        "kernel so off-mask products die before sort/compress",
+    ),
+    "ENGINE_FUSION": (
+        True,
+        "planner fuse pass: absorb producer chains into single-pass "
+        "pipelines (off: every deferred node runs standalone, still "
+        "lazy)",
+    ),
+    "ENGINE_CSE": (
+        True,
+        "planner CSE pass: hash-cons identical pending nodes so a "
+        "repeated subexpression runs its kernel once",
+    ),
+    "ENGINE_PUSHDOWN": (
+        True,
+        "planner pushdown pass: absorb a masked consumer's filter into "
+        "the producing mxm/mxv/vxm/eWiseMult kernel (needs "
+        "`MASK_PUSHDOWN`)",
+    ),
+    "ENGINE_MEMO": (
+        True,
+        "cross-forcing result memo per Context: a re-submitted "
+        "expression over unchanged inputs republishes its committed "
+        "carrier",
+    ),
+    "MEMO_CAPACITY": (
+        64,
+        "entries per Context result memo; past it the lowest "
+        "recency-aged rebuild-savings score is evicted",
+    ),
+    "MEMO_ADMISSION": (
+        True,
+        "skip memoizing an expression whose estimated rebuild saving is "
+        "below the measured republish overhead (nothing is skipped "
+        "before one republish is measured)",
+    ),
+    "SERVE_BATCH": (
+        True,
+        "serving batcher coalesces compatible queries (same-graph BFS "
+        "into one msbfs, identical analytics into one execution)",
+    ),
+    "ENGINE_COSTMODEL": (
+        True,
+        "cost pass arbitrates pushdown-vs-fusion on a shared producer "
+        "by estimated kernel savings (off: pushdown claims first)",
+    ),
+    "ENGINE_ALGO_MEMO": (
+        True,
+        "route the algorithms' pure preprocessing blocks (pattern, "
+        "degrees, tril, wedges) through the result memo",
+    ),
+    "FORMAT_AUTO": (
+        True,
+        "commit-time policy picks CSR or the doubly-compressed DCSR "
+        "carrier by row count vs occupancy (off: CSR only, rows past "
+        "`MAX_NROWS` raise `GrB_OUT_OF_MEMORY`)",
+    ),
+    "FORMAT_DCSR_MIN_ROWS": (
+        1 << 20,
+        "row count below which the format policy never picks DCSR",
+    ),
+    "FORMAT_DCSR_FACTOR": (
+        16,
+        "at or above the row floor a matrix goes DCSR when `nnz * "
+        "FACTOR < nrows`",
+    ),
+    "ENGINE_OP_BATCH": (
+        True,
+        "scheduler coalesces pending single-vector products over one "
+        "committed matrix into one multi-vector kernel",
+    ),
+    "ENGINE_DELTA": (
+        True,
+        "batched writes are deltas: memo blocks with a patch rule are "
+        "updated from the write set, fixpoint algorithms restart warm, "
+        "session views patch forward (off: every write invalidates)",
+    ),
+    "STORE_ENABLE": (
+        True,
+        "consult and feed the on-disk warm-start store under "
+        "`STORE_DIR`",
+    ),
+    "STORE_DIR": (
+        "",
+        "root of the warm-start store; empty means none unless a "
+        "directory is passed explicitly (`GraphService(store_dir=)`, "
+        "`--store-dir`)",
+    ),
+    "STORE_MAX_BYTES": (
+        1 << 28,
+        "on-disk budget of the store; past it least-recently-used "
+        "entries are evicted under an advisory lock",
+    ),
+    "INGEST_BATCH": (
+        1024,
+        "edges `GraphService.ingest_edges` buffers per graph before an "
+        "automatic flush (one merge, one journal record, one publish)",
+    ),
+    "RETRY_MAX": (
+        3,
+        "retries granted to a transient execution failure before it "
+        "surfaces",
+    ),
+    "RETRY_BASE_DELAY": (
+        0.002,
+        "base of the exponential retry backoff, seconds "
+        "(`RETRY_BASE_DELAY * 2**attempt`)",
+    ),
+    "COMM_TIMEOUT": (
+        10.0,
+        "seconds a `Communicator` receive/collective waits before "
+        "declaring the peer dead (`GrB_PANIC`)",
+    ),
+    "DEGRADE_WORKER_FAULTS": (
+        2,
+        "worker faults a Context absorbs before degrading its parallel "
+        "paths to serial",
+    ),
+    "CHECKPOINT_DIR": (
+        "",
+        "root of the checkpoint + write-ahead journal every "
+        "`GraphService` attaches; empty means durability is off unless "
+        "a directory is passed explicitly",
+    ),
+    "JOURNAL_FSYNC": (
+        True,
+        "fsync every journal record before acknowledging the write "
+        "(off: a torn tail on power loss is possible; replay truncates "
+        "at the first corrupt record)",
+    ),
+    "QUERY_DEADLINE_MS": (
+        0.0,
+        "default per-query deadline the serving layer applies when a "
+        "`Query` carries none; 0 is unbounded",
+    ),
+    "BREAKER_THRESHOLD": (
+        5,
+        "consecutive per-tenant failures or timeouts that trip the "
+        "tenant's circuit breaker; 0 disables breakers",
+    ),
+    "BREAKER_COOLDOWN": (
+        1.0,
+        "seconds an open breaker sheds load before half-opening to "
+        "admit one probe query",
+    ),
 }
-_KNOWN = tuple(_DEFAULTS)
+_KNOWN = tuple(OPTIONS)
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse(name: str, value):
+    """*value* coerced to the type of option *name*'s default.
+
+    A string for a boolean option must be one of the spellings above; a
+    string for a numeric option must parse as that number.  Anything
+    else raises ``ValueError``."""
+    default = OPTIONS[name][0]
+    if isinstance(default, bool) and isinstance(value, str):
+        word = value.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{name}: {value!r} is not a boolean spelling")
+        return _BOOL_WORDS[word]
+    return type(default)(value)
+
+
+def _initial(name: str):
+    raw = os.environ.get("REPRO_" + name)
+    if raw is not None:
+        try:
+            return _parse(name, raw)
+        except ValueError:
+            pass
+    return OPTIONS[name][0]
+
+
+globals().update({name: _initial(name) for name in _KNOWN})
 
 
 def set_option(name: str, value):
     """Set a tuning switch; returns the previous value."""
-    if name not in _KNOWN:
-        raise KeyError(f"unknown kernel option {name!r}; known: {_KNOWN}")
-    g = globals()
-    prev = g[name]
-    g[name] = type(_DEFAULTS[name])(value)
+    prev = get_option(name)
+    globals()[name] = _parse(name, value)
     return prev
 
 
 def get_option(name: str):
-    if name not in _KNOWN:
+    if name not in OPTIONS:
         raise KeyError(f"unknown kernel option {name!r}; known: {_KNOWN}")
     return globals()[name]
 

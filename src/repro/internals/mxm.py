@@ -37,7 +37,6 @@ from ..core.monoid import Monoid
 from ..core.semiring import Semiring
 from ..core.types import Type
 from ..faults.plane import maybe_inject
-from . import config
 from .containers import (
     DcsrData,
     MatData,
@@ -146,8 +145,7 @@ def mxm(
             return empty_mat_auto(a.nrows, b.ncols, out_type)
         keys = keys[keep]
 
-    shortcut = _mult_shortcut(semiring.mult.name) if config.MULT_SHORTCUTS \
-        else None
+    shortcut = _mult_shortcut(semiring.mult.name)
     if shortcut == "first":
         av = semiring.mult.in1_type.coerce_array(a.values)
         prod = out_type.coerce_array(np.repeat(av, counts))

@@ -22,7 +22,6 @@ context (direct kernel tests) still get an ephemeral pool.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -118,18 +117,10 @@ def parallel_mxm(
         # and a doubly-compressed A has too little work per row block to
         # amortize it — run the (DCSR-native) kernel serially.
         return kernel(a, b, semiring, mask_keys, mask_complement)
-    # Expected multiply-stream length: the uniform SpGEMM model the
-    # cost pass uses, here sizing the split and its throughput samples.
-    est_elems = float(a.nvals) * float(b.nvals) / max(1.0, float(a.ncols))
-    nblocks = nthreads
-    if ctx is not None:
-        from ..engine.passes import cost
-
-        nblocks = cost.partition_count(id(ctx), nthreads, est_elems)
     # The context's chunk_rows is the minimum rows worth a worker: never
     # split finer than it (tiny blocks pay more fix-up than they save).
     max_blocks = max(1, a.nrows // max(chunk_rows, 1))
-    blocks = row_blocks(a.nrows, min(nblocks, max_blocks))
+    blocks = row_blocks(a.nrows, min(nthreads, max_blocks))
     if len(blocks) == 1:
         return kernel(a, b, semiring, mask_keys, mask_complement)
     slices = [
@@ -159,7 +150,6 @@ def parallel_mxm(
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             return list(pool.map(_block, slices))
 
-    t0 = time.perf_counter()
     try:
         # Blocks are pure over immutable carriers, so the whole batch is
         # safely re-runnable: transient faults retry here with backoff.
@@ -171,12 +161,6 @@ def parallel_mxm(
         # kernel call over the unsplit operands (correct, just slower).
         STATS.bump("degraded_serial")
         return kernel(a, b, semiring, mask_keys, mask_complement)
-    if ctx is not None:
-        from ..engine.passes import cost
-
-        cost.record_partition_sample(
-            id(ctx), len(blocks), est_elems, time.perf_counter() - t0,
-        )
     if all(r.nvals == 0 for r in results):
         return empty_mat(a.nrows, b.ncols, semiring.out_type)
     return concat_row_blocks(results, b.ncols)

@@ -4,8 +4,8 @@ One directory holds everything a fresh process needs to start warm::
 
     <root>/
       entries/<keyhex>.grb    one committed carrier per store key
-      calibration.json        cost-model rates / partition throughput /
-                              memo-admission EWMA (atomic JSON)
+      calibration.json        cost-model rates / memo-admission EWMA
+                              (atomic JSON)
       .lock                   advisory eviction lock
 
 Entry framing is a thin envelope over the existing opaque §VII stream
@@ -264,7 +264,7 @@ class WarmStore:
 
     def save_calibration(self, payload: dict) -> bool:
         """Atomically write the calibration sidecar (kernel rates,
-        partition throughput samples, memo-admission EWMA)."""
+        memo-admission EWMA)."""
         try:
             body = json.dumps(
                 {"format": _CALIBRATION_FORMAT, **payload},

@@ -27,9 +27,8 @@ Two deliberate exclusions keep exactness gates intact:
 Activation is process-wide and config-driven: :func:`active_store`
 opens (and caches) the :class:`~repro.store.store.WarmStore` rooted at
 the ``STORE_DIR`` knob when ``STORE_ENABLE`` is on, seeding the
-cost-model rates, partition throughput samples, and memo-admission
-EWMA from the calibration sidecar the first time each directory is
-opened.
+cost-model rates and memo-admission EWMA from the calibration sidecar
+the first time each directory is opened.
 """
 
 from __future__ import annotations
@@ -107,9 +106,6 @@ def _seed_calibration(store: WarmStore) -> None:
     rates = data.get("rates")
     if isinstance(rates, dict):
         cost.seed_calibration(rates)
-    partitions = data.get("partitions")
-    if isinstance(partitions, dict):
-        cost.seed_partition_samples(partitions)
     admission = data.get("admission")
     if isinstance(admission, dict):
         _memo.seed_admission(admission)
@@ -128,7 +124,6 @@ def save_calibration() -> bool:
 
     return store.save_calibration({
         "rates": cost.export_calibration(),
-        "partitions": cost.export_partition_samples(),
         "admission": _memo.export_admission(),
     })
 

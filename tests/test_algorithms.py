@@ -199,17 +199,12 @@ class TestKTruss:
 @pytest.fixture()
 def algo_memo_on():
     # Counter asserts need the plumbing on even under the CI ablation
-    # matrix (REPRO_RESULT_CACHE=0 / ENGINE_ALGO_MEMO=0 full-suite runs).
-    # Eviction is pinned to cost-weighted too: under plain LRU the
-    # per-iteration expression stores can push an algo block out of the
-    # default-capacity memo, and the zero-setup-kernel warm-call
-    # guarantee is specifically a property of the cost policy keeping
-    # expensive blocks resident.
+    # matrix (REPRO_ENGINE_MEMO=0 / REPRO_ENGINE_ALGO_MEMO=0 full-suite
+    # runs).
     from repro.internals import config
 
     with config.option("ENGINE_MEMO", True), \
-            config.option("ENGINE_ALGO_MEMO", True), \
-            config.option("MEMO_EVICTION", "cost"):
+            config.option("ENGINE_ALGO_MEMO", True):
         yield
 
 

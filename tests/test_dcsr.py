@@ -14,7 +14,9 @@ Battery structure:
 * memo/checkpoint soundness — flipping the format knobs invalidates
   structurally-keyed algo-memo blocks instead of serving a carrier
   shaped under the other policy, and a hypersparse graph survives
-  checkpoint/restore byte-identically.
+  checkpoint/restore byte-identically;
+* a 2^58-row matrix — far past the CSR row limit — driven through the
+  public ops: operators see global row ids, storage stays O(nnz).
 """
 
 import contextlib
@@ -29,8 +31,15 @@ from repro.core import monoid as M
 from repro.core import semiring as S
 from repro.core import types as T
 from repro.core.descriptor import DESC_T0
-from repro.core.indexunaryop import TRIL
+from repro.core.errors import (
+    DimensionMismatchError,
+    IndexOutOfBoundsError,
+    InvalidIndexError,
+    NoValue,
+)
+from repro.core.indexunaryop import ROWGT, ROWLE, TRIL, VALUEGT
 from repro.core.matrix import Matrix
+from repro.core.unaryop import AINV
 from repro.core.vector import Vector
 from repro.engine.stats import STATS
 from repro.internals import config
@@ -161,7 +170,7 @@ class TestRoundTrips:
 
         ``FORMAT_AUTO`` is pinned on (not assumed): past ``MAX_NROWS``
         the shape only exists on the DCSR carrier, so the test must
-        hold under the ``FORMAT_AUTO=0`` CI ablation too."""
+        hold under the ``REPRO_FORMAT_AUTO=0`` CI ablation too."""
         with config.option("FORMAT_AUTO", 1):
             rng = np.random.default_rng(7)
             rows = np.unique(rng.integers(0, HUGE, 1000, dtype=np.int64))
@@ -397,7 +406,7 @@ class TestFormatSoundness:
         from repro.algorithms._blocks import pattern_matrix
 
         # The block memo rides on the result memo: pin both, so the
-        # REPRO_RESULT_CACHE=0 ablation row still tests the fingerprint.
+        # REPRO_ENGINE_MEMO=0 ablation row still tests the fingerprint.
         with config.option("ENGINE_ALGO_MEMO", True), \
                 config.option("ENGINE_MEMO", True):
             a = mat_from_dict(self.GRAPH, 8, 8)
@@ -451,3 +460,155 @@ class TestFormatSoundness:
             assert isinstance(back, DcsrData)
             assert carrier_serialize(back) == live_blob
             restored.close()
+
+
+# ---------------------------------------------------------------------------
+# A 2^58-row matrix through the public ops
+# ---------------------------------------------------------------------------
+
+TALL = 1 << 58   # far beyond the CSR row limit (the dense row pointer)
+TALL_ENTRIES = {
+    (0, 0): 1.0,
+    (5, 2): 2.0,
+    (TALL // 2, 1): 3.0,
+    (TALL - 1, 0): 4.0,
+    (TALL - 1, 3): 5.0,
+}
+
+
+class TestTallMatrix:
+    """An ordinary ``Matrix`` at 2^58 x 4: every operation works on the
+    stored rows only and reports *global* row indices."""
+
+    SR = S.PLUS_TIMES_SEMIRING[T.FP64]
+
+    @pytest.fixture(autouse=True)
+    def _format_auto_on(self):
+        # The shape only exists on the DCSR carrier, so the policy is
+        # pinned on (the suite also runs under REPRO_FORMAT_AUTO=0).
+        with config.option("FORMAT_AUTO", 1):
+            yield
+
+    @staticmethod
+    def _tall() -> Matrix:
+        return mat_from_dict(TALL_ENTRIES, TALL, 4)
+
+    def test_build_round_trip(self):
+        m = self._tall()
+        assert (m.nrows, m.ncols) == (TALL, 4)
+        assert m.nvals() == len(TALL_ENTRIES)
+        carrier = m._capture()
+        assert isinstance(carrier, DcsrData)
+        assert len(carrier.row_ids) == 4    # two entries share row TALL-1
+        assert m.to_dict() == TALL_ENTRIES
+
+    def test_element_access(self):
+        m = self._tall()
+        assert m.extract_element(TALL - 1, 3) == 5.0
+        with pytest.raises(NoValue):
+            m.extract_element(17, 0)        # row not stored
+        with pytest.raises(NoValue):
+            m.extract_element(5, 3)         # row stored, column not
+        with pytest.raises(InvalidIndexError):
+            m.extract_element(TALL, 0)
+
+    def test_row_bounds_checked(self):
+        m = Matrix.new(T.FP64, TALL, 4)
+        m.build([TALL], [0], [1.0])
+        with pytest.raises(IndexOutOfBoundsError):
+            m.wait()
+
+    def test_empty(self):
+        m = Matrix.new(T.FP64, TALL, 4)
+        assert m.nvals() == 0
+        assert len(m._capture().row_ids) == 0
+
+    def test_mxv_global_rows(self):
+        u = vec_from_dict({0: 10.0, 1: 100.0}, 4)
+        w = Vector.new(T.FP64, TALL)
+        mxv(w, None, None, self.SR, self._tall(), u)
+        assert w.to_dict() == {0: 10.0, TALL // 2: 300.0, TALL - 1: 40.0}
+
+    def test_vxm_from_sparse_pattern(self):
+        u = vec_from_dict({TALL - 1: 2.0, 5: 1.0}, TALL)
+        w = Vector.new(T.FP64, 4)
+        vxm(w, None, None, self.SR, u, self._tall())
+        assert w.to_dict() == {0: 8.0, 2: 2.0, 3: 10.0}
+
+    def test_vxm_ignores_rows_not_stored(self):
+        u = vec_from_dict({17: 100.0}, TALL)
+        w = Vector.new(T.FP64, 4)
+        vxm(w, None, None, self.SR, u, self._tall())
+        assert w.nvals() == 0
+
+    def test_mxm_keeps_tall_rows(self):
+        b = mat_from_dict({(0, 0): 10.0, (1, 1): 20.0}, 4, 2)
+        c = Matrix.new(T.FP64, TALL, 2)
+        mxm(c, None, None, self.SR, self._tall(), b)
+        assert c.to_dict() == {
+            (0, 0): 10.0, (TALL // 2, 1): 60.0, (TALL - 1, 0): 40.0,
+        }
+        assert isinstance(c._capture(), DcsrData)
+
+    def test_mxm_dimension_check(self):
+        with pytest.raises(DimensionMismatchError):
+            mxm(Matrix.new(T.FP64, TALL, 2), None, None, self.SR,
+                self._tall(), Matrix.new(T.FP64, 9, 2))
+
+    def test_select_sees_global_row_indices(self):
+        m = self._tall()
+        upper = Matrix.new(T.FP64, TALL, 4)
+        select(upper, None, None, ROWLE, m, 5)      # rows <= 5 (global!)
+        assert set(upper.to_dict()) == {(0, 0), (5, 2)}
+        lower = Matrix.new(T.FP64, TALL, 4)
+        select(lower, None, None, ROWGT, m, 5)
+        assert set(lower.to_dict()) == {k for k in TALL_ENTRIES if k[0] > 5}
+
+    def test_select_tril_with_global_rows(self):
+        lo = Matrix.new(T.FP64, TALL, 4)
+        select(lo, None, None, TRIL, self._tall(), 0)   # j <= i, globally
+        assert set(lo.to_dict()) == \
+            {k for k in TALL_ENTRIES if k[1] <= k[0]}
+
+    def test_select_value_and_prune(self):
+        big = Matrix.new(T.FP64, TALL, 4)
+        select(big, None, None, VALUEGT[T.FP64], self._tall(), 3.5)
+        assert big.to_dict() == \
+            {k: v for k, v in TALL_ENTRIES.items() if v > 3.5}
+        # rows that lost all entries were pruned from storage
+        assert big._capture().row_ids.tolist() == [TALL - 1]
+
+    def test_apply(self):
+        neg = Matrix.new(T.FP64, TALL, 4)
+        apply(neg, None, None, AINV[T.FP64], self._tall())
+        assert neg.to_dict() == {k: -v for k, v in TALL_ENTRIES.items()}
+
+    def test_reduce_rows_and_scalar(self):
+        m = self._tall()
+        sums = Vector.new(T.FP64, TALL)
+        reduce_to_vector(sums, None, None, M.PLUS_MONOID[T.FP64], m)
+        assert sums.to_dict() == \
+            {0: 1.0, 5: 2.0, TALL // 2: 3.0, TALL - 1: 9.0}
+        assert reduce_scalar(M.PLUS_MONOID[T.FP64], m) == \
+            pytest.approx(sum(TALL_ENTRIES.values()))
+
+    def test_transpose_of_tall_matrix(self):
+        t = Matrix.new(T.FP64, 4, TALL)
+        transpose(t, None, None, self._tall())
+        assert (t.nrows, t.ncols) == (4, TALL)
+        assert t.to_dict() == \
+            {(j, i): v for (i, j), v in TALL_ENTRIES.items()}
+
+    def test_agrees_with_csr_when_small(self):
+        """The same 30 x 6 product on each carrier, random entries."""
+        rng = np.random.default_rng(3)
+        d = {(int(i), int(j)): float(rng.integers(1, 9))
+             for i in rng.integers(0, 30, 12)
+             for j in rng.integers(0, 6, 1)}
+
+        def run():
+            u = vec_from_dict({j: float(j + 1) for j in range(6)}, 6)
+            w = Vector.new(T.FP64, 30)
+            mxv(w, None, None, self.SR, mat_from_dict(d, 30, 6), u)
+            return w.to_dict()
+        assert _both_formats(run)

@@ -79,3 +79,70 @@ class TestDocsReferenceRealArtifacts:
         # repo copy was stale — git-style check via content stability
         text = (ROOT / "docs" / "spec_mapping.md").read_text()
         assert "symbols total" in text
+
+
+def _load_tool(name: str):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestOptionAndCounterRegistries:
+    """One declaration per name, and no name that nothing uses."""
+
+    @staticmethod
+    def _src_texts(skip: str) -> str:
+        return "\n".join(
+            p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
+            if p.name != skip)
+
+    def test_every_counter_has_a_bump_site(self):
+        from repro.engine.stats import COUNTERS
+
+        text = self._src_texts(skip="stats.py")
+        in_stats = (ROOT / "src/repro/engine/stats.py").read_text()
+        dead = [
+            name for name in COUNTERS
+            if not re.search(r'bump\(\s*"%s"' % name, text)
+            and f"self.{name} += 1" not in in_stats
+        ]
+        assert dead == [], f"declared but never bumped: {dead}"
+
+    def test_every_option_has_a_reader_outside_config(self):
+        from repro.internals.config import OPTIONS
+
+        text = self._src_texts(skip="config.py")
+        dead = [
+            name for name in OPTIONS
+            if not re.search(
+                r'config\.%s\b|_option\(\s*"%s"' % (name, name), text)
+        ]
+        assert dead == [], f"declared but never read: {dead}"
+
+    def test_ci_ablation_rows_name_boolean_options(self):
+        """A misspelt or deleted name would make its row run plain
+        tier-1 and pass."""
+        from repro.internals.config import OPTIONS
+
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        matrix = ci[ci.index("        ablation:\n"):]
+        matrix = matrix[:matrix.index("    steps:")]
+        rows = re.findall(
+            r'- \{ name: ([\w-]+), env: (\w+), value: "(\w+)" \}', matrix)
+        assert len(rows) == matrix.count("- {") >= 10
+        for name, env, value in rows:
+            assert env.startswith("REPRO_"), (name, env)
+            default = OPTIONS[env[len("REPRO_"):]][0]
+            assert default is True and value == "0", (name, env, value)
+
+    def test_knob_reference_is_fresh(self):
+        """docs/architecture.md's tables are the registries, rendered."""
+        tool = _load_tool("gen_knob_reference")
+        text = tool.DOC.read_text()
+        block = text.split(tool.BEGIN)[1].split(tool.END)[0]
+        assert block == tool.render(), \
+            "run: python tools/gen_knob_reference.py"

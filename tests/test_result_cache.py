@@ -49,7 +49,7 @@ N = 16
 @pytest.fixture(autouse=True)
 def clean_stats():
     # These tests exercise the memo itself, so they must run with it on
-    # even under the CI ablation matrix (REPRO_RESULT_CACHE=0); the
+    # even under the CI ablation matrix (REPRO_ENGINE_MEMO=0); the
     # ablation-behavior test flips the knob off explicitly.
     with config.option("ENGINE_MEMO", True):
         STATS.reset()
@@ -235,15 +235,13 @@ class TestNoServe:
 
 class TestLRUBound:
     def test_capacity_bound_evicts_lru(self):
-        # Pinned to the legacy policy: this battery asserts the exact
-        # recency order, which the default cost policy deliberately
-        # reweights.  Doubles as the MEMO_EVICTION=lru compatibility
-        # check (the CI ablation matrix runs the whole suite this way).
+        # b is a's content under a second handle: the three products
+        # have equal rebuild estimates, so eviction falls back to the
+        # exact recency order (as ``ResultMemo._score`` documents).
         ctx = _nb()
         a = _graph(ctx, seed=11)
-        b = _graph(ctx, seed=12)
-        with config.option("MEMO_CAPACITY", 2), \
-                config.option("MEMO_EVICTION", "lru"):
+        b = _graph(ctx, seed=11)
+        with config.option("MEMO_CAPACITY", 2):
             _product(ctx, a, a)
             _product(ctx, a, b)
             _product(ctx, b, b)   # evicts the (a, a) entry
@@ -257,13 +255,13 @@ class TestLRUBound:
 
 
 # ---------------------------------------------------------------------------
-# Eviction policy (MEMO_EVICTION): cost-weighted vs legacy recency
+# Eviction order: recency-aged rebuild cost
 # ---------------------------------------------------------------------------
 
 
 class TestEvictionPolicy:
     """Direct :class:`ResultMemo` battery — controlled ``cost_ms`` values
-    make the policy's choices deterministic.  Uids are far above any the
+    make the eviction choices deterministic.  Uids are far above any the
     handle counter will mint, so the tracked-uid fast path stays clean."""
 
     U = 10 ** 9
@@ -273,58 +271,44 @@ class TestEvictionPolicy:
         from repro.engine.memo import ResultMemo
         return ResultMemo(capacity=capacity)
 
-    def test_lru_policy_evicts_oldest_regardless_of_cost(self):
-        memo = self._memo(2)
-        with config.option("MEMO_EVICTION", "lru"):
-            memo.store(("t", 1), "expensive", (self.U + 1,), cost_ms=100.0)
-            memo.store(("t", 2), "cheap", (self.U + 2,), cost_ms=0.0)
-            memo.store(("t", 3), "cheap", (self.U + 3,), cost_ms=0.0)
-            assert memo.lookup(("t", 1)) is None, "lru must ignore cost"
-            assert memo.lookup(("t", 2)) == "cheap"
-            assert memo.lookup(("t", 3)) == "cheap"
-
     def test_cost_policy_keeps_expensive_entry_under_pressure(self):
         memo = self._memo(2)
-        with config.option("MEMO_EVICTION", "cost"):
-            memo.store(("t", 1), "expensive", (self.U + 1,), cost_ms=100.0)
-            memo.store(("t", 2), "cheap", (self.U + 2,), cost_ms=0.001)
-            memo.store(("t", 3), "cheap", (self.U + 3,), cost_ms=0.001)
-            # The SpGEMM-sized entry survives even though it is oldest;
-            # the newer-but-trivial entry was the victim.
-            assert memo.lookup(("t", 1)) == "expensive"
-            assert memo.lookup(("t", 3)) == "cheap"
-            assert memo.lookup(("t", 2)) is None
+        memo.store(("t", 1), "expensive", (self.U + 1,), cost_ms=100.0)
+        memo.store(("t", 2), "cheap", (self.U + 2,), cost_ms=0.001)
+        memo.store(("t", 3), "cheap", (self.U + 3,), cost_ms=0.001)
+        # The SpGEMM-sized entry survives even though it is oldest;
+        # the newer-but-trivial entry was the victim.
+        assert memo.lookup(("t", 1)) == "expensive"
+        assert memo.lookup(("t", 3)) == "cheap"
+        assert memo.lookup(("t", 2)) is None
 
     def test_fresh_store_never_evicts_itself(self):
         memo = self._memo(1)
-        with config.option("MEMO_EVICTION", "cost"):
-            memo.store(("t", 1), "expensive", (self.U + 1,), cost_ms=1000.0)
-            memo.store(("t", 2), "cheap", (self.U + 2,), cost_ms=0.0)
-            # The just-stored entry is exempt from victim selection, or
-            # a cold cheap store could bounce straight off the cache.
-            assert memo.lookup(("t", 2)) == "cheap"
-            assert memo.lookup(("t", 1)) is None
+        memo.store(("t", 1), "expensive", (self.U + 1,), cost_ms=1000.0)
+        memo.store(("t", 2), "cheap", (self.U + 2,), cost_ms=0.0)
+        # The just-stored entry is exempt from victim selection, or
+        # a cold cheap store could bounce straight off the cache.
+        assert memo.lookup(("t", 2)) == "cheap"
+        assert memo.lookup(("t", 1)) is None
 
     def test_recency_decay_retires_stale_expensive_entry(self):
         memo = self._memo(2)
-        with config.option("MEMO_EVICTION", "cost"):
-            memo.store(("t", "stale"), "old", (self.U + 1,), cost_ms=1.0)
-            memo.store(("t", "hot"), "hot", (self.U + 2,), cost_ms=0.5)
-            # Age the stale entry far past the half-life (= capacity
-            # touches) by hammering the hot one.
-            for _ in range(64):
-                assert memo.lookup(("t", "hot")) == "hot"
-            memo.store(("t", "new"), "new", (self.U + 3,), cost_ms=0.4)
-            assert memo.lookup(("t", "stale")) is None, \
-                "an untouched entry must eventually yield, however costly"
+        memo.store(("t", "stale"), "old", (self.U + 1,), cost_ms=1.0)
+        memo.store(("t", "hot"), "hot", (self.U + 2,), cost_ms=0.5)
+        # Age the stale entry far past the half-life (= capacity
+        # touches) by hammering the hot one.
+        for _ in range(64):
             assert memo.lookup(("t", "hot")) == "hot"
+        memo.store(("t", "new"), "new", (self.U + 3,), cost_ms=0.4)
+        assert memo.lookup(("t", "stale")) is None, \
+            "an untouched entry must eventually yield, however costly"
+        assert memo.lookup(("t", "hot")) == "hot"
 
     def test_eviction_counter_and_entry_bookkeeping(self):
         STATS.reset()
         memo = self._memo(2)
-        with config.option("MEMO_EVICTION", "cost"):
-            for i in range(5):
-                memo.store(("t", i), f"c{i}", (self.U + i,), cost_ms=float(i))
+        for i in range(5):
+            memo.store(("t", i), f"c{i}", (self.U + i,), cost_ms=float(i))
         assert len(memo) == 2
         snap = STATS.snapshot()
         assert snap["memo_evictions"] == 3

@@ -62,11 +62,10 @@ _PINNED_FORMAT = (("FORMAT_AUTO", True),
 @pytest.fixture(autouse=True)
 def store_on(tmp_path):
     """Pin the whole warm-start stack on (the suite also runs under
-    ablation rows like ``REPRO_STORE=0``) and root the store in a fresh
+    ablation rows like ``REPRO_STORE_ENABLE=0``) and root the store in a fresh
     temp dir so every test starts cold on disk."""
     pins = [config.option("ENGINE_MEMO", True),
             config.option("ENGINE_ALGO_MEMO", True),
-            config.option("MEMO_EVICTION", "cost"),
             config.option("STORE_ENABLE", True),
             config.option("STORE_DIR", str(tmp_path / "store"))]
     pins += [config.option(k, v) for k, v in _PINNED_FORMAT]
@@ -234,8 +233,9 @@ class TestSecondProcess:
                      if p])
         # hermetic against the ablation matrix: the child pins via
         # set_option above, but stale env flags must not re-disable
-        for stale in ("REPRO_STORE", "REPRO_STORE_DIR", "ENGINE_ALGO_MEMO",
-                      "REPRO_RESULT_CACHE", "ENGINE_MEMO", "FORMAT_AUTO"):
+        for stale in ("REPRO_STORE_ENABLE", "REPRO_STORE_DIR",
+                      "REPRO_ENGINE_ALGO_MEMO", "REPRO_ENGINE_MEMO",
+                      "REPRO_FORMAT_AUTO"):
             env.pop(stale, None)
         out = subprocess.run(
             [sys.executable, "-c", script], env=env,
@@ -594,7 +594,6 @@ class TestCalibration:
         data = WarmStore(str(store_on)).load_calibration()
         assert data is not None
         assert isinstance(data.get("rates"), dict)
-        assert isinstance(data.get("partitions"), dict)
         adm = data.get("admission")
         assert isinstance(adm, dict) and "overhead_ms" in adm
         assert adm == memo_mod.export_admission()
@@ -612,19 +611,3 @@ class TestCalibration:
         assert memo_mod.commit_overhead_ms() == pytest.approx(1.25)
         STATS.reset()                           # leave no prior behind
         assert memo_mod.commit_overhead_ms() == 0.0
-
-    def test_first_open_seeds_partition_samples(self, tmp_path, store_on):
-        from repro.engine.passes import cost
-
-        root = tmp_path / "seeded-parts"
-        WarmStore(str(root)).save_calibration(
-            {"partitions": {"4": [50000, 0.002], "8": [50000, 0.0015],
-                            "bogus": "skip", "1": [10, 0.1]}})
-        STATS.reset()
-        with config.option("STORE_DIR", str(root)):
-            assert tier.active_store() is not None
-            exported = cost.export_partition_samples()
-        assert exported.get("4") == [50000.0, 0.002]
-        assert exported.get("8") == [50000.0, 0.0015]
-        assert "1" not in exported              # nblocks < 2 rejected
-        STATS.reset()

@@ -51,13 +51,11 @@ N = 24
 def delta_on():
     # Counter asserts (memo_delta_patches, algo_warm_hits,
     # serve_views_patched) need the whole plumbing on even under the CI
-    # ablation matrix (ENGINE_DELTA=0 / ENGINE_ALGO_MEMO=0 /
-    # REPRO_RESULT_CACHE=0 full-suite runs); eviction is pinned so LRU
-    # can't push a warm block out mid-test.
+    # ablation matrix (REPRO_ENGINE_DELTA=0 / REPRO_ENGINE_ALGO_MEMO=0 /
+    # REPRO_ENGINE_MEMO=0 full-suite runs).
     with config.option("ENGINE_MEMO", True), \
             config.option("ENGINE_ALGO_MEMO", True), \
-            config.option("ENGINE_DELTA", True), \
-            config.option("MEMO_EVICTION", "cost"):
+            config.option("ENGINE_DELTA", True):
         yield
 
 

@@ -66,9 +66,9 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §III "optimize" freedom: masked products | `C⟨M⟩ = A ⊕.⊗ B` may skip off-mask products entirely | `engine/passes/pushdown.py` → `internals/mxm.py` `mask_keys` filter (§VIII `GrB_STRUCTURE`/`GrB_COMP` honoured in-kernel) |
 | §III "optimize" freedom: masked eWise consumers | a masked `eWiseMult` (or intersect-shaped `eWiseAdd`) over a pending product filters inside the producer | `ops/ewise.py` push targets → `engine/passes/pushdown.py` → `internals/ewise.py` intersect `mask_keys` filter |
 | §III "optimize" freedom: chain fusion | producer chains may run as one pass | `engine/passes/fuse.py` + `internals/applyselect.py` pipelines |
-| §III "optimize" freedom: cross-call reuse | a re-submitted computation over unchanged inputs may republish its committed result | `engine/memo.py` per-Context LRU keyed on `dag.memo_key` (uid+version inputs); consulted in `engine/passes/cse.py`, republished via `engine/txn.py` |
-| §III optimization arbitration | conflicting rewrites decided by estimated kernel savings | `engine/passes/cost.py` nnz-based model calibrated from `engine/stats.py` kernel spans; `cost:` trace instants; adaptive fusion veto + SpGEMM partition sizing (`COST_ADAPTIVE_*`) |
-| §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py` memoized building blocks (`("algo", kind, (uid, version), params)` keys) in the per-Context `engine/memo.py` cache with cost-weighted eviction (`MEMO_EVICTION`); republished via `engine/txn.py` |
+| §III "optimize" freedom: cross-call reuse | a re-submitted computation over unchanged inputs may republish its committed result | `engine/memo.py` per-Context memo keyed on `dag.memo_key` (uid+version inputs); consulted in `engine/passes/cse.py`, republished via `engine/txn.py` |
+| §III optimization arbitration | conflicting rewrites decided by estimated kernel savings | `engine/passes/cost.py` nnz-based model calibrated from `engine/stats.py` kernel spans; `cost:` trace instants |
+| §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py` memoized building blocks (`("algo", kind, (uid, version), params)` keys) in the per-Context `engine/memo.py` cache with cost-weighted eviction; republished via `engine/txn.py` |
 | §VIII masked-kernel fast paths | complemented/structural mask filters at kernel entry | `internals/mxm.py` (`in_sorted` membership, empty-complement keep-all) + `internals/maskaccum.py` memoized mask keys |
 | §III "sequence of methods that define an object" | per-object defining sequence | sequence edges (`Node.prev`) threaded through `engine/dag.py` |
 | §V forcing call | a read/`wait` completes exactly the pending subgraph it observes | `engine/scheduler.py::force` (topological, per-Context threads) |
@@ -88,7 +88,7 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §III "optimize" freedom: small-op batching | many independent pending `mxv` over one committed matrix may run as one kernel | `engine/opbatch.py` batch-key registry → `engine/scheduler.py::_run_batch` → `internals/mxm.py` `mxv_multi` (one pass over A for k vectors, failure-transparent surrender); `ENGINE_OP_BATCH` ablation knob |
 | §VII checkpoint/journal durability | resident graphs snapshot as opaque versioned blobs; acknowledged mutations journaled before publish; warm restart replays journal-over-snapshot | `serve/recovery.py` (`CheckpointStore`, CRC-framed WAL, digest-keyed §VII blobs via `formats/serialize.py::carrier_serialize`, atomic `MANIFEST.json`); `GraphService.checkpoint()/restore()` with warm algo-memo blocks + `engine/passes/cost.py` calibration priors |
 | §III "optimize" freedom: incremental recomputation | a small write may update derived results from the write set instead of recomputing | `internals/stream.py` `WriteDelta` positional merge (`Matrix.update_batch`, journal-replay parity via `serve/recovery.py::apply_edges`); `engine/memo.py::patch` delta-patched blocks under `algorithms/delta.py` rules with `engine/passes/cost.py::should_delta_patch` arbitration; warm-fixpoint pagerank/components/triangles (`algorithms/_blocks.py` `"warm:"` blocks); `GraphService.ingest_edges` buffered batch commit + `Session.view` in-place forward patching; `ENGINE_DELTA` ablation knob |
-| §VII cross-process warm start | serialized state is process-independent: a fresh process (replica, CI run) may serve another process's committed algorithm blocks and calibration instead of recomputing them | `store/` content-addressed on-disk tier (`store/store.py` CRC-framed §VII blobs, LRU-by-atime eviction under `STORE_MAX_BYTES`, corrupt-entry quarantine-as-miss; `store/tier.py` `blake2b(graph digest, kind, params, format fingerprint, serialization version)` keys); second-tier probe + cost-gated store-behind in `engine/memo.py`; calibration sidecar seeding `engine/passes/cost.py` rates/partition samples + memo-admission EWMA; attached via `REPRO_STORE_DIR` / `GraphService(store_dir=)` / CLI `--store-dir`; `REPRO_STORE` ablation knob, `store.read`/`store.write` fault sites |
+| §VII cross-process warm start | serialized state is process-independent: a fresh process (replica, CI run) may serve another process's committed algorithm blocks and calibration instead of recomputing them | `store/` content-addressed on-disk tier (`store/store.py` CRC-framed §VII blobs, LRU-by-atime eviction under `STORE_MAX_BYTES`, corrupt-entry quarantine-as-miss; `store/tier.py` `blake2b(graph digest, kind, params, format fingerprint, serialization version)` keys); second-tier probe + cost-gated store-behind in `engine/memo.py`; calibration sidecar seeding `engine/passes/cost.py` rates + memo-admission EWMA; attached via `REPRO_STORE_DIR` / `GraphService(store_dir=)` / CLI `--store-dir`; `STORE_ENABLE` ablation knob, `store.read`/`store.write` fault sites |
 """
 
 
