@@ -28,6 +28,8 @@ from repro.internals import config
 from repro.ops.mxm import mxm
 from repro.ops.select import select
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALE = 10
 
 

@@ -29,6 +29,8 @@ from repro.algorithms import (
 from repro.core import types as T
 from repro.generators import grid_2d, to_matrix
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALE = 10
 
 

@@ -27,6 +27,8 @@ from repro.core.sequence import wait
 from repro.generators import random_matrix_data
 from repro.ops.mxm import mxm
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 PT = PLUS_TIMES_SEMIRING[T.FP64]
 N = 700
 DENSITY = 0.01

@@ -20,6 +20,8 @@ from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.generators import rmat, to_matrix
 from repro.ops.mxm import mxm
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 PT = PLUS_TIMES_SEMIRING[T.FP64]
 SCALE = 12
 THREADS = [1, 2, 4, 8]

@@ -19,6 +19,8 @@ from repro.core.matrix import Matrix
 from repro.ops.apply import apply
 from repro.ops.select import select
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALES = [8, 10, 12]
 
 

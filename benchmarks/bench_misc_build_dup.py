@@ -19,6 +19,8 @@ from repro.core import types as T
 from repro.core.errors import DuplicateIndexError
 from repro.core.matrix import Matrix
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 N = 1 << 11
 BASE_EDGES = 40_000
 

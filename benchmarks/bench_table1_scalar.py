@@ -11,6 +11,8 @@ from repro.core import types as T
 from repro.core.errors import NoValue
 from repro.core.scalar import Scalar
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 
 @pytest.fixture
 def full_scalar():

@@ -24,6 +24,8 @@ from repro.ops.assign import assign
 from repro.ops.reduce import reduce, reduce_scalar
 from repro.ops.select import select
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALE = 10
 
 

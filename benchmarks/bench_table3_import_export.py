@@ -26,6 +26,8 @@ from repro.formats import (
 )
 from repro.core.vector import Vector
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALE = 11
 MATRIX_FORMATS = [
     Format.CSR_MATRIX,

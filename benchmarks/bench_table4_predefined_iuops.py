@@ -18,6 +18,8 @@ from repro.core.matrix import Matrix
 from repro.ops.apply import apply
 from repro.ops.select import select
 
+pytestmark = pytest.mark.usefixtures("no_result_memo")
+
 SCALE = 11
 
 UDF_EQUIVALENTS = {

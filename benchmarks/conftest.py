@@ -16,6 +16,7 @@ import pytest
 from repro.core import types as T
 from repro.core.context import Mode, finalize, init, is_initialized
 from repro.generators import rmat, to_matrix
+from repro.internals import config
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -26,6 +27,18 @@ def grb_lifecycle():
     yield
     if is_initialized():
         finalize()
+
+
+@pytest.fixture
+def no_result_memo():
+    """Pin the cross-forcing result memo off: a paper-artefact bench
+    repeats one expression over unchanged inputs, so with the memo on
+    every round after the first times a republish, not the kernel.
+    Every T / F / M / A / AB module opts in with ``pytestmark``
+    (``tests/test_docs.py`` checks); the engine-era benches pin their
+    own."""
+    with config.option("ENGINE_MEMO", False):
+        yield
 
 
 _GRAPH_CACHE: dict = {}

@@ -32,8 +32,8 @@ Two block families are patchable:
     + T3/3`` over triangles with one, two, or three new undirected
     edges.
 
-Every rule defers to :func:`repro.engine.passes.cost.should_delta_patch`
-so a delta past the rebuild-is-cheaper threshold drops the entry
+Every rule defers to :func:`should_delta_patch` so a delta past the
+rebuild-is-cheaper threshold drops the entry
 instead (the cold fallback the acceptance criteria demand).
 """
 
@@ -44,8 +44,15 @@ from collections import defaultdict
 import numpy as np
 
 from ..engine import memo as _memo
-from ..engine.passes import cost
-from ..internals.containers import VecData, pair_keys
+from ..engine.stats import STATS
+from ..internals import config
+from ..internals.containers import (
+    VecData,
+    merge_column,
+    merge_slots,
+    merge_sorted,
+    pair_keys,
+)
 from ..internals.stream import insert_edges
 
 __all__ = ["resolve_patch", "pattern_symmetric"]
@@ -68,6 +75,34 @@ def pattern_symmetric(d) -> bool:
     return bool(np.array_equal(k1, k2))
 
 
+#: A delta is patched only while it is at most this fraction of the
+#: base's nnz; past it a rebuild is declared cheaper (cold fallback).
+_DELTA_PATCH_RATIO = 0.25
+
+
+def should_delta_patch(kind: str, delta_nnz: int, base_nnz: int) -> bool:
+    """Patch-vs-rebuild policy for the memo's delta tier.
+
+    Patching a block costs O(delta) array work under the memo lock;
+    rebuilding costs a full kernel pass over the base.  The crossover
+    is linear in the size ratio, so the rule is a single threshold
+    (:data:`_DELTA_PATCH_RATIO`) with an absolute floor of 16 edges —
+    tiny deltas always patch, even into tiny graphs.  Every decision
+    emits a ``cost:delta-patch`` instant.
+    """
+    if not config.ENGINE_DELTA:
+        return False
+    patch = float(delta_nnz) <= max(
+        16.0, _DELTA_PATCH_RATIO * float(base_nnz))
+    STATS.instant(
+        "cost:delta-patch", "planner",
+        {"kind": kind, "delta_nnz": int(delta_nnz),
+         "base_nnz": int(base_nnz),
+         "decision": "patch" if patch else "rebuild"},
+    )
+    return patch
+
+
 def _ones(t, n: int) -> np.ndarray:
     return t.coerce_array(np.ones(n))
 
@@ -79,7 +114,7 @@ def _patch_pattern(value, params, delta):
     new_r, new_c = delta.new_edges()
     if len(new_r) == 0:
         return value  # value-only overwrite: the pattern is unchanged
-    if not cost.should_delta_patch("pattern", delta.n, delta.base.nvals):
+    if not should_delta_patch("pattern", delta.n, delta.base.nvals):
         return None
     return insert_edges(value, new_r, new_c, _ones(value.type, len(new_r)))
 
@@ -88,22 +123,26 @@ def _patch_degree(value, params, delta):
     new_r, _ = delta.new_edges()
     if len(new_r) == 0:
         return value
-    if not cost.should_delta_patch("degree", delta.n, delta.base.nvals):
+    if not should_delta_patch("degree", delta.n, delta.base.nvals):
         return None
     t = value.type
     uniq, counts = np.unique(new_r, return_counts=True)
-    merged = np.union1d(value.indices, uniq).astype(_INT)
-    out = np.zeros(len(merged), dtype=t.np_dtype)
-    out[np.searchsorted(merged, value.indices)] = value.values
-    out[np.searchsorted(merged, uniq)] += counts.astype(t.np_dtype)
-    return VecData(value.size, t, merged, t.coerce_array(out))
+    from_old, dst = merge_slots(
+        value.nvals, *merge_sorted(value.indices, uniq))
+    out = np.zeros(len(from_old), dtype=t.np_dtype)
+    out[from_old] = value.values
+    out[dst] += counts.astype(t.np_dtype)
+    return VecData(
+        value.size, t, merge_column(from_old, dst, value.indices, uniq),
+        t.coerce_array(out),
+    )
 
 
 def _patch_tril(value, params, delta):
     new_r, new_c = delta.new_edges()
     if len(new_r) == 0:
         return value
-    if not cost.should_delta_patch("tril", delta.n, delta.base.nvals):
+    if not should_delta_patch("tril", delta.n, delta.base.nvals):
         return None
     k = int(params[1]) if len(params) > 1 else -1
     keep = new_c <= new_r + k  # the TRIL keep condition (Table IV)
@@ -125,7 +164,7 @@ def _patch_warm_pagerank(value, params, delta):
     # Staleness accumulates across writes: pagerank carries the vector
     # as a *seed*, so the gate is on total drift since convergence,
     # not just this delta.
-    if not cost.should_delta_patch("warm:pagerank", stale, base_nnz):
+    if not should_delta_patch("warm:pagerank", stale, base_nnz):
         return None
     return (payload, {**meta, "stale": stale})
 
@@ -139,7 +178,7 @@ def _patch_warm_components(value, params, delta):
         return None
     if not delta.new_symmetric():
         return None
-    if not cost.should_delta_patch(
+    if not should_delta_patch(
         "warm:components", delta.n, delta.base.nvals
     ):
         return None
@@ -196,7 +235,7 @@ def _patch_warm_triangles(value, params, delta):
     if not delta.new_symmetric():
         return None
     base = delta.base
-    if not cost.should_delta_patch("warm:triangles", delta.n, base.nvals):
+    if not should_delta_patch("warm:triangles", delta.n, base.nvals):
         return None
     # Undirected new edges, one orientation each.
     und = [

@@ -59,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--store-dir", metavar="DIR", default=None,
         help="attach the persistent warm-start store rooted at DIR "
-             "(same as REPRO_STORE_DIR): memoized algo blocks and "
-             "kernel calibration persist across runs, so repeating a "
-             "demo/serve command starts warm",
+             "(same as REPRO_STORE_DIR): memoized algo blocks persist "
+             "across runs, so repeating a demo/serve command starts warm",
     )
     p.add_argument(
         "--chaos", type=int, metavar="SEED", default=None,
@@ -378,11 +377,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
 
             config.set_option("ENGINE_MEMO", memo_was)
         if store_was is not None:
-            # Calibration learned this run warms the next one.
             from repro.internals import config
-            from repro.store import tier as store_tier
 
-            store_tier.save_calibration()
             config.set_option("STORE_DIR", store_was)
         if owned and is_initialized():
             finalize()

@@ -12,8 +12,6 @@ each rewrite pass for its precondition:
   producer (:func:`repro.engine.passes.pushdown.can_fire`);
 * ``fuse`` — a stage-form consumer could absorb its pipe source
   (:func:`repro.engine.passes.fuse.can_fire`);
-* ``cost`` — both ``pushdown`` and ``fuse`` can fire: arbitrating
-  between them is all the pass does;
 
 and, in the same scan, consults the cross-forcing result memo for every
 eligible node directly — one key, one dict probe
@@ -30,11 +28,11 @@ only the passes whose precondition held, bracketed by ``normalize``
 (commit all decisions onto the nodes):
 
 ``normalize`` → ``cse`` (hash-cons identical pending subtrees so a
-repeated subexpression runs its kernel once) → ``cost`` (arbitrate
-pushdown-vs-fusion conflicts by estimated kernel savings) →
-``pushdown`` (absorb a masked consumer's filter into the producing
-mxm/mxv/vxm/eWiseMult kernel) → ``fuse`` (absorb producer chains into
-single-pass pipelines) → ``schedule``.
+repeated subexpression runs its kernel once) → ``pushdown`` (absorb a
+masked consumer's filter into the producing mxm/mxv/vxm/eWiseMult
+kernel) → ``fuse`` (absorb producer chains into single-pass pipelines)
+→ ``schedule``.  The order is fixed: where a producer qualifies for
+both, pushdown claims it first.
 
 Each pass is a pure function over one shared immutable
 :class:`~repro.engine.passes.ir.PlanIR`; the driver runs the sequence
@@ -61,7 +59,7 @@ from ..faults.plane import armed, maybe_inject
 from ..internals import config
 from . import cancel
 from .dag import GRAPH_LOCK, PENDING, Node, Source
-from .passes import cost, cse, fuse, normalize, pushdown, schedule
+from .passes import cse, fuse, normalize, pushdown, schedule
 from .passes.ir import PlanIR
 from .stats import STATS
 
@@ -201,8 +199,6 @@ def _gate(nodes: list) -> tuple[list, list, list]:
     passes = [("normalize", normalize.run)]
     if can_cse:
         passes.append(("cse", cse.run))
-    if can_push and can_fuse:
-        passes.append(("cost", cost.run))
     if can_push:
         passes.append(("pushdown", pushdown.run))
     if can_fuse:

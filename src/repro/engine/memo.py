@@ -36,20 +36,6 @@ stay alive to be republished.  The capacity bound plus eager
 invalidation keep retention proportional to ``MEMO_CAPACITY``, and a
 context's ``free``/``finalize`` clears its memo outright.
 
-Admission policy (``MEMO_ADMISSION``): storing an entry is not free —
-a future hit pays the transactional republish (commit-gate validation
-plus the reference store), so caching a result cheaper to recompute
-than to republish is a strict loss.  The gate compares each *estimated*
-store's rebuild-savings estimate against a measured exponential moving
-average of republish overhead (:func:`record_commit_ms`, fed by the
-scheduler's memo-republish path) and skips the store when the savings
-are smaller (``memo_admission_skips`` counts them).  Evidence-gated:
-the overhead average starts at zero and only grows from real measured
-republishes, so nothing is ever skipped before the cost is observed;
-algorithm building blocks store *measured* build times and bypass the
-gate entirely.  A stats reset clears the average (reset hook), keeping
-tests and benches deterministic.
-
 Delta tier (``ENGINE_DELTA``): eager invalidation has one refinement —
 when a write arrives as a batched delta (``Matrix.update_batch``), the
 sequence layer calls :func:`patch_handle_blocks` instead of
@@ -63,8 +49,8 @@ and patching happens before the write returns, so no forcing can
 observe a stale carrier under a live key.
 
 Eviction: under capacity pressure each entry is scored by what
-evicting it would *cost to rebuild* — the calibrated savings estimate
-recorded at store time (products avoided × observed kernel rate, or the
+evicting it would *cost to rebuild* — the savings estimate recorded at
+store time (:func:`entry_savings_ms` for expression entries, the
 measured build time for algorithm building blocks) — exponentially aged
 by how many lookups/stores ago the entry was last touched (half-life =
 one capacity's worth of touches, so a stale expensive entry does
@@ -80,84 +66,13 @@ import weakref
 from typing import Any, Iterable
 
 from ..internals import config
-from .stats import STATS, register_reset_hook
+from .dag import PENDING, Node
+from .stats import STATS
 
 __all__ = [
-    "ResultMemo", "invalidate_handle", "release_handle",
-    "record_commit_ms", "commit_overhead_ms",
-    "export_admission", "seed_admission",
+    "ResultMemo", "entry_savings_ms", "invalidate_handle", "release_handle",
     "register_patch_resolver", "patch_handle_blocks", "patch_block",
 ]
-
-#: EWMA of measured memo-republish (commit) overhead in ms, and the
-#: number of observations behind it.  Guarded by ``_OVERHEAD_LOCK``.
-_OVERHEAD_LOCK = threading.Lock()
-_commit_overhead_ms = 0.0
-_commit_samples = 0
-
-#: EWMA smoothing: each new sample carries this weight.
-_OVERHEAD_ALPHA = 0.3
-
-
-def record_commit_ms(ms: float) -> None:
-    """Feed one measured memo-republish wall time into the admission
-    model (called by the scheduler after a successful republish)."""
-    global _commit_overhead_ms, _commit_samples
-    ms = max(0.0, float(ms))
-    with _OVERHEAD_LOCK:
-        if _commit_samples == 0:
-            _commit_overhead_ms = ms
-        else:
-            _commit_overhead_ms += _OVERHEAD_ALPHA * (ms - _commit_overhead_ms)
-        _commit_samples += 1
-
-
-def commit_overhead_ms() -> float:
-    """The measured republish overhead (0.0 until first observation)."""
-    with _OVERHEAD_LOCK:
-        return _commit_overhead_ms if _commit_samples else 0.0
-
-
-def export_admission() -> dict:
-    """The admission model's state, as a warm-start store sidecar
-    payload (:mod:`repro.store`)."""
-    with _OVERHEAD_LOCK:
-        return {"overhead_ms": _commit_overhead_ms,
-                "samples": _commit_samples}
-
-
-def seed_admission(data: dict) -> None:
-    """Install a persisted republish-overhead EWMA as a warm prior.
-
-    Only when this process has no measurements of its own — live
-    observations always win, and a stats reset clears the seed (the
-    same contract as :func:`repro.engine.passes.cost.seed_calibration`).
-    The seed counts as one observation: the admission gate's
-    evidence requirement is satisfied by the previous process's
-    evidence, which is the point of persisting it.
-    """
-    global _commit_overhead_ms, _commit_samples
-    try:
-        ms = float(data.get("overhead_ms", 0.0))
-        samples = int(data.get("samples", 0))
-    except (TypeError, ValueError, AttributeError):
-        return
-    if ms <= 0.0 or samples < 1:
-        return
-    with _OVERHEAD_LOCK:
-        if _commit_samples == 0:
-            _commit_overhead_ms = ms
-            _commit_samples = 1
-
-
-def _reset_overhead() -> None:
-    global _commit_overhead_ms, _commit_samples
-    with _OVERHEAD_LOCK:
-        _commit_overhead_ms = 0.0
-        _commit_samples = 0
-
-
-register_reset_hook(_reset_overhead)
 
 #: Every live memo, so handle writes can invalidate eagerly without the
 #: sequence layer knowing which contexts cached what (an object may be
@@ -277,27 +192,13 @@ class ResultMemo:
         deps: Iterable[int],
         owner_uid: int | None = None,
         cost_ms: float = 0.0,
-        estimated: bool = False,
     ) -> None:
         """Record a committed carrier, evicting past capacity.
 
         ``cost_ms`` is the estimated cost of rebuilding this entry (the
         savings a future hit buys); eviction keeps the entries whose
-        aged estimate is highest.  ``estimated=True``
-        marks a cost-model estimate (expression stores) rather than a
-        measured build time — only those are subject to the
-        ``MEMO_ADMISSION`` gate, which skips the store outright when
-        the estimate is below the measured republish overhead.
+        aged estimate is highest.
         """
-        if (estimated and config.get_option("MEMO_ADMISSION")
-                and 0.0 < cost_ms < commit_overhead_ms()):
-            STATS.bump("memo_admission_skips")
-            STATS.instant(
-                "memo:admission-skip", "memo",
-                {"cost_ms": round(float(cost_ms), 6),
-                 "overhead_ms": round(commit_overhead_ms(), 6)},
-            )
-            return
         deps = frozenset(deps)
         with self._lock:
             if key in self._entries:
@@ -469,6 +370,86 @@ class ResultMemo:
                 bucket.discard(key)
                 if not bucket:
                     del self._by_owner[owner_uid]
+
+
+# -- rebuild-cost estimates (the eviction score's input) ----------------------
+
+#: Per-element rates (ms): accumulating + sorting + compressing one
+#: SpGEMM product vs pushing one entry through a materialize + cast +
+#: stage pass.  The 5:1 ratio reflects that a product pays hash/sort
+#: work while a stage entry is one vectorized copy; only the *order*
+#: of the resulting scores matters to eviction.
+_BASE_PRODUCT_MS = 5e-6
+_BASE_STAGE_MS = 1e-6
+
+
+def _source_nnz(src, depth: int) -> float:
+    if src is None:
+        return 0.0
+    if src.node is not None:
+        return _node_nnz(src.node, depth)
+    data = src.data
+    return float(getattr(data, "nvals", 0) or 0)
+
+
+def _node_nnz(node: Node, depth: int = 0) -> float:
+    """Estimated output nnz of a (possibly pending) node: exact for a
+    materialized carrier, else derived from the node's inputs."""
+    if depth > 8:  # deep chains: stop refining, any estimate will do
+        return 0.0
+    if node.state != PENDING and node.result is not None:
+        return float(getattr(node.result, "nvals", 0) or 0)
+    ins = [_source_nnz(s, depth + 1) for s in node.inputs]
+    kind = node.kind
+    if kind in ("mxm", "mxv", "vxm"):
+        # Expected surviving entries ≈ expected products (upper bound;
+        # compression only shrinks it).
+        return _estimate_products(node, depth)
+    if kind == "eWiseMult":
+        return min(ins[:2] or [0.0])
+    if kind == "eWiseAdd":
+        return sum(ins[:2])
+    if node.stages is not None and node.inputs:
+        return _source_nnz(node.inputs[node.pipe_input], depth + 1)
+    return max(ins or [0.0])
+
+
+def _inner_dim(node: Node) -> float:
+    a = node.inputs[0].node.result if node.inputs[0].node is not None \
+        else node.inputs[0].data
+    ncols = getattr(a, "ncols", None)
+    if ncols is None:
+        ncols = getattr(a, "size", None)
+    try:
+        return max(1.0, float(ncols))
+    except (TypeError, ValueError):
+        return 1.0
+
+
+def _estimate_products(node: Node, depth: int = 0) -> float:
+    """Expected multiply-stream length of an mxm-family node: the
+    uniform-distribution SpGEMM model ``nnz(A)·nnz(B)/inner``."""
+    if len(node.inputs) < 2:
+        return 0.0
+    nnz_a = _source_nnz(node.inputs[0], depth + 1)
+    nnz_b = _source_nnz(node.inputs[1], depth + 1)
+    if not nnz_a or not nnz_b:
+        return 0.0
+    return max(nnz_a, nnz_b, nnz_a * nnz_b / _inner_dim(node))
+
+
+def entry_savings_ms(node: Node) -> float:
+    """What a future result-memo hit on *node* is worth: the products
+    its kernel would stream (mxm family) or the entries it would
+    rewrite, priced per element.  Recorded as the entry's rebuild cost
+    and aged by :meth:`ResultMemo._score`."""
+    try:
+        products = _estimate_products(node)
+        if products > 0:
+            return products * _BASE_PRODUCT_MS
+        return _node_nnz(node) * _BASE_STAGE_MS
+    except Exception:
+        return 0.0
 
 
 def invalidate_handle(uid: int) -> None:

@@ -17,8 +17,8 @@ producer (the in-place ``mxm(c); apply(c⟨m⟩, …, c)`` pattern) may
 absorb it only when its write-back never reads the previous value:
 either the write-back is pure, or it masks with REPLACE and no
 accumulator (the funnel then only needs ``prev``'s shape).  That last
-shape is exactly the one mask pushdown also wants — the cost pass
-arbitrates who gets the producer.
+shape is exactly the one mask pushdown also wants — pushdown runs
+first and claims the producer.
 
 **Precondition** (:func:`can_fire`): a stage-form consumer whose pipe
 source is a producer it could absorb right now.  The gate runs this

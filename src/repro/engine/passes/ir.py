@@ -55,7 +55,7 @@ class PlanIR:
     __slots__ = (
         "nodes", "info", "aliases", "pushdowns",
         "fusions", "elided", "locked", "stage_counts",
-        "memo_hits", "memo_entries", "decisions",
+        "memo_hits", "memo_entries",
     )
 
     def __init__(
@@ -70,7 +70,6 @@ class PlanIR:
         stage_counts: tuple[int, int] = (0, 0),
         memo_hits: tuple = (),
         memo_entries: tuple = (),
-        decisions: Mapping[int, str] = (),
     ):
         self.nodes = tuple(nodes)
         self.info = dict(info)
@@ -90,8 +89,6 @@ class PlanIR:
         self.memo_hits = tuple(memo_hits)
         #: (node, (memo key, dep uids)) for the post-run store
         self.memo_entries = tuple(memo_entries)
-        #: id(producer) -> "pushdown" | "fuse" (cost-model arbitration)
-        self.decisions = dict(decisions)
 
     @classmethod
     def initial(
@@ -115,7 +112,6 @@ class PlanIR:
             "stage_counts": self.stage_counts,
             "memo_hits": self.memo_hits,
             "memo_entries": self.memo_entries,
-            "decisions": self.decisions,
         }
         fields.update(kw)
         return PlanIR(**fields)

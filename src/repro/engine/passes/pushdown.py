@@ -40,9 +40,6 @@ producer ``x``):
   without replace, write-back merges old-``c`` — which *is* ``x``'s
   unfiltered result — at mask-false positions, so filtering ``x``
   would change the outcome.
-* the cost pass may have ruled the producer worth more to fusion
-  (``ir.decisions[id(x)] == "fuse"``); such producers are left
-  unclaimed here and absorbed by the fuse pass instead.
 
 **Precondition** (:func:`can_fire`): a masked consumer of one of the
 two shapes with a candidate producer that is pending, pure and
@@ -66,7 +63,7 @@ from .ir import PlanIR
 __all__ = ["run"]
 
 
-def _producer_ok(ir: PlanIR, in_graph: set, locked: set,
+def _producer_ok(in_graph: set, locked: set,
                  y: Node, x: Node | None, m) -> bool:
     """The producer-side legality ladder shared by both consumer shapes."""
     if (
@@ -78,8 +75,6 @@ def _producer_ok(ir: PlanIR, in_graph: set, locked: set,
         or not x.pure
     ):
         return False
-    if ir.decisions.get(id(x)) == "fuse":
-        return False  # cost model: fusion gains more from this producer
     if x.owner is not None and getattr(x.owner, "_tail", None) is x:
         return False
     if x.nrefs != y.refs_to(x):
@@ -136,7 +131,7 @@ def run(ir: PlanIR) -> PlanIR:
             if inf is None or inf.has_transpose:
                 continue
         for x in candidates:
-            if not _producer_ok(ir, in_graph, locked, y, x, m):
+            if not _producer_ok(in_graph, locked, y, x, m):
                 continue
             pushdowns.append((x, y, (m.source, m.complement, m.structure)))
             locked.add(id(x))

@@ -39,8 +39,7 @@ from ..internals.maskaccum import mat_mask_keys, vec_mask_keys
 from . import cancel, opbatch
 from .dag import DONE, ELIDED, FAILED, PENDING, Node
 from .fusion import plan_subgraph
-from .memo import record_commit_ms
-from .passes import cost
+from .memo import entry_savings_ms
 from .stats import STATS
 from .txn import commit as _txn_commit
 
@@ -348,9 +347,6 @@ def _run_node(node: Node) -> None:
             node.state = DONE
             elapsed = time.perf_counter() - t0
             STATS.bump("memo_reused")
-            # Feed the measured republish cost into the admission gate:
-            # a future store cheaper to rebuild than this is a loss.
-            record_commit_ms(elapsed * 1e3)
             local = _node_stats(node)
             if local is not None:
                 local.bump("memo_reused")
@@ -532,8 +528,7 @@ def _memo_store(node: Node) -> None:
         key, deps = entry
         memo.store(key, node.result, deps,
                    owner_uid=getattr(node.owner, "_uid", None),
-                   cost_ms=cost.entry_savings_ms(node),
-                   estimated=True)
+                   cost_ms=entry_savings_ms(node))
     except Exception:
         pass
 

@@ -42,20 +42,7 @@ import json
 import threading
 import time
 
-__all__ = [
-    "EngineStats", "ContextStats", "STATS", "SPAN_CAP",
-    "register_reset_hook",
-]
-
-#: Callables invoked after :meth:`EngineStats.reset` — modules keeping
-#: calibration state *derived from* these counters (the cost model's
-#: estimate accumulators) register here so a stats reset cannot leave
-#: their numerator/denominator pairs inconsistent.
-_RESET_HOOKS: list = []
-
-
-def register_reset_hook(fn) -> None:
-    _RESET_HOOKS.append(fn)
+__all__ = ["EngineStats", "ContextStats", "STATS", "SPAN_CAP"]
 
 #: name -> doc: the one declaration of every process-wide counter, in
 #: the order ``snapshot``/``format`` report them.
@@ -106,9 +93,6 @@ COUNTERS: dict[str, str] = {
     "memo_evictions":
         "entries evicted from a full result memo, lowest recency-aged "
         "rebuild-savings score first (each emits a `memo:evict` instant)",
-    "memo_admission_skips":
-        "expression stores the `MEMO_ADMISSION` gate rejected: estimated "
-        "rebuild saving below the measured commit overhead",
     "memo_invalidations":
         "memo entries dropped because an input handle advanced or was freed",
     "algo_memo_hits":
@@ -122,9 +106,6 @@ COUNTERS: dict[str, str] = {
     "algo_memo_fallbacks":
         "cached building blocks whose republish was rejected at the commit "
         "gate and that were rebuilt",
-    "cost_decisions":
-        "pushdown-vs-fusion conflicts arbitrated by the cost model (each "
-        "emits a `cost:` instant)",
     "planner_pass_failures":
         "planner passes skipped after an injected or real fault (the "
         "forcing proceeds without that pass's rewrites)",
@@ -210,7 +191,7 @@ COUNTERS: dict[str, str] = {
         "`memo:patch` instant)",
     "memo_delta_drops":
         "dependent memo entries a delta write dropped instead (no rule, "
-        "wrong version, or the cost model preferred a rebuild)",
+        "wrong version, or `should_delta_patch` preferred a rebuild)",
     "algo_warm_hits":
         "warm-fixpoint blocks (prior pagerank ranks, component labels, "
         "triangle counts) served to an incremental algorithm run",
@@ -229,9 +210,6 @@ COUNTERS: dict[str, str] = {
     "store_evictions":
         "store entries evicted to keep the directory under "
         "`STORE_MAX_BYTES`",
-    "store_admission_skips":
-        "blocks not written to the store because rebuilding them is cheaper "
-        "than the measured republish overhead",
     "ingest_batches":
         "streaming-ingest flushes (one merged `apply_edges`, one journal "
         "record, one publish each)",
@@ -359,13 +337,6 @@ class EngineStats:
             snap["spans_recorded"] = len(self._spans)
             return snap
 
-    def kernel_times(self) -> dict[str, float]:
-        """Copy of the per-kind kernel wall time alone — what the cost
-        model's calibration reads once per memo store, without paying
-        for a full :meth:`snapshot`."""
-        with self._lock:
-            return dict(self.kernel_time)
-
     def trace_events(self) -> list[dict]:
         """The recorded spans as Chrome trace events (copy), prefixed
         with thread-name metadata so viewers label the tracks."""
@@ -398,11 +369,6 @@ class EngineStats:
             self.kernel_count.clear()
             self._spans.clear()
             self._threads.clear()
-        for hook in _RESET_HOOKS:
-            try:
-                hook()
-            except Exception:
-                pass
 
     def format(self) -> str:
         """Human-readable dump (used by ``repro --engine-stats``)."""

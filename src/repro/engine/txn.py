@@ -28,8 +28,16 @@ from typing import Any
 
 from ..core.errors import InvalidObjectError
 from ..faults.plane import maybe_inject
+from ..internals.containers import (
+    DcsrData,
+    MatData,
+    choose_mat_format,
+    dcsr_from_csr,
+    mat_format,
+)
+from .stats import STATS
 
-__all__ = ["commit", "validate_carrier"]
+__all__ = ["commit", "commit_format", "validate_carrier"]
 
 
 def validate_carrier(carrier: Any) -> None:
@@ -83,20 +91,56 @@ def validate_carrier(carrier: Any) -> None:
             )
 
 
+def commit_format(label: str, carrier):
+    """Format decision at the transaction commit gate.
+
+    Kernels assemble scratch carriers through the density policy
+    already, but a committed matrix is the long-lived artifact iterated
+    by every later forcing — so the *commit* is where the format choice
+    is authoritative.  Applies :func:`~...internals.containers.
+    choose_mat_format` (the density threshold behind the
+    ``FORMAT_AUTO`` knob) to the carrier's final shape, repacking when
+    the kernel's choice disagrees.  Deterministic in (nrows, nnz), so
+    journal replay re-derives bit-identical formats.  Every repack
+    emits a ``cost:format`` instant; every doubly-compressed commit
+    bumps ``format_dcsr_commits``.
+    """
+    if not isinstance(carrier, (MatData, DcsrData)):
+        return carrier
+    current = mat_format(carrier)
+    target = choose_mat_format(carrier.nrows, carrier.nvals)
+    if target == current:
+        if current == "dcsr":
+            STATS.bump("format_dcsr_commits")
+        return carrier
+    if target == "dcsr":
+        out = dcsr_from_csr(carrier)
+        STATS.bump("format_dcsr_commits")
+    else:
+        out = carrier.to_csr()
+    STATS.instant(
+        f"cost:format:{label}", "planner",
+        {
+            "label": label,
+            "nrows": carrier.nrows,
+            "nvals": carrier.nvals,
+            "from": current,
+            "to": target,
+        },
+    )
+    return out
+
+
 def commit(label: str, carrier: Any) -> Any:
     """The transaction's commit gate: fault point + validation, then
     hand the scratch carrier back for the (atomic) reference store.
 
-    Matrix carriers additionally pass the cost model's format decision
-    (:func:`~repro.engine.passes.cost.commit_format`): the committed
-    artifact is what every later forcing iterates, so the CSR-vs-DCSR
-    choice is re-derived here from the final (nrows, nnz) shape and the
-    scratch carrier repacked if the kernel's assembly disagreed."""
+    Matrix carriers additionally pass :func:`commit_format`: the
+    committed artifact is what every later forcing iterates, so the
+    CSR-vs-DCSR choice is re-derived here from the final (nrows, nnz)
+    shape and the scratch carrier repacked if the kernel's assembly
+    disagreed."""
     maybe_inject("txn.commit", label=label)
-    if getattr(carrier, "ncols", None) is not None and \
-            getattr(carrier, "col_indices", None) is not None:
-        from .passes.cost import commit_format
-
-        carrier = commit_format(label, carrier)
+    carrier = commit_format(label, carrier)
     validate_carrier(carrier)
     return carrier

@@ -54,21 +54,10 @@ OPTIONS: dict[str, tuple] = {
         "entries per Context result memo; past it the lowest "
         "recency-aged rebuild-savings score is evicted",
     ),
-    "MEMO_ADMISSION": (
-        True,
-        "skip memoizing an expression whose estimated rebuild saving is "
-        "below the measured republish overhead (nothing is skipped "
-        "before one republish is measured)",
-    ),
     "SERVE_BATCH": (
         True,
         "serving batcher coalesces compatible queries (same-graph BFS "
         "into one msbfs, identical analytics into one execution)",
-    ),
-    "ENGINE_COSTMODEL": (
-        True,
-        "cost pass arbitrates pushdown-vs-fusion on a shared producer "
-        "by estimated kernel savings (off: pushdown claims first)",
     ),
     "ENGINE_ALGO_MEMO": (
         True,

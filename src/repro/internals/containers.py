@@ -50,6 +50,9 @@ __all__ = [
     "row_gather",
     "pair_keys",
     "in_sorted",
+    "merge_sorted",
+    "merge_slots",
+    "merge_column",
     "empty_vec",
     "empty_mat",
     "empty_dcsr",
@@ -590,6 +593,62 @@ def in_sorted(
         lut[table] = True
         base = lut[keys]
     else:
+        # Clamp in place rather than via ``merge_sorted``: *keys* can be
+        # a masked SpGEMM's whole product stream, and a second live
+        # position array is 8 bytes a product at the process's peak.
         pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
         base = table[pos] == keys
     return ~base if invert else base
+
+
+def merge_sorted(
+    a_keys: np.ndarray, b_keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place every key of *b_keys* in the **sorted unique** stream
+    *a_keys*: ``pos[i]`` is where ``b_keys[i]`` sits in ``a_keys`` (or
+    would be inserted), ``hit[i]`` whether it is stored there.
+
+    The one two-sorted-streams primitive under eWise union and
+    intersection, the streaming delta merge and pending tuples: one
+    ``searchsorted`` — O(|b| log |a|) — and no re-sort of either
+    stream.  The two key arrays may differ in dtype (``pair_keys``
+    picks int64 or Python-int object keys per operand).
+    """
+    pos = np.searchsorted(a_keys, b_keys)
+    if len(a_keys) == 0:
+        return pos, np.zeros(len(b_keys), dtype=bool)
+    hit = a_keys[np.minimum(pos, len(a_keys) - 1)] == b_keys
+    return pos, hit
+
+
+def merge_slots(
+    n_a: int, pos: np.ndarray, hit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output slots of the sorted union of two sorted unique streams,
+    from :func:`merge_sorted`'s answer for a **sorted unique** ``b``.
+
+    Returns ``(from_a, dst_b)``: ``from_a`` is a boolean mask over the
+    ``n_a + #new`` output slots, true where ``a``'s entries land (in
+    order); ``dst_b[i]`` is the slot of ``b``'s i-th entry — a fresh
+    slot when it is new, the slot of its twin in ``a`` on a hit.  Slots
+    are computed from the ``b`` side only: each entry moves right by
+    the new keys before it.
+    """
+    new = ~hit
+    dst_b = pos + (np.cumsum(new) - new)
+    from_a = np.ones(n_a + int(np.count_nonzero(new)), dtype=bool)
+    from_a[dst_b[new]] = False
+    return from_a, dst_b
+
+
+def merge_column(
+    from_a: np.ndarray, dst_b: np.ndarray,
+    a_col: np.ndarray, b_col: np.ndarray,
+) -> np.ndarray:
+    """One column of the merged stream at :func:`merge_slots`' slots: a
+    last-write-wins upsert of ``b`` into ``a`` (on a hit ``b``'s entry
+    overwrites its twin)."""
+    out = np.empty(len(from_a), dtype=a_col.dtype)
+    out[from_a] = a_col
+    out[dst_b] = b_col
+    return out

@@ -1,6 +1,8 @@
 """Elementwise union (eWiseAdd) and intersection (eWiseMult) kernels.
 
-Both operate on the sorted index streams of the carriers:
+Both operate on the sorted index streams of the carriers through the
+two-sorted-streams primitive (:func:`~repro.internals.containers.
+merge_sorted`: one ``searchsorted``, neither stream re-sorted):
 
 * **intersection** — only positions stored in *both* inputs survive;
   the operator is applied pairwise.
@@ -37,6 +39,9 @@ from .containers import (
     VecData,
     in_sorted,
     mat_from_coo,
+    merge_column,
+    merge_slots,
+    merge_sorted,
     pair_keys,
 )
 from .dispatch import register
@@ -47,8 +52,6 @@ __all__ = [
     "mat_intersect",
     "mat_union",
 ]
-
-_INT = np.int64
 
 
 def _merged_values(
@@ -65,22 +68,41 @@ def _merged_values(
 
 def _intersect_sorted(
     a_keys: np.ndarray, b_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of common keys in two sorted unique key arrays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(idx_in_a, idx_in_b)`` of the common keys of two
+    sorted unique key arrays — the shorter stream is searched into the
+    longer one."""
+    if len(a_keys) < len(b_keys):
+        ib, hit = merge_sorted(b_keys, a_keys)
+        return np.flatnonzero(hit), ib[hit]
+    ia, hit = merge_sorted(a_keys, b_keys)
+    return ia[hit], np.flatnonzero(hit)
 
-    Returns (common_keys, idx_in_a, idx_in_b).
-    """
-    common, ia, ib = np.intersect1d(a_keys, b_keys, assume_unique=True,
-                                    return_indices=True)
-    return common, ia, ib
+
+def _union_values(
+    a_vals: np.ndarray, b_vals: np.ndarray,
+    pos: np.ndarray, hit: np.ndarray, from_a: np.ndarray, dst_b: np.ndarray,
+    op: BinaryOp, out_type: Type,
+) -> np.ndarray:
+    """Values of the sorted union: one-sided entries cast through, the
+    op applied where both streams store the key."""
+    new = ~hit
+    out = out_type.empty(len(from_a))
+    out[from_a] = out_type.coerce_array(a_vals)
+    out[dst_b[new]] = out_type.coerce_array(b_vals[new])
+    if hit.any():
+        out[dst_b[hit]] = _merged_values(
+            op, out_type, a_vals[pos[hit]], b_vals[hit])
+    return out
 
 
-def _filter_common(common, ia, ib, mask_keys, mask_complement, space):
-    """Drop merged keys the pushed mask filter rules out (pre-values)."""
+def _filter_common(a_keys, ia, ib, mask_keys, mask_complement, space):
+    """Drop common keys the pushed mask filter rules out (pre-values)."""
     if mask_keys is None or (len(mask_keys) == 0 and mask_complement):
-        return common, ia, ib
-    keep = in_sorted(common, mask_keys, invert=mask_complement, space=space)
-    return common[keep], ia[keep], ib[keep]
+        return ia, ib
+    keep = in_sorted(
+        a_keys[ia], mask_keys, invert=mask_complement, space=space)
+    return ia[keep], ib[keep]
 
 
 def vec_intersect(
@@ -93,12 +115,12 @@ def vec_intersect(
 ) -> VecData:
     """w = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
-    common, ia, ib = _intersect_sorted(a.indices, b.indices)
-    common, ia, ib = _filter_common(
-        common, ia, ib, mask_keys, mask_complement, a.size
+    ia, ib = _filter_common(
+        a.indices, *_intersect_sorted(a.indices, b.indices),
+        mask_keys, mask_complement, a.size,
     )
     vals = _merged_values(op, out_type, a.values[ia], b.values[ib])
-    return VecData(a.size, out_type, common, vals)
+    return VecData(a.size, out_type, a.indices[ia], vals)
 
 
 def vec_union(
@@ -110,25 +132,14 @@ def vec_union(
         return VecData(a.size, out_type, b.indices, out_type.coerce_array(b.values))
     if b.nvals == 0:
         return VecData(a.size, out_type, a.indices, out_type.coerce_array(a.values))
-    union = np.union1d(a.indices, b.indices)
-    in_a = np.isin(union, a.indices, assume_unique=True)
-    in_b = np.isin(union, b.indices, assume_unique=True)
-    both = in_a & in_b
-    out_vals = out_type.empty(len(union))
-
-    only_a = in_a & ~both
-    only_b = in_b & ~both
-    out_vals[only_a] = out_type.coerce_array(
-        a.values[np.searchsorted(a.indices, union[only_a])]
+    pos, hit = merge_sorted(a.indices, b.indices)
+    from_a, dst_b = merge_slots(a.nvals, pos, hit)
+    return VecData(
+        a.size, out_type,
+        merge_column(from_a, dst_b, a.indices, b.indices),
+        _union_values(
+            a.values, b.values, pos, hit, from_a, dst_b, op, out_type),
     )
-    out_vals[only_b] = out_type.coerce_array(
-        b.values[np.searchsorted(b.indices, union[only_b])]
-    )
-    if both.any():
-        av = a.values[np.searchsorted(a.indices, union[both])]
-        bv = b.values[np.searchsorted(b.indices, union[both])]
-        out_vals[both] = _merged_values(op, out_type, av, bv)
-    return VecData(a.size, out_type, union, out_vals)
 
 
 def mat_intersect(
@@ -141,16 +152,16 @@ def mat_intersect(
 ) -> "MatData | DcsrData":
     """C = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
-    a_keys = pair_keys(a.row_indices(), a.col_indices, a.ncols)
+    a_rows = a.row_indices()
+    a_keys = pair_keys(a_rows, a.col_indices, a.ncols)
     b_keys = pair_keys(b.row_indices(), b.col_indices, b.ncols)
-    common, ia, ib = _intersect_sorted(a_keys, b_keys)
-    common, ia, ib = _filter_common(
-        common, ia, ib, mask_keys, mask_complement, a.nrows * a.ncols
+    ia, ib = _filter_common(
+        a_keys, *_intersect_sorted(a_keys, b_keys),
+        mask_keys, mask_complement, a.nrows * a.ncols,
     )
     vals = _merged_values(op, out_type, a.values[ia], b.values[ib])
-    rows = (common // a.ncols).astype(_INT)
-    cols = (common % a.ncols).astype(_INT)
-    return mat_from_coo(a.nrows, a.ncols, out_type, rows, cols, vals,
+    return mat_from_coo(a.nrows, a.ncols, out_type,
+                        a_rows[ia], a.col_indices[ia], vals,
                         presorted=True)
 
 
@@ -166,29 +177,23 @@ def mat_union(
         return b.astype(out_type)
     if b.nvals == 0:
         return a.astype(out_type)
-    a_keys = pair_keys(a.row_indices(), a.col_indices, a.ncols)
-    b_keys = pair_keys(b.row_indices(), b.col_indices, b.ncols)
-    union = np.union1d(a_keys, b_keys)
-    in_a = np.isin(union, a_keys, assume_unique=True)
-    in_b = np.isin(union, b_keys, assume_unique=True)
-    both = in_a & in_b
-    only_a = in_a & ~both
-    only_b = in_b & ~both
-    out_vals = out_type.empty(len(union))
-    out_vals[only_a] = out_type.coerce_array(
-        a.values[np.searchsorted(a_keys, union[only_a])]
+    a_rows, b_rows = a.row_indices(), b.row_indices()
+    pos, hit = merge_sorted(
+        pair_keys(a_rows, a.col_indices, a.ncols),
+        pair_keys(b_rows, b.col_indices, b.ncols),
     )
-    out_vals[only_b] = out_type.coerce_array(
-        b.values[np.searchsorted(b_keys, union[only_b])]
+    from_a, dst_b = merge_slots(a.nvals, pos, hit)
+    # The (row, col) columns ride the merge themselves: no union key
+    # array is built (the operands' keys may differ in dtype) and none
+    # is decoded back.
+    return mat_from_coo(
+        a.nrows, a.ncols, out_type,
+        merge_column(from_a, dst_b, a_rows, b_rows),
+        merge_column(from_a, dst_b, a.col_indices, b.col_indices),
+        _union_values(
+            a.values, b.values, pos, hit, from_a, dst_b, op, out_type),
+        presorted=True,
     )
-    if both.any():
-        av = a.values[np.searchsorted(a_keys, union[both])]
-        bv = b.values[np.searchsorted(b_keys, union[both])]
-        out_vals[both] = _merged_values(op, out_type, av, bv)
-    rows = (union // a.ncols).astype(_INT)
-    cols = (union % a.ncols).astype(_INT)
-    return mat_from_coo(a.nrows, a.ncols, out_type, rows, cols, out_vals,
-                        presorted=True)
 
 
 # eWise merges run over pair keys of the sorted row stream — native on

@@ -8,11 +8,11 @@ in the base) and *inserts* (genuinely new edges).  The same
 
 * :func:`apply_delta` — the merge kernel.  Because both the base
   carrier and the delta are sorted, one ``searchsorted`` gives every
-  delta key's position in the base and a ``bincount``/``cumsum`` pair
-  gives every output slot, so the merged carrier is assembled in
-  O(nnz + d log d) — no concatenate-and-lexsort over the full COO
-  stream (the pre-delta ``apply_edges`` paid O(nnz log nnz) per
-  mutation).
+  delta key's position in the base and a ``cumsum`` over the delta
+  every output slot (:func:`~repro.internals.containers.merge_sorted`
+  / ``merge_slots``, shared with the eWise kernels), so the merged
+  carrier is assembled in O(nnz + d log d) — no
+  concatenate-and-lexsort over the full COO stream.
 * :mod:`repro.engine.memo`'s patch tier — ``Matrix.update_batch``
   hands the delta to ``patch_handle_blocks`` so dependent memo entries
   with a patch rule (:mod:`repro.algorithms.delta`) are updated from
@@ -43,7 +43,15 @@ import numpy as np
 
 from ..core.errors import IndexOutOfBoundsError, InvalidValueError
 from ..core.types import Type
-from .containers import VecData, in_sorted, mat_from_coo, pair_keys
+from .containers import (
+    VecData,
+    in_sorted,
+    mat_from_coo,
+    merge_column,
+    merge_slots,
+    merge_sorted,
+    pair_keys,
+)
 
 __all__ = [
     "WriteDelta",
@@ -173,65 +181,24 @@ def build_delta(base: Any, rows, cols, vals) -> WriteDelta:
     return WriteDelta(base=base, rows=r, cols=c, vals=v, is_new=is_new)
 
 
-def _positional_merge(
-    base_keys: np.ndarray,
-    keys: np.ndarray,
-    is_new: np.ndarray,
-    columns: list[tuple[np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """Merge a sorted unique batch into a sorted unique base by position.
-
-    ``is_new`` must mark exactly the batch *keys* absent from
-    *base_keys*.  Each ``(base column, batch column)`` pair comes back
-    as one merged column: base entries shifted right past the inserts
-    before them, new keys spliced in, existing keys overwritten by the
-    batch (last write wins).  One ``searchsorted`` places every batch
-    key and a ``bincount``/``cumsum`` pair every base entry —
-    O(nnz + d log d), no re-sort of the base.
-    """
-    pos = np.searchsorted(base_keys, keys)
-    nnz = len(base_keys)
-    pos_ins = pos[is_new]
-    # prefix[i] = inserts landing at or before base slot i, which is
-    # exactly how far existing entry i shifts right in the output.
-    prefix = np.cumsum(np.bincount(pos_ins, minlength=nnz + 1))
-    dst_exist = np.arange(nnz, dtype=_INT) + prefix[:nnz]
-    dst_ins = pos_ins + np.arange(len(pos_ins), dtype=_INT)
-    dup = ~is_new
-    dst_dup = dst_exist[pos[dup]] if dup.any() else None
-    merged = []
-    for base_col, batch_col in columns:
-        out = np.empty(nnz + len(dst_ins), dtype=base_col.dtype)
-        out[dst_exist] = base_col
-        out[dst_ins] = batch_col[is_new]
-        if dst_dup is not None:
-            out[dst_dup] = batch_col[dup]
-        merged.append(out)
-    return merged
-
-
 def _merge_sorted(
-    d: Any,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    is_new: np.ndarray,
+    d: Any, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 ) -> Any:
-    """Positional merge of a sorted, unique batch into carrier *d*.
-
-    ``is_new`` must mark exactly the keys absent from *d*.  Output goes
-    back through :func:`mat_from_coo` so the format policy can repack.
-    """
+    """Upsert a row-major sorted, unique batch into carrier *d*: base
+    entries shift right past the inserts before them, new keys splice
+    in, existing keys take the batch's value (last write wins).  Output
+    goes back through :func:`mat_from_coo` so the format policy can
+    repack."""
     base_rows = d.row_indices()
-    base_cols = d.col_indices
-    out_rows, out_cols, out_vals = _positional_merge(
-        pair_keys(base_rows, base_cols, d.ncols),
+    slots = merge_slots(d.nvals, *merge_sorted(
+        pair_keys(base_rows, d.col_indices, d.ncols),
         pair_keys(rows, cols, d.ncols),
-        is_new,
-        [(base_rows, rows), (base_cols, cols), (d.values, vals)],
-    )
+    ))
     return mat_from_coo(
-        d.nrows, d.ncols, d.type, out_rows, out_cols, out_vals,
+        d.nrows, d.ncols, d.type,
+        merge_column(*slots, base_rows, rows),
+        merge_column(*slots, d.col_indices, cols),
+        merge_column(*slots, d.values, vals),
         presorted=True,
     )
 
@@ -242,7 +209,7 @@ def apply_delta(base: Any, delta: WriteDelta) -> Any:
 
     if delta.n == 0:
         return base
-    out = _merge_sorted(base, delta.rows, delta.cols, delta.vals, delta.is_new)
+    out = _merge_sorted(base, delta.rows, delta.cols, delta.vals)
     STATS.bump("ingest_fast_merges")
     return out
 
@@ -258,7 +225,7 @@ def insert_edges(
     """
     if len(rows) == 0:
         return d
-    return _merge_sorted(d, rows, cols, vals, np.ones(len(rows), dtype=bool))
+    return _merge_sorted(d, rows, cols, vals)
 
 
 # -- pending tuples: a run of element writes folded in one merge ---------------
@@ -296,11 +263,12 @@ def apply_vector_writes(d: VecData, writes: list) -> VecData:
     vals = _typed_values(t, final.values(), len(final))
     order = np.argsort(idx)
     idx, vals = idx[order], vals[order]
-    out_idx, out_vals = _positional_merge(
-        d.indices, idx, in_sorted(idx, d.indices, invert=True),
-        [(d.indices, idx), (d.values, vals)],
+    slots = merge_slots(d.nvals, *merge_sorted(d.indices, idx))
+    return VecData(
+        d.size, t,
+        merge_column(*slots, d.indices, idx),
+        merge_column(*slots, d.values, vals),
     )
-    return VecData(d.size, t, out_idx, out_vals)
 
 
 def apply_matrix_writes(d: Any, writes: list) -> Any:

@@ -35,8 +35,7 @@ mix, because the manifest names the journal generation it pairs with.
 
 **Warm data.**  Checkpoints optionally carry the service's memoized
 algorithm blocks (keyed by graph + block kind + params, stored as
-§VII carrier streams) and the cost model's calibrated kernel rates, so
-a restored replica starts with a warm cache and a non-cold planner.
+§VII carrier streams), so a restored replica starts with a warm cache.
 
 Crash-kill chaos: ``journal.append`` / ``journal.commit`` /
 ``checkpoint.write`` / ``restore.replay`` are fault-plane sites, so a
@@ -239,7 +238,6 @@ class RestoreState:
         self.graphs: dict[str, Any] = {}        # name -> carrier
         self.blocks: dict[tuple, tuple] = {}    # (graph, kind, params) ->
         #                                         (carrier, cost_ms)
-        self.calibration: dict | None = None
         self.replayed = 0
 
 
@@ -372,7 +370,6 @@ class CheckpointStore:
         graphs: dict[str, Any],
         *,
         blocks: dict[tuple, tuple] | None = None,
-        calibration: dict | None = None,
         service: str = "svc",
     ) -> dict:
         """Snapshot *graphs* (name → carrier), rotate the journal.
@@ -418,7 +415,6 @@ class CheckpointStore:
                 "journal": self.journal_path(new_gen).name,
                 "graphs": graph_index,
                 "blocks": block_index,
-                "calibration": calibration or {},
             }
             # New (empty) journal first, manifest rename second: a crash
             # in between leaves the old manifest paired with the old
@@ -471,9 +467,6 @@ class CheckpointStore:
                     continue  # warm data is best-effort, never fatal
                 key = (meta["graph"], meta["kind"], _tuplify(meta["params"]))
                 state.blocks[key] = (carrier, float(meta.get("cost_ms", 0.0)))
-            cal = manifest.get("calibration") or None
-            if isinstance(cal, dict) and cal:
-                state.calibration = cal
         for op, header, body in iter_records(self._read_journal()):
             maybe_inject("restore.replay", op=op, seq=header.get("seq"))
             name = header.get("graph")

@@ -19,7 +19,7 @@ the ``CHECKPOINT_DIR`` knob) the service attaches a
 :class:`~repro.serve.recovery.CheckpointStore`.  Registrations and
 mutations are write-ahead journaled *before* they are acknowledged,
 ``checkpoint()`` compacts journal-into-snapshot (optionally carrying
-warm algo-memo blocks and calibration rates), and
+warm algo-memo blocks), and
 :meth:`GraphService.restore` rebuilds a bit-identical service from the
 directory — snapshot plus journal replay, zero lost acknowledged
 writes.
@@ -124,18 +124,14 @@ class GraphService:
             checkpoint_dir = str(config.get_option("CHECKPOINT_DIR")) or None
         if checkpoint_dir:
             self._store = CheckpointStore(checkpoint_dir)
-        # Warm-start store: opened at startup so a *fresh replica* —
-        # no checkpoint of its own — still answers its first
-        # pagerank/BFS with zero setup kernels from the cross-process
-        # tier, and starts with seeded calibration.  Complementary to
-        # the checkpoint store above, which only helps the same
-        # deployment.
-        from ..store import tier as store_tier
-
+        # Warm-start store: a *fresh replica* — no checkpoint of its
+        # own — still answers its first pagerank/BFS with zero setup
+        # kernels from the cross-process tier.  Complementary to the
+        # checkpoint store above, which only helps the same deployment.
         if store_dir:
-            self._warm_store = store_tier.activate(store_dir)
-        else:
-            self._warm_store = store_tier.active_store()
+            from ..store import tier as store_tier
+
+            store_tier.activate(store_dir)
 
     # -- resident graphs ------------------------------------------------------
 
@@ -518,16 +514,13 @@ class GraphService:
     def checkpoint(self) -> dict | None:
         """Compact journal-into-snapshot; returns the manifest.
 
-        Persists every resident carrier (digest-keyed §VII blobs), the
-        warm algo-memo blocks attributable to resident graphs, and the
-        cost model's calibrated rates, then rotates to a fresh journal
-        generation.  No-op (``None``) without a checkpoint store.
+        Persists every resident carrier (digest-keyed §VII blobs) and
+        the warm algo-memo blocks attributable to resident graphs, then
+        rotates to a fresh journal generation.  No-op (``None``)
+        without a checkpoint store.
         """
-        self._save_warm_calibration()
         if self._store is None:
             return None
-        from ..engine.passes import cost
-
         with self._dur_lock:
             # Buffered ingest folds into the snapshot, not the next
             # journal generation.
@@ -539,7 +532,6 @@ class GraphService:
             return self._store.write_checkpoint(
                 graphs,
                 blocks=self._collect_warm_blocks(gens),
-                calibration=cost.export_calibration(),
                 service=self.name,
             )
 
@@ -588,9 +580,8 @@ class GraphService:
         Journal-over-snapshot replay through the *same*
         ``apply_edges`` path the live service uses, so the restored
         carriers are bit-identical to a replica that never crashed —
-        zero lost acknowledged writes.  Warm blocks and calibration
-        rates rehydrate lazily (blocks seed each context's memo as
-        views are created).
+        zero lost acknowledged writes.  Warm blocks rehydrate lazily
+        (they seed each context's memo as views are created).
         """
         svc = cls(mode, name=name, checkpoint_dir=checkpoint_dir)
         assert svc._store is not None
@@ -600,10 +591,6 @@ class GraphService:
                 svc._publish_carrier(gname, carrier)
             with svc._lock:
                 svc._warm_blocks = dict(state.blocks)
-        if state.calibration:
-            from ..engine.passes import cost
-
-            cost.seed_calibration(state.calibration)
         STATS.bump("restores")
         if state.graphs:
             STATS.bump("restored_graphs", len(state.graphs))
@@ -637,21 +624,8 @@ class GraphService:
         if self._closed:
             raise InvalidValueError(f"service {self.name!r} is closed")
 
-    def _save_warm_calibration(self) -> None:
-        """Persist live calibration into the warm-start store sidecar
-        (best effort — the store must never fail a checkpoint/close)."""
-        if self._warm_store is None:
-            return
-        try:
-            from ..store import tier as store_tier
-
-            store_tier.save_calibration()
-        except Exception:
-            pass
-
     def close(self) -> None:
         """Free every session and the service's context tree."""
-        self._save_warm_calibration()
         try:
             # Accepted ingest becomes durable before teardown; a flush
             # failure must not leave the service half-closed.

@@ -3,9 +3,8 @@
 PR 7's checkpoint/journal plane makes one *deployment* durable; this
 package makes warm state durable across *processes that never met*: a
 content-addressed on-disk store of committed algorithm blocks
-(serialized as the same opaque §VII v3 blobs checkpoints use) plus a
-calibration sidecar (kernel rates, memo-admission EWMA), keyed so that
-any fresh process computing over a graph with the same content — a
+(serialized as the same opaque §VII v3 blobs checkpoints use), keyed
+so that any fresh process computing over a graph with the same content — a
 restarted replica, the next CLI run, tomorrow's CI job restoring an
 actions cache — starts warm.
 
@@ -21,6 +20,6 @@ story) and :mod:`repro.store.tier` (keys, digests, memo adapter).
 """
 
 from .store import WarmStore
-from .tier import activate, active_store, save_calibration
+from .tier import activate, active_store
 
-__all__ = ["WarmStore", "activate", "active_store", "save_calibration"]
+__all__ = ["WarmStore", "activate", "active_store"]

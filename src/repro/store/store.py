@@ -1,12 +1,12 @@
-"""The on-disk warm-start store: content-addressed §VII blobs + sidecar.
+"""The on-disk warm-start store: content-addressed §VII blobs.
 
 One directory holds everything a fresh process needs to start warm::
 
     <root>/
       entries/<keyhex>.grb    one committed carrier per store key
-      calibration.json        cost-model rates / memo-admission EWMA
-                              (atomic JSON)
       .lock                   advisory eviction lock
+
+(A ``calibration.json`` left by an earlier version is ignored.)
 
 Entry framing is a thin envelope over the existing opaque §VII stream
 (:func:`repro.formats.serialize.carrier_serialize`)::
@@ -53,7 +53,6 @@ _ENTRY_MAGIC = b"RWST"
 _ENTRY_VERSION = 1
 _ENTRY_PREFIX = struct.Struct("<4sHII")  # magic, version, crc32, hdrlen
 _ENTRY_SUFFIX = ".grb"
-_CALIBRATION_FORMAT = 1
 
 #: Per-process temp-name disambiguator (plus the pid, so processes
 #: sharing a store never stage into each other's temp files).
@@ -259,33 +258,3 @@ class WarmStore:
             )
         except OSError:
             return 0
-
-    # -- calibration sidecar --------------------------------------------------
-
-    def save_calibration(self, payload: dict) -> bool:
-        """Atomically write the calibration sidecar (kernel rates,
-        memo-admission EWMA)."""
-        try:
-            body = json.dumps(
-                {"format": _CALIBRATION_FORMAT, **payload},
-                indent=2, sort_keys=True,
-            ) + "\n"
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.root / f".tmp-cal-{os.getpid()}-{next(_TMP_COUNTER)}"
-            tmp.write_text(body)
-            os.replace(tmp, self.root / "calibration.json")
-        except Exception:
-            return False
-        return True
-
-    def load_calibration(self) -> dict | None:
-        """The persisted calibration payload, or ``None`` (absent,
-        corrupt, or an unknown format — all equally cold starts)."""
-        try:
-            data = json.loads((self.root / "calibration.json").read_text())
-        except Exception:
-            return None
-        if not isinstance(data, dict) or \
-                data.get("format") != _CALIBRATION_FORMAT:
-            return None
-        return data

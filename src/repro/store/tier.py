@@ -1,4 +1,4 @@
-"""The store's memo-tier adapter: keys, digests, activation, seeding.
+"""The store's memo-tier adapter: keys, digests, activation.
 
 The per-Context result memo keys algorithm blocks on ``(uid, version)``
 — process-local identities.  To survive a restart the key must name
@@ -26,9 +26,7 @@ Two deliberate exclusions keep exactness gates intact:
 
 Activation is process-wide and config-driven: :func:`active_store`
 opens (and caches) the :class:`~repro.store.store.WarmStore` rooted at
-the ``STORE_DIR`` knob when ``STORE_ENABLE`` is on, seeding the
-cost-model rates and memo-admission EWMA from the calibration sidecar
-the first time each directory is opened.
+the ``STORE_DIR`` knob when ``STORE_ENABLE`` is on.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ import hashlib
 import json
 import threading
 
-from ..engine import memo as _memo
-from ..engine.stats import STATS
 from ..formats.serialize import (
     SERIALIZATION_VERSION,
     blob_digest,
@@ -50,7 +46,7 @@ from .store import WarmStore
 
 __all__ = [
     "active_store", "activate", "ensure_digest", "digest_for",
-    "store_key", "probe", "persist", "save_calibration",
+    "store_key", "probe", "persist",
 ]
 
 _STATE_LOCK = threading.Lock()
@@ -61,8 +57,6 @@ _DIGESTS: dict[int, tuple[int, str]] = {}
 #: The open store for the current ``STORE_DIR``, re-keyed when the
 #: knob changes (tests and the CLI flip it).
 _ACTIVE: tuple[str, WarmStore] | None = None
-#: Directories whose calibration sidecar has been seeded this process.
-_SEEDED_DIRS: set[str] = set()
 
 
 def active_store() -> WarmStore | None:
@@ -78,12 +72,7 @@ def active_store() -> WarmStore | None:
             return _ACTIVE[1]
         store = WarmStore(root)
         _ACTIVE = (root, store)
-        seed = root not in _SEEDED_DIRS
-        if seed:
-            _SEEDED_DIRS.add(root)
-    if seed:
-        _seed_calibration(store)
-    return store
+        return store
 
 
 def activate(root: str) -> WarmStore | None:
@@ -92,40 +81,6 @@ def activate(root: str) -> WarmStore | None:
     ``REPRO_STORE_DIR`` does at import time."""
     config.set_option("STORE_DIR", str(root))
     return active_store()
-
-
-def _seed_calibration(store: WarmStore) -> None:
-    """First open of a store directory: install its persisted
-    calibration as warm priors (replaced by live measurements, cleared
-    by a stats reset — same contract as checkpoint rehydration)."""
-    data = store.load_calibration()
-    if not data:
-        return
-    from ..engine.passes import cost
-
-    rates = data.get("rates")
-    if isinstance(rates, dict):
-        cost.seed_calibration(rates)
-    admission = data.get("admission")
-    if isinstance(admission, dict):
-        _memo.seed_admission(admission)
-    STATS.instant("store:calibration-seeded", "store",
-                  {"root": str(store.root)})
-
-
-def save_calibration() -> bool:
-    """Persist the live calibration state into the active store's
-    sidecar (no-op without one).  Called by ``GraphService`` at
-    checkpoint/close and by the CLI on exit."""
-    store = active_store()
-    if store is None:
-        return False
-    from ..engine.passes import cost
-
-    return store.save_calibration({
-        "rates": cost.export_calibration(),
-        "admission": _memo.export_admission(),
-    })
 
 
 # -- digests ------------------------------------------------------------------
@@ -208,12 +163,7 @@ def probe(key: tuple):
 
 
 def persist(key: tuple, carrier, cost_ms: float = 0.0) -> bool:
-    """Store-behind: serialize a just-memoized block to disk.
-
-    Gated by the same cost-weighted admission idea as the in-memory
-    memo: once a republish overhead has been measured, a block cheaper
-    to rebuild than to republish is not worth disk space either.
-    """
+    """Store-behind: serialize a just-memoized block to disk."""
     store = active_store()
     if store is None:
         return False
@@ -224,15 +174,6 @@ def persist(key: tuple, carrier, cost_ms: float = 0.0) -> bool:
         return False
     if store.contains(khex):
         return True
-    if (config.get_option("MEMO_ADMISSION")
-            and 0.0 < cost_ms < _memo.commit_overhead_ms()):
-        STATS.bump("store_admission_skips")
-        STATS.instant(
-            "store:admission-skip", "store",
-            {"cost_ms": round(float(cost_ms), 6),
-             "overhead_ms": round(_memo.commit_overhead_ms(), 6)},
-        )
-        return False
     try:
         blob = carrier_serialize(carrier)
     except Exception:

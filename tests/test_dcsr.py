@@ -592,6 +592,22 @@ class TestTallMatrix:
         assert reduce_scalar(M.PLUS_MONOID[T.FP64], m) == \
             pytest.approx(sum(TALL_ENTRIES.values()))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_ewise_with_mixed_key_widths(self, swap):
+        """At 2^58 x 64 ``pair_keys`` keys rows {1, 5} in int64 and rows
+        {5, 2^57} in Python ints: the merge must take one of each."""
+        lo = {(1, 0): 1.0, (5, 3): 2.0}
+        hi = {(5, 3): 10.0, (1 << 57, 63): 20.0}
+        a, b = (hi, lo) if swap else (lo, hi)
+        am, bm = mat_from_dict(a, TALL, 64), mat_from_dict(b, TALL, 64)
+        add = Matrix.new(T.FP64, TALL, 64)
+        ewise_add(add, None, None, B.MINUS[T.FP64], am, bm)
+        assert add.to_dict() == {
+            **a, **b, (5, 3): a[(5, 3)] - b[(5, 3)]}
+        mult = Matrix.new(T.FP64, TALL, 64)
+        ewise_mult(mult, None, None, B.MINUS[T.FP64], am, bm)
+        assert mult.to_dict() == {(5, 3): a[(5, 3)] - b[(5, 3)]}
+
     def test_transpose_of_tall_matrix(self):
         t = Matrix.new(T.FP64, 4, TALL)
         transpose(t, None, None, self._tall())

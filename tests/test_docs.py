@@ -62,6 +62,22 @@ class TestDocsReferenceRealArtifacts:
             assert f"## {artifact}" in text or f"| {artifact} |" in text, \
                 artifact
 
+    def test_paper_artefact_benches_pin_the_result_memo_off(self):
+        """A bench EXPERIMENTS cites under a T / F / M / A / AB heading
+        repeats one expression over unchanged inputs: without the
+        ``no_result_memo`` fixture it times memo republishes."""
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        cited = set()
+        for section in re.split(r"^## ", text, flags=re.M)[1:]:
+            if re.match(r"(T|F|M|A|AB)\d+ ", section):
+                cited |= set(re.findall(r"`(bench_\w+\.py)`", section))
+        assert len(cited) >= 11
+        for name in sorted(cited):
+            src = (ROOT / "benchmarks" / name).read_text()
+            assert re.search(
+                r'^pytestmark = pytest\.mark\.usefixtures\("no_result_memo"\)$',
+                src, re.M), name
+
     def test_readme_modules_exist(self):
         text = (ROOT / "README.md").read_text()
         for mod in re.findall(r"^  (\w+)/\s", text, re.M):
@@ -133,7 +149,7 @@ class TestOptionAndCounterRegistries:
         matrix = matrix[:matrix.index("    steps:")]
         rows = re.findall(
             r'- \{ name: ([\w-]+), env: (\w+), value: "(\w+)" \}', matrix)
-        assert len(rows) == matrix.count("- {") >= 10
+        assert len(rows) == matrix.count("- {") >= 9
         for name, env, value in rows:
             assert env.startswith("REPRO_"), (name, env)
             default = OPTIONS[env[len("REPRO_"):]][0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import binaryop as B
 from repro.core import semiring as S
@@ -15,6 +17,9 @@ from repro.internals.containers import (
     csr_to_coo_rows,
     empty_mat,
     empty_vec,
+    merge_column,
+    merge_slots,
+    merge_sorted,
     pair_keys,
 )
 
@@ -74,6 +79,41 @@ class TestContainers:
     def test_to_dense(self):
         v = VecData(3, T.FP64, np.array([1], dtype=np.int64), np.array([2.5]))
         assert v.to_dense().tolist() == [0.0, 2.5, 0.0]
+
+
+_KEYS = st.sets(st.integers(-(1 << 40), 1 << 40), max_size=24) | \
+    st.sets(st.integers(0, 12))
+
+
+class TestMergeSorted:
+    """The two-sorted-streams primitive under eWise union/intersection,
+    the delta merge and pending tuples, against ``np.intersect1d``,
+    ``np.unique`` of the concatenation and a dict."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_KEYS, b=_KEYS)
+    @example(a=set(), b=set())
+    @example(a=set(), b={3, 4})
+    @example(a={3, 4}, b=set())
+    @example(a={1, 2, 3}, b={7, 8})          # disjoint, b after a
+    @example(a={7, 8}, b={1, 2, 3})          # disjoint, b before a
+    @example(a={1, 5, 9}, b={1, 5, 9})       # identical
+    @example(a={1, 3, 5, 7, 9}, b={3, 7})    # b inside a
+    @example(a={3, 7}, b={1, 3, 5, 7, 9})    # a inside b
+    def test_union_intersection_upsert(self, a, b):
+        a = np.array(sorted(a), dtype=np.int64)
+        b = np.array(sorted(b), dtype=np.int64)
+        pos, hit = merge_sorted(a, b)
+        assert np.array_equal(b[hit], np.intersect1d(a, b))
+        assert np.array_equal(a[pos[hit]], b[hit])
+        from_a, dst_b = merge_slots(len(a), pos, hit)
+        union = merge_column(from_a, dst_b, a, b)
+        assert union.dtype == np.int64
+        assert np.array_equal(union, np.unique(np.concatenate((a, b))))
+        # last-write-wins upsert of b's values into a's
+        want = {**{int(k): 10 * int(k) for k in a}, **{int(k): -1 for k in b}}
+        got = merge_column(from_a, dst_b, 10 * a, np.full(len(b), -1))
+        assert dict(zip(union.tolist(), got.tolist())) == want
 
 
 class TestBuildKernels:

@@ -367,7 +367,8 @@ class TestPlannerPassFaults:
         PLANE.disable()
         assert got == oracle
         snap = default_context().engine_stats()
-        assert snap["planner_pass_failures"] >= 5
+        # normalize, pushdown, fuse, schedule
+        assert snap["planner_pass_failures"] >= 4
         assert snap["masks_pushed"] == 0
         assert snap["chains_fused"] == 0
 
@@ -517,7 +518,7 @@ def _planner_spans():
 
 _REWRITE_COUNTERS = (
     "cse_hits", "cse_reused", "masks_pushed", "chains_fused", "nodes_fused",
-    "cost_decisions", "planner_pass_failures",
+    "planner_pass_failures",
 )
 
 
@@ -601,8 +602,7 @@ class TestApplicabilityGate:
     # -- fuse -----------------------------------------------------------------
 
     def test_fuse_fires_on_stage_consumer_of_a_pure_producer(self):
-        """Nothing here is masked, so pushdown cannot fire and the cost
-        pass — which only arbitrates between the two — is not run."""
+        """Nothing here is masked, so pushdown cannot fire."""
         def pipeline(ctx):
             a = _graph(ctx, seed=12)
             c = Matrix.new(T.FP64, N, N, ctx)

@@ -23,6 +23,7 @@ Battery structure:
 
 import asyncio
 import contextlib
+import json
 import tempfile
 import time
 
@@ -229,6 +230,28 @@ class TestCheckpointRestore:
             s2.run(Query.make("pagerank", "g"))
             after = STATS.snapshot()["algo_memo_hits"]
             assert after > before  # restored blocks served the cold query
+            restored.close()
+
+    def test_parent_manifest_with_calibration_key_restores(self, tmp_path):
+        """A manifest written before the cost model's rates stopped
+        being persisted carries a ``calibration`` key: ignored."""
+        with _block_memo_on():
+            svc = GraphService(checkpoint_dir=str(tmp_path))
+            svc.register_graph("g", ring(24, 5))
+            want = svc.open_session("t").run(Query.make("pagerank", "g"))
+            man = svc.checkpoint()
+            path = svc._store.manifest_path
+            svc.close()
+            path.write_text(json.dumps({**man, "calibration": {
+                "product_ms": 5e-06, "stage_ms": 1e-06}}))
+
+            STATS.reset()
+            restored = GraphService.restore(str(tmp_path))
+            got = restored.open_session("t").run(Query.make("pagerank", "g"))
+            assert np.array_equal(got.value, want.value)
+            assert STATS.snapshot()["restored_blocks"] == len(man["blocks"])
+            assert not [ev["name"] for ev in STATS.trace_events()
+                        if "calibration" in ev["name"]]
             restored.close()
 
     def test_replay_reaches_restored_blocks(self, tmp_path):

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core import binaryop as B
 from repro.core import types as T
-from repro.core import unaryop as U
 from repro.core.context import Context, Mode, WaitMode
 from repro.core.descriptor import DESC_R, DESC_RSC, DESC_T0
 from repro.core.matrix import Matrix
@@ -37,7 +36,6 @@ from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.engine.stats import STATS
 from repro.faults import PLANE, configure_from_env, enable_chaos
 from repro.internals import config
-from repro.ops.apply import apply
 from repro.ops.ewise import ewise_mult
 from repro.ops.mxm import mxm
 
@@ -396,37 +394,6 @@ class TestChaosProperty:
 
 
 # ---------------------------------------------------------------------------
-# Cost-model visibility rides along with the memo counters
-# ---------------------------------------------------------------------------
-
-
-class TestCostInstants:
-    @pytest.fixture(autouse=True)
-    def _costmodel_on(self):
-        # Cost instants only fire when the arbitration pass sees a
-        # pushdown-vs-fusion conflict, so both knobs must be on — the
-        # CI ablation matrix exports each of them off in turn.
-        with config.option("ENGINE_COSTMODEL", True), \
-                config.option("ENGINE_PUSHDOWN", True):
-            yield
-
-    def test_conflict_decision_emits_cost_instant(self):
-        ctx = _nb()
-        a = _graph(ctx, seed=18)
-        m = _graph(ctx, seed=19)
-        c = Matrix.new(T.FP64, N, N, ctx)
-        mxm(c, None, None, _sr(), a, a)
-        apply(c, m, None, U.IDENTITY[T.FP64], c, DESC_R)
-        c.wait(WaitMode.MATERIALIZE)
-        snap = ctx.engine_stats(include_spans=True)
-        assert snap["cost_decisions"] >= 1
-        assert any(
-            ev.get("name", "").startswith("cost:")
-            for ev in snap["trace_events"]
-        ), "cost decisions must be visible in the trace"
-
-
-# ---------------------------------------------------------------------------
 # Hypothesis: mode parity for masked eWiseMult-over-mxm chains
 # ---------------------------------------------------------------------------
 
@@ -463,105 +430,3 @@ class TestModeParityHypothesis:
             return mat_to_dict(c)
 
         assert run(_nb()) == run(_bl())
-
-
-# ---------------------------------------------------------------------------
-# Admission policy (MEMO_ADMISSION): skip stores cheaper than a republish
-# ---------------------------------------------------------------------------
-
-
-class TestMemoAdmission:
-    """Cost-model-driven admission: an *estimated* store whose rebuild
-    savings undercut the measured republish overhead is a strict loss
-    and is skipped.  Direct battery over :mod:`repro.engine.memo`'s
-    overhead EWMA plus the ``store(..., estimated=True)`` gate."""
-
-    U = 2 * 10 ** 9
-
-    @pytest.fixture(autouse=True)
-    def admission_on(self):
-        # Pinned on so the battery holds under the MEMO_ADMISSION=0
-        # ablation job; the knob test flips it off explicitly.
-        with config.option("MEMO_ADMISSION", True):
-            yield
-
-    @staticmethod
-    def _memo(capacity=8):
-        from repro.engine.memo import ResultMemo
-        return ResultMemo(capacity=capacity)
-
-    def test_overhead_ewma_tracks_measured_commits(self):
-        from repro.engine.memo import commit_overhead_ms, record_commit_ms
-        assert commit_overhead_ms() == 0.0  # evidence-gated: starts cold
-        record_commit_ms(2.0)
-        assert commit_overhead_ms() == pytest.approx(2.0)  # first sample
-        record_commit_ms(4.0)  # then EWMA (alpha=0.3)
-        assert commit_overhead_ms() == pytest.approx(2.0 + 0.3 * 2.0)
-
-    def test_stats_reset_clears_the_overhead_average(self):
-        from repro.engine.memo import commit_overhead_ms, record_commit_ms
-        record_commit_ms(5.0)
-        assert commit_overhead_ms() > 0.0
-        STATS.reset()
-        assert commit_overhead_ms() == 0.0
-
-    def test_cheap_estimated_store_skipped_once_overhead_known(self):
-        from repro.engine.memo import record_commit_ms
-        memo = self._memo()
-        record_commit_ms(3.0)
-        before = STATS.snapshot()["memo_admission_skips"]
-        memo.store(("t", 1), "cheap", (self.U + 1,),
-                   cost_ms=0.5, estimated=True)
-        assert memo.lookup(("t", 1)) is None
-        assert STATS.snapshot()["memo_admission_skips"] == before + 1
-        # A store whose savings beat the overhead is admitted.
-        memo.store(("t", 2), "worth-it", (self.U + 2,),
-                   cost_ms=9.0, estimated=True)
-        assert memo.lookup(("t", 2)) == "worth-it"
-
-    def test_nothing_skipped_before_overhead_is_measured(self):
-        memo = self._memo()
-        memo.store(("t", 1), "v", (self.U + 1,),
-                   cost_ms=0.001, estimated=True)
-        assert memo.lookup(("t", 1)) == "v"
-        assert STATS.snapshot()["memo_admission_skips"] == 0
-
-    def test_measured_stores_bypass_the_gate(self):
-        # Algorithm building blocks store *measured* build times
-        # (estimated=False): never gated, however cheap.
-        from repro.engine.memo import record_commit_ms
-        memo = self._memo()
-        record_commit_ms(50.0)
-        memo.store(("t", 1), "measured", (self.U + 1,), cost_ms=0.01)
-        assert memo.lookup(("t", 1)) == "measured"
-
-    def test_zero_cost_estimate_is_always_admitted(self):
-        # cost_ms == 0 means "no estimate", not "free to rebuild".
-        from repro.engine.memo import record_commit_ms
-        memo = self._memo()
-        record_commit_ms(50.0)
-        memo.store(("t", 1), "v", (self.U + 1,), cost_ms=0.0,
-                   estimated=True)
-        assert memo.lookup(("t", 1)) == "v"
-
-    def test_knob_disables_the_gate(self):
-        from repro.engine.memo import record_commit_ms
-        memo = self._memo()
-        record_commit_ms(10.0)
-        with config.option("MEMO_ADMISSION", False):
-            memo.store(("t", 1), "v", (self.U + 1,),
-                       cost_ms=0.5, estimated=True)
-        assert memo.lookup(("t", 1)) == "v"
-        assert STATS.snapshot()["memo_admission_skips"] == 0
-
-    def test_republish_feeds_the_overhead_average(self):
-        # End to end: a real memo hit measures its republish wall and
-        # feeds the admission model.
-        from repro.engine.memo import commit_overhead_ms
-        ctx = _nb()
-        a = _graph(ctx, seed=3)
-        _product(ctx, a)
-        assert commit_overhead_ms() == 0.0
-        _product(ctx, a)  # second forcing republishes from the memo
-        assert STATS.snapshot()["memo_reused"] == 1
-        assert commit_overhead_ms() > 0.0

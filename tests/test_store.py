@@ -18,9 +18,7 @@ Battery:
 * injected ``store.read`` / ``store.write`` faults (miss / skipped
   persist, never an error);
 * Hypothesis corruption fuzz over the entry envelope (bit flips,
-  truncation → counted miss, quarantined file);
-* the calibration sidecar round trip and its seeding into the cost
-  model and memo-admission EWMA.
+  truncation → counted miss, quarantined file).
 """
 
 import json
@@ -120,6 +118,24 @@ class TestWarmStart:
         assert snap["store_stores"] == 0       # probe-hit never re-persists
         assert it2 == it1
         assert r1.to_dict() == r2.to_dict()
+
+    def test_parent_calibration_sidecar_is_ignored(self, store_on):
+        """A store directory written before the calibration sidecar was
+        dropped still holds a ``calibration.json``: it is never read."""
+        store_on.mkdir()
+        (store_on / "calibration.json").write_text(json.dumps({
+            "format": 1,
+            "rates": {"product_ms": 5e-06, "stage_ms": 1e-06},
+            "admission": {"overhead_ms": 1.25, "samples": 4},
+        }))
+        assert tier.active_store() is not None  # first open of the dir
+        r1, it1 = pagerank(_graph(_fresh_ctx()))
+        r2, it2 = pagerank(_graph(_fresh_ctx()))
+        snap = STATS.snapshot()
+        assert (snap["store_stores"], snap["store_hits"]) == (2, 2)
+        assert it2 == it1 and r1.to_dict() == r2.to_dict()
+        assert not [ev["name"] for ev in STATS.trace_events()
+                    if "calibration" in ev["name"]]
 
     def test_disk_hit_reenters_memo(self, store_on):
         """A store hit is re-inserted in the in-memory memo: the second
@@ -558,56 +574,3 @@ class TestConcurrency:
             out = store.get(k)
             if out is not None:
                 out[0].check()
-
-
-# ---------------------------------------------------------------------------
-# Calibration sidecar
-# ---------------------------------------------------------------------------
-
-
-class TestCalibration:
-    def test_sidecar_round_trip(self, store_on):
-        store = WarmStore(str(store_on))
-        payload = {"rates": {"mxm": 12.5}, "partitions": {"4": [1000, 0.01]},
-                   "admission": {"overhead_ms": 0.8, "samples": 5}}
-        assert store.save_calibration(payload)
-        got = store.load_calibration()
-        assert got is not None
-        assert got["rates"] == {"mxm": 12.5}
-        assert got["admission"]["samples"] == 5
-
-    def test_corrupt_sidecar_is_a_cold_start(self, store_on):
-        store = WarmStore(str(store_on))
-        store.root.mkdir(parents=True, exist_ok=True)
-        (store.root / "calibration.json").write_text("{nope")
-        assert store.load_calibration() is None
-        (store.root / "calibration.json").write_text('["wrong shape"]')
-        assert store.load_calibration() is None
-        (store.root / "calibration.json").write_text('{"format": 99}')
-        assert store.load_calibration() is None
-
-    def test_save_calibration_captures_live_state(self, store_on):
-        from repro.engine import memo as memo_mod
-
-        pagerank(_graph(_fresh_ctx()))          # generate some admission data
-        assert tier.save_calibration()
-        data = WarmStore(str(store_on)).load_calibration()
-        assert data is not None
-        assert isinstance(data.get("rates"), dict)
-        adm = data.get("admission")
-        assert isinstance(adm, dict) and "overhead_ms" in adm
-        assert adm == memo_mod.export_admission()
-
-    def test_first_open_seeds_admission_ewma(self, tmp_path, store_on):
-        from repro.engine import memo as memo_mod
-
-        root = tmp_path / "seeded"              # a dir never opened before
-        WarmStore(str(root)).save_calibration(
-            {"admission": {"overhead_ms": 1.25, "samples": 4}})
-        STATS.reset()                           # clears the live EWMA
-        assert memo_mod.commit_overhead_ms() == 0.0
-        with config.option("STORE_DIR", str(root)):
-            assert tier.active_store() is not None
-        assert memo_mod.commit_overhead_ms() == pytest.approx(1.25)
-        STATS.reset()                           # leave no prior behind
-        assert memo_mod.commit_overhead_ms() == 0.0
