@@ -49,6 +49,7 @@ __all__ = [
     "empty_mat_auto",
     "row_gather",
     "pair_keys",
+    "stable_argsort",
     "in_sorted",
     "merge_sorted",
     "merge_slots",
@@ -195,15 +196,8 @@ class MatData:
         return self.col_indices[lo:hi], self.values[lo:hi]
 
     def transpose(self) -> "MatData | DcsrData":
-        """Explicit transpose (counting sort by column).  The output
-        format follows the *transposed* shape: transposing a wide
-        matrix yields a tall one, which may need the hypersparse tier."""
-        rows = self.row_indices()
-        return mat_from_coo(
-            self.ncols, self.nrows, self.type,
-            self.col_indices, rows, self.values,
-            presorted=False,
-        )
+        """Explicit transpose (see :func:`_transpose`)."""
+        return _transpose(self)
 
     def to_dense(self, fill: Any = None) -> np.ndarray:
         out = np.full(
@@ -302,12 +296,7 @@ class DcsrData:
         return self.col_indices[lo:hi], self.values[lo:hi]
 
     def transpose(self) -> "MatData | DcsrData":
-        rows = self.row_indices()
-        return mat_from_coo(
-            self.ncols, self.nrows, self.type,
-            self.col_indices, rows, self.values,
-            presorted=False,
-        )
+        return _transpose(self)
 
     def to_csr(self) -> MatData:
         """Densify the row pointer (the dispatch layer's fallback path).
@@ -334,6 +323,38 @@ class DcsrData:
         )
         out[self.row_indices(), self.col_indices] = self.values
         return out
+
+
+def _transpose(d: "MatData | DcsrData") -> "MatData | DcsrData":
+    """Transpose by one stable sort on the column ids: the row-major
+    stream is already sorted by row, so ordering it by column alone
+    leaves it sorted by (column, row).  The output format follows the
+    *transposed* shape: transposing a wide matrix yields a tall one,
+    which may need the hypersparse tier."""
+    order = stable_argsort(d.col_indices, d.ncols)
+    return mat_from_coo(
+        d.ncols, d.nrows, d.type,
+        d.col_indices[order], d.row_indices()[order], d.values[order],
+        presorted=True,
+    )
+
+
+def stable_argsort(keys: np.ndarray, space: int) -> np.ndarray:
+    """Stable argsort of integer *keys* that lie in ``[0, space)``.
+
+    NumPy's stable sort is a radix sort for 16-bit integers and a
+    comparison sort for wider ones, so narrow key spaces sort as
+    ``uint16``: one pass below 2^16, two least-significant-digit passes
+    (low 16 bits, then high 16 bits) below 2^32.  Wider spaces and
+    Python-int keys take the plain stable sort.
+    """
+    if keys.dtype == object or space > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if space <= 1 << 16:
+        return order
+    high = (keys[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
 
 
 def empty_vec(size: int, t: Type) -> VecData:
@@ -582,13 +603,21 @@ def in_sorted(
     enough to amortize it, membership switches to a dense boolean
     lookup table: one scatter plus one gather, beating binary search's
     ``n log m`` cache-missing probes into a large table.  This is the
-    masked-SpGEMM hot path — a BFS visited set easily reaches millions
-    of pair keys.
+    masked-SpGEMM hot path — every row block of a masked ``mxm`` tests
+    ~2^17 product keys against its rows' mask keys.
+
+    The table is built when ``space`` is at most 64 slots per key.  On a
+    2-core x86 box at 2^17 keys the table costs 0.13 / 0.42 / 1.3 ms
+    for a 2^20 / 2^22 / 2^24-slot space, against 1.5–3.9 ms of binary
+    search when the keys arrive sorted and 11–21 ms when they do not
+    (1k–100k table entries).  The scale-13 masked L·Lᵀ, whose row
+    blocks have 4–12 slots per key, takes ~80 ms at this threshold and
+    ~130 ms at a threshold of 8 slots per key.
     """
     if len(table) == 0:
         base = np.zeros(len(keys), dtype=bool)
     elif (space is not None and space <= MAX_MEMBERSHIP_LUT
-            and (len(keys) + len(table)) * 8 >= space):
+            and (len(keys) + len(table)) * 64 >= space):
         lut = np.zeros(space, dtype=bool)
         lut[table] = True
         base = lut[keys]

@@ -1,22 +1,37 @@
 """Sparse matrix–matrix and matrix–vector multiply kernels.
 
-The SpGEMM kernel is ESC (expand–sort–compress), the classic
-linear-algebraic formulation suited to vectorized execution:
+The SpGEMM kernel is row-blocked ESC (expand–sort–compress), the
+classic linear-algebraic formulation suited to vectorized execution.
+A's entries are cut at row boundaries into blocks of about
+``BLOCK_PRODUCTS`` products (a row is never split), and each block runs:
 
-1. **Expand** — for every stored A(i,k), enumerate all stored B(k,j)
-   partners by a gather driven by ``np.repeat`` over B's row lengths
-   (no Python-level loop).
-2. **Multiply** — apply the semiring's ⊗ to the two expanded value
+1. **Expand** — for every stored A(i,k) of the block, enumerate all
+   stored B(k,j) partners by a gather driven by ``np.repeat`` over B's
+   row lengths (no Python-level loop).
+2. **Mask** — key each product ``(i − r0)·ncols + j`` relative to the
+   block's first row r0 and drop the products a pushed-down mask
+   excludes, against the mask keys of the block's rows only.
+3. **Multiply** — apply the semiring's ⊗ to the two surviving value
    streams (one vectorized call for predefined ops; per-element for
    user-defined ops, the §II penalty).
-3. **Sort** — stable sort the product stream by (row, col) pair keys.
-4. **Compress** — fold duplicate keys with the semiring's ⊕ monoid via
-   ``ufunc.reduceat`` (predefined) or a per-segment loop (user-defined).
+4. **Fold** — :func:`fold_keys` combines duplicate keys with the ⊕
+   monoid: a dense accumulator over the block's key space when the
+   stream covers it densely, a stable sort plus ``ufunc.reduceat``
+   otherwise.
 
-``mxv`` and ``vxm`` are specialisations that skip the general sort:
-``mxv`` filters A's entries by membership of the column in u (a
-``searchsorted`` membership test) and segment-reduces by row, which is
-already sorted order in CSR.
+Blocks come out in row order, so the output stream is sorted without a
+global sort, and the peak intermediate is one block, not every product.
+
+``mxv`` and ``vxm`` are specialisations.  ``mxv`` keeps A's entries
+whose column is stored in u — one gather through a dense slot table when
+u is dense enough, a ``searchsorted`` into u's indices otherwise — and
+segment-reduces by row, which is already sorted order in CSR.  ``vxm``
+expands the A rows u selects and folds the products by column through
+:func:`fold_keys`.
+
+Every choice here is a pure function of the call's inputs (stream
+length, key space, monoid, dtype): no option or learned state picks a
+path.
 
 Every kernel here is **format-polymorphic**: inputs may be CSR
 (``MatData``) or hypersparse DCSR (``DcsrData``).  Row streams come
@@ -47,34 +62,31 @@ from .containers import (
     mat_from_coo,
     pair_keys,
     row_gather,
+    stable_argsort,
 )
 from .dispatch import register
 
-__all__ = ["mxm", "mxv", "vxm", "mxv_multi", "segment_reduce_sorted"]
+__all__ = ["mxm", "mxv", "vxm", "mxv_multi", "segment_reduce_sorted",
+           "fold_keys", "rows_of_keys"]
 
 _INT = np.int64
 
+#: Products one ``mxm`` block expands.  Rows are never split, so a block
+#: holds more when a single row does.
+BLOCK_PRODUCTS = 1 << 17
 
-def _gather_expand(
-    src: "MatData | DcsrData", keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each row key k, produce the index range of src's row k.
 
-    Returns (flat_gather_indices, expansion_counts).  Fully vectorized:
-    the classic "ragged arange" construction, driven by the per-format
-    row-window gather (missing DCSR rows expand to nothing).
+def _gather_expand(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index windows ``[lo[k], lo[k] + counts[k])``.
+
+    Fully vectorized — the classic "ragged arange": each window's
+    offset is repeated over its length and added to one ``arange``.
     """
-    lo, hi = row_gather(src, keys)
-    counts = (hi - lo).astype(_INT)
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=_INT), counts
-    starts = lo.astype(_INT)
-    # offsets within each segment: arange(total) - repeat(exclusive_cumsum)
-    excl = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(_INT)
-    offsets = np.arange(total, dtype=_INT) - np.repeat(excl, counts)
-    flat = np.repeat(starts, counts) + offsets
-    return flat, counts
+        return np.empty(0, dtype=_INT)
+    excl = np.cumsum(counts) - counts
+    return np.repeat(lo - excl, counts) + np.arange(total, dtype=_INT)
 
 
 def segment_reduce_sorted(
@@ -92,6 +104,44 @@ def segment_reduce_sorted(
     return keys[starts], out_type.coerce_array(folded)
 
 
+def fold_keys(
+    keys: np.ndarray, values: np.ndarray, monoid: Monoid, out_type: Type,
+    space: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold an **unsorted** key stream over ``[0, space)`` by monoid;
+    returns (sorted unique keys, folded values).
+
+    Dense accumulation when the monoid has a ufunc, neither array is
+    object dtype and the stream is at least an eighth of the key space:
+    a presence bitmap, ``ufunc.at`` into an identity-filled array, and
+    ``flatnonzero`` for the sorted keys — no sort at all.  Otherwise a
+    stable sort (radix on narrow key spaces) and ``reduceat``.
+    """
+    uf = monoid.op.ufunc
+    if (uf is not None and keys.dtype != object and values.dtype != object
+            and len(keys) * 8 >= space):
+        present = np.zeros(space, dtype=bool)
+        present[keys] = True
+        acc = np.full(space, monoid.identity, dtype=values.dtype)
+        uf.at(acc, keys, values)
+        uniq = np.flatnonzero(present)
+        return uniq, out_type.coerce_array(acc[uniq])
+    order = stable_argsort(keys, space)
+    return segment_reduce_sorted(keys[order], values[order], monoid, out_type)
+
+
+def rows_of_keys(keys: np.ndarray, lo: int, hi: int, ncols: int) -> np.ndarray:
+    """The sorted pair keys of rows ``[lo, hi)``, re-based to row ``lo``
+    (int64 whenever the re-based key space fits it)."""
+    start = np.searchsorted(keys, lo * ncols)
+    end = np.searchsorted(keys, hi * ncols)
+    if start == end:
+        return np.empty(0, dtype=_INT)
+    part = keys[start:end] - lo * ncols
+    return part.astype(_INT, copy=False) if (hi - lo) * ncols < 1 << 62 \
+        else part
+
+
 def _mult_shortcut(mult_name: str) -> str | None:
     """Which operand gather the multiply operator makes redundant."""
     if mult_name.startswith("GrB_FIRST_"):
@@ -103,6 +153,23 @@ def _mult_shortcut(mult_name: str) -> str | None:
     return None
 
 
+def _multiply(
+    semiring: Semiring, av: np.ndarray, bv: np.ndarray,
+    a_idx: np.ndarray, b_idx: np.ndarray,
+) -> np.ndarray:
+    """⊗ of ``av[a_idx]`` and ``bv[b_idx]``, gathering only the operand
+    the multiply operator reads."""
+    out_type = semiring.out_type
+    shortcut = _mult_shortcut(semiring.mult.name)
+    if shortcut == "first":
+        return out_type.coerce_array(av[a_idx])
+    if shortcut == "second":
+        return out_type.coerce_array(bv[b_idx])
+    if shortcut == "one":
+        return out_type.coerce_array(np.ones(len(a_idx), dtype=out_type.np_dtype))
+    return semiring.mult.vec(av[a_idx], bv[b_idx])
+
+
 def mxm(
     a: MatData,
     b: MatData,
@@ -112,9 +179,9 @@ def mxm(
 ) -> MatData:
     """C = A ⊕.⊗ B (accum and mask *write-back* live in the operations
     layer; ``mask_keys`` optionally pushes a key filter down into the
-    kernel so off-mask products die before sort/compress;
-    ``mask_complement`` inverts the filter — the BFS pattern where the
-    mask is the visited set).
+    kernel so off-mask products die before they are multiplied or
+    folded; ``mask_complement`` inverts the filter — the BFS pattern
+    where the mask is the visited set).
     """
     maybe_inject("kernel.mxm")
     out_type = semiring.out_type
@@ -126,59 +193,49 @@ def mxm(
         else:
             return empty_mat_auto(a.nrows, b.ncols, out_type)
 
+    ncols = b.ncols
+    lo, hi = row_gather(b, a.col_indices)
+    counts = (hi - lo).astype(_INT)
+    # Products before each of A's row boundaries (CSR rows or DCSR
+    # nonempty-row slots); cut where a multiple of the block size falls.
+    before = np.concatenate(([0], np.cumsum(counts)))[a.indptr]
+    total = int(before[-1])
+    if total == 0:
+        return empty_mat_auto(a.nrows, ncols, out_type)
+    cuts = np.searchsorted(
+        before, np.arange(BLOCK_PRODUCTS, total, BLOCK_PRODUCTS),
+        side="right") - 1
+    cuts = np.unique(np.concatenate(([0], cuts, [len(a.indptr) - 1])))
+
     a_rows = a.row_indices()
-    flat, counts = _gather_expand(b, a.col_indices)
-    if len(flat) == 0:
-        return empty_mat_auto(a.nrows, b.ncols, out_type)
-
-    out_rows = np.repeat(a_rows, counts)
-    out_cols = b.col_indices[flat]
-    keys = pair_keys(out_rows, out_cols, b.ncols)
-
-    keep: np.ndarray | None = None
-    if mask_keys is not None:
-        # mask_keys come from matrix/vector carriers and are pre-sorted,
-        # so binary-search membership beats np.isin's internal sort.
-        keep = in_sorted(keys, mask_keys, invert=mask_complement,
-                         space=a.nrows * b.ncols)
-        if not keep.any():
-            return empty_mat_auto(a.nrows, b.ncols, out_type)
-        keys = keys[keep]
-
-    shortcut = _mult_shortcut(semiring.mult.name)
-    if shortcut == "first":
-        av = semiring.mult.in1_type.coerce_array(a.values)
-        prod = out_type.coerce_array(np.repeat(av, counts))
-        if keep is not None:
-            prod = prod[keep]
-    elif shortcut == "second":
-        bv = semiring.mult.in2_type.coerce_array(b.values)
-        prod = out_type.coerce_array(bv[flat])
-        if keep is not None:
-            prod = prod[keep]
-    elif shortcut == "one":
-        n_out = len(keys)
-        prod = out_type.coerce_array(np.ones(n_out, dtype=out_type.np_dtype))
-    else:
-        av = semiring.mult.in1_type.coerce_array(a.values)
-        bv = semiring.mult.in2_type.coerce_array(b.values)
-        a_exp = np.repeat(av, counts)
-        b_exp = bv[flat]
-        if keep is not None:
-            a_exp = a_exp[keep]
-            b_exp = b_exp[keep]
-        prod = semiring.mult.vec(a_exp, b_exp)
-
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    prod = prod[order]
-
-    uniq, folded = segment_reduce_sorted(
-        keys, semiring.add.type.coerce_array(prod), semiring.add, out_type
-    )
-    rows = (uniq // b.ncols).astype(_INT)
-    cols = (uniq % b.ncols).astype(_INT)
-    return mat_from_coo(a.nrows, b.ncols, out_type, rows, cols, folded,
+    av = semiring.mult.in1_type.coerce_array(a.values)
+    bv = semiring.mult.in2_type.coerce_array(b.values)
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for s0, s1 in zip(cuts[:-1], cuts[1:]):
+        if before[s1] == before[s0]:
+            continue
+        e0, e1 = int(a.indptr[s0]), int(a.indptr[s1])
+        r0 = int(a_rows[e0])
+        nb = int(a_rows[e1 - 1]) - r0 + 1
+        space = nb * ncols
+        cnt = counts[e0:e1]
+        a_idx = np.repeat(np.arange(e0, e1, dtype=_INT), cnt)
+        b_idx = _gather_expand(lo[e0:e1], cnt)
+        keys = pair_keys(a_rows[a_idx] - r0, b.col_indices[b_idx], ncols)
+        if mask_keys is not None:
+            keep = in_sorted(keys, rows_of_keys(mask_keys, r0, r0 + nb, ncols),
+                             invert=mask_complement, space=space)
+            if not keep.any():
+                continue
+            keys, a_idx, b_idx = keys[keep], a_idx[keep], b_idx[keep]
+        prod = _multiply(semiring, av, bv, a_idx, b_idx)
+        uniq, folded = fold_keys(keys, semiring.add.type.coerce_array(prod),
+                                 semiring.add, out_type, space)
+        parts.append((uniq // ncols + r0, uniq % ncols, folded))
+    if not parts:
+        return empty_mat_auto(a.nrows, ncols, out_type)
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return mat_from_coo(a.nrows, ncols, out_type, rows, cols, vals,
                         presorted=True)
 
 
@@ -202,10 +259,16 @@ def mxv(
         return empty_vec(a.nrows, out_type)
     if a_rows is None:
         a_rows = a.row_indices()
-    # Keep A entries whose column is stored in u.
-    pos = np.searchsorted(u.indices, a.col_indices)
-    pos_clamped = np.minimum(pos, len(u.indices) - 1)
-    hit = u.indices[pos_clamped] == a.col_indices
+    # Keep A entries whose column is stored in u; pos is its slot in u.
+    if u.nvals * 8 >= u.size:
+        slot = np.full(u.size, -1, dtype=_INT)
+        slot[u.indices] = np.arange(u.nvals, dtype=_INT)
+        pos = slot[a.col_indices]
+        hit = pos >= 0
+    else:
+        pos = np.minimum(np.searchsorted(u.indices, a.col_indices),
+                         u.nvals - 1)
+        hit = u.indices[pos] == a.col_indices
     if mask_keys is not None and not (len(mask_keys) == 0 and mask_complement):
         hit &= in_sorted(a_rows, mask_keys, invert=mask_complement,
                          space=a.nrows)
@@ -213,7 +276,7 @@ def mxv(
         return empty_vec(a.nrows, out_type)
     rows = a_rows[hit]
     av = semiring.mult.in1_type.coerce_array(a.values[hit])
-    uv = semiring.mult.in2_type.coerce_array(u.values[pos_clamped[hit]])
+    uv = semiring.mult.in2_type.coerce_array(u.values[pos[hit]])
     prod = semiring.mult.vec(av, uv)
     # Row-major carrier order means `rows` is already sorted.
     uniq, folded = segment_reduce_sorted(
@@ -252,7 +315,9 @@ def vxm(
     out_type = semiring.out_type
     if a.nvals == 0 or u.nvals == 0:
         return empty_vec(a.ncols, out_type)
-    flat, counts = _gather_expand(a, u.indices)
+    lo, hi = row_gather(a, u.indices)
+    counts = (hi - lo).astype(_INT)
+    flat = _gather_expand(lo, counts)
     if len(flat) == 0:
         return empty_vec(a.ncols, out_type)
     out_cols = a.col_indices[flat]
@@ -270,11 +335,8 @@ def vxm(
         u_exp = u_exp[keep]
         a_exp = a_exp[keep]
     prod = semiring.mult.vec(u_exp, a_exp)
-    order = np.argsort(out_cols, kind="stable")
-    uniq, folded = segment_reduce_sorted(
-        out_cols[order], semiring.add.type.coerce_array(prod[order]),
-        semiring.add, out_type,
-    )
+    uniq, folded = fold_keys(out_cols, semiring.add.type.coerce_array(prod),
+                             semiring.add, out_type, a.ncols)
     return VecData(a.ncols, out_type, uniq, folded)
 
 

@@ -33,7 +33,7 @@ from ..engine.stats import STATS
 from ..faults.plane import armed, maybe_inject
 from ..faults.retry import with_retry
 from .containers import MatData, empty_mat
-from .mxm import mxm
+from .mxm import mxm, rows_of_keys
 
 __all__ = ["row_blocks", "parallel_mxm", "concat_row_blocks"]
 
@@ -83,16 +83,6 @@ def concat_row_blocks(blocks: Sequence[MatData], ncols: int) -> MatData:
     return MatData(nrows, ncols, t, indptr, cols, t.coerce_array(vals))
 
 
-def _slice_mask_keys(mask_keys, lo: int, hi: int, ncols: int):
-    """Restrict global pair-keys to rows [lo, hi), re-based to row 0."""
-    if mask_keys is None:
-        return None
-    import numpy as _np
-    start = _np.searchsorted(mask_keys, lo * ncols)
-    end = _np.searchsorted(mask_keys, hi * ncols)
-    return mask_keys[start:end] - lo * ncols
-
-
 def parallel_mxm(
     a: MatData,
     b: MatData,
@@ -124,7 +114,8 @@ def parallel_mxm(
     if len(blocks) == 1:
         return kernel(a, b, semiring, mask_keys, mask_complement)
     slices = [
-        (_slice_rows(a, lo, hi), _slice_mask_keys(mask_keys, lo, hi, b.ncols))
+        (_slice_rows(a, lo, hi),
+         None if mask_keys is None else rows_of_keys(mask_keys, lo, hi, b.ncols))
         for lo, hi in blocks
     ]
 

@@ -212,6 +212,40 @@ class TestMxm:
         assert_mat_equal(C, c0, "self-mxm")
 
 
+class TestBlockedSpgemmMemory:
+    def test_masked_wedges_peak_is_one_block(self):
+        """Kernel-level C⟨L⟩ = L·Lᵀ on a scale-12 RMAT (53k nnz): the
+        row-blocked kernel keeps one block of products alive, not every
+        wedge (one global product stream peaked above 100 MB here)."""
+        import tracemalloc
+
+        from repro.generators import rmat
+        from repro.internals import mxm as kernels
+        from repro.internals.containers import coo_to_csr, pair_keys
+
+        sp = pytest.importorskip("scipy.sparse")
+        n, rows, cols, _ = rmat(12, 8, seed=42)
+        keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+        r, c = keys // n, keys % n
+        assert int((r != c).sum()) == 53312
+        low = r > c
+        r, c = r[low], c[low]
+        ones = np.ones(len(r), dtype=np.int64)
+        L = coo_to_csr(n, n, T.INT64, r, c, ones, presorted=True)
+        Lt = L.transpose()
+        mask = pair_keys(r, c, n)
+        tracemalloc.start()
+        try:
+            wedges = kernels.mxm(L, Lt, S.PLUS_TIMES_SEMIRING[T.INT64],
+                                 mask_keys=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+        ls = sp.csr_matrix((ones, (r, c)), shape=(n, n))
+        assert int(wedges.values.sum()) == int((ls @ ls.T).multiply(ls).sum())
+
+
 class TestMxvVxm:
     def test_mxv_matches_reference(self, abc):
         a, _ = abc

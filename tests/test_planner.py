@@ -46,13 +46,15 @@ N = 24
 
 @pytest.fixture(autouse=True)
 def clean_plane_and_stats():
-    # This module asserts the CSE / pushdown pass counters, so pin both
-    # passes on: the CI ablation matrix runs the whole suite with each
-    # knob exported off, and these contracts are knob-on behaviour (the
-    # explicit knob tests below override with their own inner option()).
+    # This module asserts the CSE / pushdown pass counters, so pin those
+    # passes and the kernel mask filter they feed on: the CI ablation
+    # matrix runs the whole suite with each knob exported off, and these
+    # contracts are knob-on behaviour (the explicit knob tests below
+    # override with their own inner option()).
     STATS.reset()
     with config.option("ENGINE_CSE", True), \
-            config.option("ENGINE_PUSHDOWN", True):
+            config.option("ENGINE_PUSHDOWN", True), \
+            config.option("MASK_PUSHDOWN", True):
         yield
     PLANE.disable()
 

@@ -21,6 +21,9 @@ from repro.formats import (
     matrix_import,
     matrix_serialize,
 )
+from repro.internals import mxm as kernels
+from repro.internals.containers import VecData, coo_to_csr, coo_to_dcsr
+from repro.internals.maskaccum import mat_mask_keys, vec_mask_keys
 from repro.ops.apply import apply
 from repro.ops.ewise import ewise_add, ewise_mult
 from repro.ops.extract import extract
@@ -41,6 +44,7 @@ from .reference import (
     ref_ewise_mult,
     ref_mxm,
     ref_mxv,
+    ref_vxm,
     ref_select,
     ref_transpose,
     ref_write_back,
@@ -106,6 +110,176 @@ class TestMxmProperties:
         A_BC = Matrix.new(T.FP64, 4, 4)
         mxm(A_BC, None, None, sr, A, BC)
         assert mat_to_dict(AB_C) == mat_to_dict(A_BC)
+
+
+# -- kernel fast-path parity ---------------------------------------------------
+#
+# The multiply kernels pick a path from each call's inputs alone: dense
+# accumulation or sort for the fold (``len(keys) * 8 >= space``), a slot
+# table or a binary search for mxv's column lookup, and row blocks of
+# ``BLOCK_PRODUCTS`` products in mxm.  Shapes are drawn on both sides of
+# each rule; the block size runs at 1 and 3 (many blocks, a single row
+# over budget, blocks the mask empties) and at its default.
+
+_EXACT_INT = T.Type.new("ExactInt", cast=int)
+_UDT_RING = S.Semiring.new(
+    M.Monoid.new(B.BinaryOp.new(lambda x, y: x + y, _EXACT_INT, _EXACT_INT,
+                                _EXACT_INT, "exact_add"), 0),
+    B.BinaryOp.new(lambda x, y: x * y, _EXACT_INT, _EXACT_INT, _EXACT_INT,
+                   "exact_mul"),
+    "exact_plus_times",
+)
+_FLOATS = st.floats(-4, 4, allow_nan=False, allow_subnormal=False)
+_INTS = st.integers(-50, 50)
+_ADD = lambda x, y: x + y  # noqa: E731
+_MUL = lambda x, y: x * y  # noqa: E731
+
+#: name -> (semiring, value type, values, ⊕, ⊗, bit-exact)
+PARITY_RINGS = {
+    "plus_times_fp64": (S.PLUS_TIMES_SEMIRING[T.FP64], T.FP64, _FLOATS,
+                        _ADD, _MUL, False),
+    "plus_times_int64": (S.PLUS_TIMES_SEMIRING[T.INT64], T.INT64, _INTS,
+                         _ADD, _MUL, True),
+    "min_plus_fp64": (S.MIN_PLUS_SEMIRING[T.FP64], T.FP64, _FLOATS,
+                      min, _ADD, True),
+    "min_first_int64": (S.MIN_FIRST_SEMIRING[T.INT64], T.INT64, _INTS,
+                        min, lambda x, y: x, True),
+    "max_second_fp64": (S.MAX_SECOND_SEMIRING[T.FP64], T.FP64, _FLOATS,
+                        max, lambda x, y: y, True),
+    "lor_land_bool": (S.LOR_LAND_SEMIRING_BOOL, T.BOOL, st.booleans(),
+                      lambda x, y: x or y, lambda x, y: x and y, True),
+    "user_defined": (_UDT_RING, _EXACT_INT, _INTS, _ADD, _MUL, True),
+    # A user-defined ⊕ over a built-in domain: no ufunc, int64 values.
+    "user_monoid_int64": (S.Semiring.new(
+        M.Monoid.new(B.BinaryOp.new(_ADD, T.INT64, T.INT64, T.INT64,
+                                    "int_add"), 0),
+        B.TIMES[T.INT64], "int_user_plus_times"), T.INT64, _INTS,
+        _ADD, _MUL, True),
+}
+MASK_KINDS = ["none", "structural", "valued", "comp_structural", "comp_valued"]
+#: (m, k, n): A is m x k; mxm's B is k x n.  The first shape folds
+#: densely; the wide ones leave far fewer products than key slots.
+PARITY_SHAPES = [(4, 5, 3), (3, 6, 120), (5, 160, 4)]
+
+
+def _entries(draw, keys, values, min_size=2):
+    return draw(st.dictionaries(keys, values, min_size=min_size, max_size=16))
+
+
+def _mat_entries(draw, nrows, ncols, values, min_size=2):
+    return _entries(draw, st.tuples(st.integers(0, nrows - 1),
+                                    st.integers(0, ncols - 1)), values,
+                    min_size)
+
+
+def _carrier(d, nrows, ncols, t, fmt):
+    keys = sorted(d)
+    vals = np.empty(len(keys), dtype=t.np_dtype)
+    vals[:] = [d[k] for k in keys]
+    make = coo_to_csr if fmt == "csr" else coo_to_dcsr
+    return make(nrows, ncols, t, np.array([k[0] for k in keys], dtype=np.int64),
+                np.array([k[1] for k in keys], dtype=np.int64), vals,
+                presorted=True)
+
+
+def _vec(d, size, t):
+    keys = sorted(d)
+    vals = np.empty(len(keys), dtype=t.np_dtype)
+    vals[:] = [d[k] for k in keys]
+    return VecData(size, t, np.array(keys, dtype=np.int64), vals)
+
+
+def _mask_args(mask, kind, shape):
+    """(mask_keys, complement) for the kernel, from a {key: bool} mask."""
+    if kind == "none":
+        return None, False
+    structure = kind.endswith("structural")
+    if isinstance(shape, tuple):
+        keys = mat_mask_keys(_carrier(mask, *shape, T.BOOL, "csr"), structure)
+    else:
+        keys = vec_mask_keys(_vec(mask, shape, T.BOOL), structure)
+    return keys, kind.startswith("comp")
+
+
+def _masked(ref, mask, kind):
+    if kind == "none":
+        return ref
+    structure, comp = kind.endswith("structural"), kind.startswith("comp")
+    return {k: v for k, v in ref.items()
+            if (k in mask if structure else bool(mask.get(k, False))) != comp}
+
+
+def _assert_parity(got, expected, exact):
+    got.check()
+    if isinstance(got, VecData):
+        pairs = zip(got.indices.tolist(), got.values)
+    else:
+        pairs = zip(zip(got.row_indices().tolist(), got.col_indices.tolist()),
+                    got.values)
+    got = dict(pairs)
+    assert set(got) == set(expected)
+    for k, v in expected.items():
+        if exact:
+            assert got[k] == v, k
+        else:
+            assert got[k] == pytest.approx(v, rel=1e-12, abs=1e-12), k
+
+
+PARITY_SETTINGS = settings(SETTINGS, max_examples=120)
+PARITY_CASES = given(data=st.data(), ring=st.sampled_from(sorted(PARITY_RINGS)),
+                     fmt=st.sampled_from(["csr", "dcsr"]),
+                     shape=st.sampled_from(PARITY_SHAPES),
+                     kind=st.sampled_from(MASK_KINDS))
+
+
+class TestKernelFastPathParity:
+    """mxm / vxm / mxv against the dict reference, every path."""
+
+    @PARITY_SETTINGS
+    @PARITY_CASES
+    def test_mxm(self, data, ring, fmt, shape, kind):
+        sr, t, values, add, mult, exact = PARITY_RINGS[ring]
+        m, k, n = shape
+        a = _mat_entries(data.draw, m, k, values)
+        b = _mat_entries(data.draw, k, n, values)
+        mask = _mat_entries(data.draw, m, n, st.booleans(), 0)
+        mask_keys, comp = _mask_args(mask, kind, (m, n))
+        expected = _masked(ref_mxm(a, b, add, mult, None), mask, kind)
+        for block in (1, 3, kernels.BLOCK_PRODUCTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "BLOCK_PRODUCTS", block)
+                got = kernels.mxm(_carrier(a, m, k, t, fmt),
+                                  _carrier(b, k, n, t, fmt), sr,
+                                  mask_keys, comp)
+            _assert_parity(got, expected, exact)
+
+    @PARITY_SETTINGS
+    @PARITY_CASES
+    def test_vxm(self, data, ring, fmt, shape, kind):
+        sr, t, values, add, mult, exact = PARITY_RINGS[ring]
+        m, k, _ = shape
+        a = _mat_entries(data.draw, m, k, values)
+        u = _entries(data.draw, st.integers(0, m - 1), values)
+        mask = _entries(data.draw, st.integers(0, k - 1), st.booleans(), 0)
+        mask_keys, comp = _mask_args(mask, kind, k)
+        got = kernels.vxm(_vec(u, m, t), _carrier(a, m, k, t, fmt), sr,
+                          mask_keys, comp)
+        _assert_parity(got, _masked(ref_vxm(u, a, add, mult), mask, kind),
+                       exact)
+
+    @PARITY_SETTINGS
+    @PARITY_CASES
+    def test_mxv(self, data, ring, fmt, shape, kind):
+        sr, t, values, add, mult, exact = PARITY_RINGS[ring]
+        m, k, _ = shape
+        a = _mat_entries(data.draw, m, k, values)
+        u = _entries(data.draw, st.integers(0, k - 1), values)
+        mask = _entries(data.draw, st.integers(0, m - 1), st.booleans(), 0)
+        mask_keys, comp = _mask_args(mask, kind, m)
+        got = kernels.mxv(_carrier(a, m, k, t, fmt), _vec(u, k, t), sr,
+                          mask_keys, comp)
+        _assert_parity(got, _masked(ref_mxv(a, u, add, mult), mask, kind),
+                       exact)
 
 
 class TestEwiseProperties:
