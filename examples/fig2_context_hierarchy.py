@@ -9,7 +9,7 @@ specs (ours: thread counts) — then shows that
 * all objects in one method call must share a context (mixing is an
   API error),
 * ``GrB_Context_switch`` re-homes an object so it can participate,
-* a context's ``nthreads`` drives row-partitioned parallel mxm, and
+* a context's ``nthreads`` runs mxm's row blocks on that many threads, and
 * freeing a context invalidates it (and ``GrB_finalize`` frees all).
 
 Run:  python examples/fig2_context_hierarchy.py
@@ -53,7 +53,7 @@ def main() -> None:
 
     # A nested context per workload, as Fig. 2's API supports.  The
     # exec argument is implementation-defined (§IV); ours documents
-    # {"nthreads": int, "chunk_rows": int}.
+    # {"nthreads": int, "memo_capacity": int, "fault_domain": str}.
     serial_ctx = GrB_Context_new(GrB_NONBLOCKING, None, {"nthreads": 1})
     wide_ctx = GrB_Context_new(GrB_NONBLOCKING, None, {"nthreads": 4})
     # Hierarchy: a child inherits unset keys from its ancestors.

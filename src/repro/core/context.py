@@ -11,8 +11,7 @@ distributed) executions can scope resources:
   *implementation-defined* execution spec.  Ours is a
   :class:`ResourceSpec` — a validated mapping with keys:
 
-  - ``nthreads`` — worker threads for row-partitioned kernels,
-  - ``chunk_rows`` — minimum rows per worker block,
+  - ``nthreads`` — worker threads for ``mxm``'s row blocks,
   - ``memo_capacity`` — entry bound for this context's result memo
     (a tenant's cache quota in the serving layer),
   - ``fault_domain`` — label matched by targeted fault injection
@@ -75,6 +74,10 @@ class WaitMode(enum.IntEnum):
     MATERIALIZE = 1
 
 
+#: Persistent worker faults a context absorbs before its ``mxm`` blocks
+#: run serially (:meth:`Context.record_worker_fault`).
+DEGRADE_AFTER_FAULTS = 2
+
 _state_lock = threading.Lock()
 _top_context: "Context | None" = None
 _all_contexts: "list[Context]" = []
@@ -91,14 +94,14 @@ class ResourceSpec:
     __slots__ = ("_values",)
 
     #: Every key an execution spec may set.
-    KEYS = ("nthreads", "chunk_rows", "memo_capacity", "fault_domain")
+    KEYS = ("nthreads", "memo_capacity", "fault_domain")
 
     def __init__(self, spec: "Mapping[str, Any] | ResourceSpec | None" = None):
         if isinstance(spec, ResourceSpec):
             values = dict(spec._values)
         else:
             values = dict(spec or {})
-        for key in ("nthreads", "chunk_rows", "memo_capacity"):
+        for key in ("nthreads", "memo_capacity"):
             val = values.get(key)
             if val is not None and (not isinstance(val, int) or val < 1):
                 raise InvalidValueError(
@@ -168,7 +171,7 @@ class Context:
         self._degraded = False
         self._worker_faults = 0
         self._result_memo = None  # lazy ResultMemo (nonblocking planner)
-        self._pool = None         # lazy ThreadPoolExecutor (parallel mxm)
+        self._pool = None         # lazy ThreadPoolExecutor (mxm blocks)
         self._pool_nthreads = 0
         self._local_stats = None  # lazy ContextStats (tenant rollup)
         if parent is not None:
@@ -233,10 +236,6 @@ class Context:
         return int(self.effective("nthreads", 1))
 
     @property
-    def chunk_rows(self) -> int:
-        return int(self.effective("chunk_rows", 1))
-
-    @property
     def memo_capacity(self) -> int | None:
         """Result-memo entry bound, or ``None`` for the global default."""
         cap = self.effective("memo_capacity", None)
@@ -298,11 +297,9 @@ class Context:
             return self._local_stats
 
     def worker_pool(self):
-        """The context's cached kernel thread pool, sized ``nthreads``.
-
-        Replaces the fresh ``ThreadPoolExecutor`` the parallel kernels
-        used to spin up per call: one pool per context, rebuilt only
-        when the effective thread count changes, shut down on
+        """The context's cached thread pool for ``mxm``'s row blocks,
+        sized ``nthreads``: one pool per context, rebuilt only when the
+        effective thread count changes, shut down on
         ``free``/``finalize``/degradation.
 
         Returns ``None`` once the context is freed: a deferred forcing
@@ -345,26 +342,23 @@ class Context:
 
     @property
     def is_degraded(self) -> bool:
-        """True once this context's parallel paths have been demoted to
+        """True once this context's ``mxm`` blocks have been demoted to
         serial execution after repeated worker faults."""
         return self._degraded
 
     def record_worker_fault(self) -> bool:
         """Count one absorbed worker fault against this context.
 
-        Returns True exactly once — when the count crosses the
-        ``DEGRADE_WORKER_FAULTS`` threshold and the context flips to
-        degraded (serial) execution.  Strictly per-context: a sibling
-        tenant's count and pool are untouched.
+        Returns True exactly once — when the count reaches
+        :data:`DEGRADE_AFTER_FAULTS` and the context flips to degraded
+        (serial) execution.  Strictly per-context: a sibling tenant's
+        count and pool are untouched.
         """
-        from ..internals import config
-
         with self._lock:
             self._worker_faults += 1
             degraded_now = (
                 not self._degraded
-                and self._worker_faults
-                >= config.get_option("DEGRADE_WORKER_FAULTS")
+                and self._worker_faults >= DEGRADE_AFTER_FAULTS
             )
             if degraded_now:
                 self._degraded = True

@@ -37,9 +37,9 @@ Our execution model:
 
 Thread safety (§III): every opaque object owns an ``RLock`` guarding
 its tail/error/lifecycle fields; the engine serializes forcings behind
-a process-wide execution lock (kernels inside one forcing still run
-concurrently).  Independent method calls from different threads
-therefore serialize, giving the "sequential execution in some
+a process-wide execution lock (inside one forcing only ``mxm``'s row
+blocks run on worker threads).  Independent method calls from different
+threads therefore serialize, giving the "sequential execution in some
 interleaved order" guarantee.  The cross-thread hand-off of a *shared*
 object additionally needs ``wait()`` plus a host-language
 synchronized-with edge, exactly as the paper's Figure 1 program

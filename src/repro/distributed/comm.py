@@ -24,8 +24,8 @@ Fault tolerance (the §V resilience ladder applied to the wire):
   also ends as a timeout on the receiving side.
 * **Injection sites** — ``comm.send`` / ``comm.recv`` /
   ``comm.collective`` / ``comm.barrier`` visit the fault plane inside
-  the transient-retry guard, and ``comm.slow`` simulates a straggling
-  link at collective entry.
+  the transient-retry guard; a ``kind="slow"`` spec on
+  ``comm.collective`` simulates a straggling link.
 * **Cluster health** — any rank error marks the :class:`Cluster`
   unhealthy; :meth:`Cluster.run_resilient` retries transient failures
   on a revived cluster with backoff and **degrades to single-process

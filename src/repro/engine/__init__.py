@@ -2,8 +2,8 @@
 
 Deferred methods become :mod:`~repro.engine.dag` nodes; forcing calls
 run :func:`repro.engine.scheduler.force`, which plans kernel fusion
-(:mod:`~repro.engine.fusion`) and executes the needed subgraph,
-concurrently where dependencies allow.  :data:`repro.engine.stats.STATS`
+(:mod:`~repro.engine.fusion`) and executes the needed subgraph in
+dependency order.  :data:`repro.engine.stats.STATS`
 records what the optimizer did.
 
 Only :mod:`~repro.engine.stats` is imported eagerly: the core layer

@@ -3,11 +3,8 @@
 A :class:`CancelToken` carries an absolute deadline (and/or an explicit
 cancel flag set when a client abandons its query).  The serving layer
 establishes a token for the duration of one query via
-:class:`cancel_scope`; the scheduler republishes the forcing thread's
-token process-wide for the span of one forcing (safe because
-``scheduler._EXEC_LOCK`` serializes forcings end to end, and necessary
-because kernels may run on pool worker threads that never saw the
-query thread's scope).
+:class:`cancel_scope`.  Every checkpoint runs on the forcing thread, so
+a thread-local token is all a forcing needs.
 
 :func:`checkpoint` is the cooperative check, called at exactly the
 boundaries ``faults/sites.py`` instruments — kernel entry
@@ -37,7 +34,6 @@ from ..core.errors import ExecutionError, PanicError, TimeoutExpiredError
 __all__ = [
     "CancelToken",
     "cancel_scope",
-    "forcing_scope",
     "current_token",
     "checkpoint",
     "as_execution_error",
@@ -92,17 +88,11 @@ class CancelToken:
 
 _tls = threading.local()
 
-#: The forcing thread's token, republished for pool workers while one
-#: forcing runs.  Written only under ``scheduler._EXEC_LOCK``.
-_active: CancelToken | None = None
-
 
 def current_token() -> CancelToken | None:
     """The token governing work on this thread, if any."""
     stack = getattr(_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _active
+    return stack[-1] if stack else None
 
 
 class cancel_scope:
@@ -124,22 +114,6 @@ class cancel_scope:
 
     def __exit__(self, *exc: object) -> bool:
         _tls.stack.pop()
-        return False
-
-
-class forcing_scope:
-    """Republish the forcing thread's token process-wide for one forcing
-    (reentrant forcings restore the previous token on exit)."""
-
-    def __enter__(self) -> "forcing_scope":
-        global _active
-        self._prev = _active
-        _active = current_token()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _active
-        _active = self._prev
         return False
 
 

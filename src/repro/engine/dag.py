@@ -11,8 +11,8 @@ representation: every deferred method becomes a :class:`Node` holding
 * **data edges** (``inputs``) to the producers of the input carriers —
   these are the cross-object dependencies that make the per-object
   thunk list of the old runtime a genuine DAG, so ``wait``/value-reads
-  force exactly the needed subgraph and independent subgraphs can run
-  concurrently (scheduler) or fuse into single-pass kernels (fusion).
+  force exactly the needed subgraph and chains can fuse into
+  single-pass kernels (fusion).
 
 A :class:`Source` is the capture of an input at call time: either a
 concrete immutable carrier (the input was materialized) or a reference

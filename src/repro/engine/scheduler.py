@@ -3,10 +3,10 @@
 ``force(tail)`` is the single entry point: it collects the pending
 ancestors of *tail* (exactly the subgraph the spec says a forcing call
 must complete — unrelated pending work stays deferred), hands them to
-the fusion planner, then executes them in dependency order.  When a
-Context allows more than one thread, independent ready nodes run
-concurrently on a shared thread pool, throttled per Context by its
-effective ``nthreads``.
+the fusion planner, then executes them one at a time in dependency
+order.  A Context's ``nthreads`` does not parallelise the DAG: it
+parallelises inside ``mxm``, whose row blocks run on the context's
+worker pool (``internals/mxm.py``).
 
 Error contract (§V): execution errors raised by a kernel are recorded
 on the node, the output object's error string is set, and the first
@@ -16,21 +16,17 @@ the failure and carry the pre-failure state forward, which is how the
 old runtime's "a failed op drops the rest of the sequence" behaviour is
 preserved across objects.
 
-A process-wide execution lock serializes whole forcings; kernels inside
-one forcing still run in parallel with each other.  This keeps the §VI
-single-writer discipline trivially safe without per-object locks held
-across kernel calls.
+A process-wide execution lock serializes whole forcings.  This keeps
+the §VI single-writer discipline trivially safe without per-object
+locks held across kernel calls.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
 
 from ..core.errors import ExecutionError, GraphBLASError, PanicError
-from ..faults.plane import armed, maybe_inject
 from ..faults.retry import with_retry
 from ..internals import config
 from ..internals.applyselect import run_stages
@@ -49,27 +45,6 @@ __all__ = ["force", "chain_complete_safe"]
 #: scalar input mid-forcing must not deadlock).
 _EXEC_LOCK = threading.RLock()
 
-_pool: ThreadPoolExecutor | None = None
-_POOL_MAX = 16
-
-
-def _get_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(
-            max_workers=_POOL_MAX, thread_name_prefix="grb-engine"
-        )
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared worker pool (finalize / test isolation)."""
-    global _pool
-    with _EXEC_LOCK:
-        if _pool is not None:
-            _pool.shutdown(wait=True)
-            _pool = None
-
 
 # -- public API ---------------------------------------------------------------
 
@@ -86,14 +61,11 @@ def force(tail: Node):
         executed: list[Node] = []
         if tail.state == PENDING:
             t0 = time.perf_counter()
-            # Republish the caller's cancel token process-wide so kernel
-            # boundaries reached on pool worker threads observe it too
-            # (safe: _EXEC_LOCK serializes forcings).
-            with cancel.forcing_scope():
-                cancel.checkpoint(f"force:{tail.label}")
-                executed = _collect(tail)
-                plan_subgraph(executed)
-                _execute(executed)
+            cancel.checkpoint(f"force:{tail.label}")
+            executed = _collect(tail)
+            plan_subgraph(executed)
+            for node in executed:  # topo order: deps already settled
+                _run_node(node)
             STATS.span(
                 f"force:{tail.label}", "force", t0,
                 time.perf_counter() - t0, {"nodes": len(executed)},
@@ -151,133 +123,7 @@ def _collect(tail: Node) -> list[Node]:
     return order
 
 
-# -- execution ----------------------------------------------------------------
-
-
-def _node_cap(node: Node) -> int:
-    ctx = getattr(node.owner, "_ctx", None)
-    if ctx is None:
-        return 1
-    try:
-        if getattr(ctx, "is_degraded", False):
-            return 1  # persistent faults demoted this context to serial
-        return max(1, int(ctx.nthreads))
-    except Exception:
-        return 1
-
-
-def _execute(nodes: list[Node]) -> None:
-    n = len(nodes)
-    if n == 0:
-        return
-    if n == 1 or max(_node_cap(node) for node in nodes) <= 1:
-        for node in nodes:  # topo order: deps already settled
-            _run_node(node)
-        return
-    _execute_parallel(nodes)
-
-
-def _execute_parallel(nodes: list[Node]) -> None:
-    in_graph = {id(node) for node in nodes}
-    indeg: dict[int, int] = {}
-    dependents: dict[int, list[Node]] = {}
-    for node in nodes:
-        all_deps = list(node.dep_nodes())
-        if node.alias_of is not None:
-            # A CSE alias publishes its representative's result: the
-            # representative must settle first, like any data edge.
-            all_deps.append(node.alias_of)
-        deps = [
-            d
-            for d in dict.fromkeys(all_deps)
-            if id(d) in in_graph and d.state in (PENDING, ELIDED)
-        ]
-        indeg[id(node)] = len(deps)
-        for d in deps:
-            dependents.setdefault(id(d), []).append(node)
-
-    ready = [node for node in nodes if indeg[id(node)] == 0]
-    running: dict[int, int] = {}
-    inflight: dict = {}
-    remaining = len(nodes)
-    pool = _get_pool()
-
-    def _finish(node: Node) -> None:
-        nonlocal remaining
-        remaining -= 1
-        ctx_id = id(getattr(node.owner, "_ctx", None))
-        running[ctx_id] = running.get(ctx_id, 0) - 1
-        for dep in dependents.get(id(node), ()):
-            indeg[id(dep)] -= 1
-            if indeg[id(dep)] == 0:
-                ready.append(dep)
-
-    while remaining:
-        batch: list[Node] = []
-        held: list[Node] = []
-        for node in ready:
-            ctx_id = id(getattr(node.owner, "_ctx", None))
-            if running.get(ctx_id, 0) < _node_cap(node):
-                running[ctx_id] = running.get(ctx_id, 0) + 1
-                batch.append(node)
-            else:
-                held.append(node)
-        ready = held
-        if not batch and not inflight:
-            # Every ready node is throttled and nothing is running:
-            # dispatch one anyway to guarantee progress.
-            node = ready.pop(0)
-            ctx_id = id(getattr(node.owner, "_ctx", None))
-            running[ctx_id] = running.get(ctx_id, 0) + 1
-            batch = [node]
-        if len(batch) == 1 and not inflight:
-            node = batch[0]
-            _run_node(node)
-            _finish(node)
-            continue
-        if len(batch) > 1:
-            STATS.bump("parallel_batches")
-            STATS.bump("parallel_nodes", len(batch))
-        for node in batch:
-            inflight[pool.submit(_pool_run, node)] = node
-        done, _ = _futures_wait(inflight, return_when=FIRST_COMPLETED)
-        for fut in done:
-            node = inflight.pop(fut)
-            try:
-                fut.result()  # _pool_run only raises _WorkerCrash
-            except _WorkerCrash:
-                _absorb_worker_crash(node)
-            _finish(node)
-
-
-class _WorkerCrash(Exception):
-    """A simulated engine-pool node failure: the worker died before the
-    node ran.  Absorbed by the dispatcher — never user-visible."""
-
-
-def _pool_run(node: Node) -> None:
-    """Pool-worker entry: give the fault plane its shot at this worker
-    (a straggler via ``scheduler.slow``, a node failure via
-    ``scheduler.worker``), then run the node normally.  The owning
-    context's fault domain rides along so targeted chaos
-    (``FaultSpec(where={"domain": ...})``) hits one tenant only."""
-    domain = _node_domain(node)
-    try:
-        maybe_inject("scheduler.slow", label=node.label, domain=domain)
-        with armed():  # the dispatcher's crash recovery protects this site
-            maybe_inject("scheduler.worker", label=node.label, domain=domain)
-    except ExecutionError as exc:
-        raise _WorkerCrash(node.label) from exc
-    _run_node(node)
-
-
-def _node_domain(node: Node) -> str | None:
-    """The fault domain of the context owning *node* (None = unscoped)."""
-    ctx = getattr(node.owner, "_ctx", None)
-    try:
-        return None if ctx is None else ctx.fault_domain
-    except Exception:
-        return None
+# -- single-node execution ----------------------------------------------------
 
 
 def _node_stats(node: Node):
@@ -287,21 +133,6 @@ def _node_stats(node: Node):
     single attribute probe and nothing else."""
     ctx = getattr(node.owner, "_ctx", None)
     return None if ctx is None else getattr(ctx, "_local_stats", None)
-
-
-def _absorb_worker_crash(node: Node) -> None:
-    """Recover from a simulated worker failure by re-running the node on
-    the dispatcher thread; repeated faults degrade the owning context's
-    parallel paths to serial."""
-    STATS.bump("worker_faults")
-    ctx = getattr(node.owner, "_ctx", None)
-    if ctx is not None and getattr(ctx, "record_worker_fault", None):
-        if ctx.record_worker_fault():
-            STATS.bump("degraded_serial")
-    _run_node(node)
-
-
-# -- single-node execution ----------------------------------------------------
 
 
 def _resolve_prev(node: Node):

@@ -1,7 +1,7 @@
 """Engine observability: counters, per-kernel wall time, trace spans.
 
-The lazy engine's whole value proposition — defer, fuse, elide, share,
-run independent work concurrently — is invisible from the API surface,
+The lazy engine's whole value proposition — defer, fuse, elide, share —
+is invisible from the API surface,
 so the engine keeps a process-wide counter block that answers "did the
 optimizer actually do anything?".  Each counter is declared once, with
 its meaning, in :data:`COUNTERS` below; ``docs/architecture.md``
@@ -114,11 +114,6 @@ COUNTERS: dict[str, str] = {
     "completes_deferred":
         "`wait(COMPLETE)` calls that legally left a fused-but-unforced "
         "sequence in place",
-    "parallel_batches":
-        "scheduler dispatches that ran two or more independent ready nodes "
-        "concurrently",
-    "parallel_nodes":
-        "nodes that ran inside those concurrent dispatches",
     "errors_deferred":
         "execution errors recorded during a forcing",
     "faults_injected":
@@ -130,11 +125,11 @@ COUNTERS: dict[str, str] = {
     "retries_exhausted":
         "operations that burned the whole retry budget",
     "worker_faults":
-        "simulated engine-pool node failures absorbed by re-running the "
-        "node on the dispatcher thread",
+        "persistent `mxm` row-block worker faults absorbed by re-running "
+        "the blocks serially",
     "degraded_serial":
-        "parallel batch paths that fell back to serial execution after "
-        "persistent faults",
+        "`mxm` block batches re-run serially after a persistent worker "
+        "fault or a freed worker pool",
     "degraded_local":
         "distributed ops that fell back to single-process execution on an "
         "unhealthy cluster",
@@ -389,7 +384,7 @@ class ContextStats:
     """Per-context tenant rollup of engine activity.
 
     Every mutation takes the instance lock — concurrent serving
-    sessions bump these from scheduler worker threads, so a bare
+    sessions bump these from their own threads, so a bare
     ``+=`` on instance attributes would lose updates.
     """
 

@@ -11,7 +11,8 @@ fail, so this module provides a process-wide :class:`FaultPlane` with
 site                      where it fires
 ========================  ====================================================
 ``kernel.mxm`` / ``mxv``  SpGEMM / SpMV kernel entry (`internals/mxm.py`)
-/ ``vxm``
+/ ``vxm`` /
+``mxv_multi``
 ``kernel.build``          tuple-assembly kernels (`internals/build.py`)
 ``kernel.apply`` /        §VIII map / filter kernels and the fused stage
 ``kernel.select`` /       pipelines (`internals/applyselect.py`)
@@ -22,15 +23,12 @@ site                      where it fires
 ``kernel.assign``
 ``txn.commit``            the transactional commit gate (`engine/txn.py`) —
                           after compute, before the result is published
-``scheduler.worker``      engine pool worker about to run a node
-                          (`engine/scheduler.py`) — a simulated node failure
-``scheduler.slow``        same place, ``kind="slow"`` — a straggling worker
-``parallel.worker``       a row-block worker of `internals/parallel.py`
+``parallel.worker``       a pool worker about to run one of ``mxm``'s row
+                          blocks (`internals/mxm.py`)
 ``comm.send`` /           the simulated-MPI layer (`distributed/comm.py`)
 ``comm.recv`` /
 ``comm.collective``
 ``comm.drop``             ``kind="drop"`` — the message silently vanishes
-``comm.slow``             ``kind="slow"`` — a slow link / slow collective
 ========================  ====================================================
 
 Determinism: every injection decision is a pure function of
@@ -49,7 +47,7 @@ are expressible.
 
 Armed-only gating: when ``armed_only`` is set (the default for the
 whole-suite chaos mode), error faults fire only *inside* a resilience
-envelope — a retry loop, a degradable parallel batch, a guarded
+envelope — a retry loop, a degradable ``mxm`` block batch, a guarded
 communicator call — never at bare kernel invocations that have no
 recovery machinery above them.  That is exactly the claim under test:
 every armed site is survivable.

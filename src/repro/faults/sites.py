@@ -14,6 +14,7 @@ SITES: dict[str, tuple[str, str]] = {
     # -- kernel boundaries (internals/*) -----------------------------------
     "kernel.mxm": ("kernel", "SpGEMM entry (internals/mxm.mxm)"),
     "kernel.mxv": ("kernel", "SpMV entry (internals/mxm.mxv)"),
+    "kernel.mxv_multi": ("kernel", "blocked multi-vector SpMV (internals/mxm.mxv_multi)"),
     "kernel.vxm": ("kernel", "vector-matrix entry (internals/mxm.vxm)"),
     "kernel.build": ("kernel", "tuple assembly (internals/build)"),
     "kernel.apply": ("kernel", "unary map kernels (internals/applyselect)"),
@@ -32,9 +33,7 @@ SITES: dict[str, tuple[str, str]] = {
     "planner.schedule": ("planner", "decision-commit pass (engine/passes/schedule)"),
     # -- engine (engine/*) --------------------------------------------------
     "txn.commit": ("engine", "transactional commit gate (engine/txn)"),
-    "scheduler.worker": ("engine", "pool worker node failure (engine/scheduler)"),
-    "scheduler.slow": ("engine", "straggling pool worker (kind='slow')"),
-    "parallel.worker": ("engine", "row-block worker (internals/parallel)"),
+    "parallel.worker": ("engine", "mxm row-block pool worker (internals/mxm)"),
     # -- durability plane (serve/recovery.py) -------------------------------
     # Crash-kill schedules (kind="crash") target these plus any of the
     # kernel/planner/engine boundaries above: a SimulatedCrash at the
@@ -56,7 +55,6 @@ SITES: dict[str, tuple[str, str]] = {
     "comm.drop": ("comm", "message silently dropped (kind='drop')"),
     "comm.collective": ("comm", "collective entry (bcast/allgather/allreduce)"),
     "comm.barrier": ("comm", "barrier entry"),
-    "comm.slow": ("comm", "slow link / slow collective (kind='slow')"),
 }
 
 

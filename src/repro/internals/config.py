@@ -126,11 +126,6 @@ OPTIONS: dict[str, tuple] = {
         "seconds a `Communicator` receive/collective waits before "
         "declaring the peer dead (`GrB_PANIC`)",
     ),
-    "DEGRADE_WORKER_FAULTS": (
-        2,
-        "worker faults a Context absorbs before degrading its parallel "
-        "paths to serial",
-    ),
     "CHECKPOINT_DIR": (
         "",
         "root of the checkpoint + write-ahead journal every "

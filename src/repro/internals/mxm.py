@@ -22,6 +22,12 @@ A's entries are cut at row boundaries into blocks of about
 Blocks come out in row order, so the output stream is sorted without a
 global sort, and the peak intermediate is one block, not every product.
 
+The block list is also the library's only parallel unit (§IV): when the
+owning context has ``nthreads > 1`` the blocks map over its worker pool,
+in row order, behind one resilience ladder (:func:`_map_blocks`).
+NumPy releases the GIL inside the expand, mask and fold steps, so the
+threads are real.  Without a context the same loop runs serially.
+
 ``mxv`` and ``vxm`` are specialisations.  ``mxv`` keeps A's entries
 whose column is stored in u — one gather through a dense slot table when
 u is dense enough, a ``searchsorted`` into u's indices otherwise — and
@@ -48,10 +54,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.errors import ExecutionError
 from ..core.monoid import Monoid
 from ..core.semiring import Semiring
 from ..core.types import Type
-from ..faults.plane import maybe_inject
+from ..engine.stats import STATS
+from ..faults.plane import armed, maybe_inject
+from ..faults.retry import with_retry
 from .containers import (
     DcsrData,
     MatData,
@@ -170,18 +179,63 @@ def _multiply(
     return semiring.mult.vec(av[a_idx], bv[b_idx])
 
 
+def _map_blocks(body, spans: list, ctx) -> list:
+    """``[body(s) for s in spans]``, on ``ctx``'s worker pool when a
+    context is given and there is more than one block.
+
+    This is the resilience ladder for threaded blocks.  Each pool worker
+    visits the ``parallel.worker`` fault site (armed: this ladder
+    protects it), transient faults re-run the whole batch with backoff,
+    and a persistent fault, or a pool freed under a deferred forcing,
+    re-runs the blocks serially.  A fault the serial re-run does not
+    repeat was the worker's, and counts against ``ctx``, whose
+    ``record_worker_fault`` demotes it to serial; one it repeats (a
+    failing user-defined operator) is the operation's own error and
+    propagates.  Blocks are pure over immutable carriers, so every
+    re-run is safe.
+    """
+    if ctx is None or len(spans) < 2:
+        return [body(s) for s in spans]
+    domain = ctx.fault_domain
+
+    def worker(span):
+        with armed():  # pool threads start unarmed (arming is per thread)
+            maybe_inject("parallel.worker", domain=domain)
+        return body(span)
+
+    def batch():
+        pool = ctx.worker_pool()
+        if pool is None:
+            raise RuntimeError("context freed: worker pool finalized")
+        return list(pool.map(worker, spans))
+
+    try:
+        return with_retry(batch, "mxm.blocks")
+    except (ExecutionError, RuntimeError) as exc:
+        # RuntimeError: the pool was shut down or freed under us.
+        STATS.bump("degraded_serial")
+        parts = [body(s) for s in spans]
+        if isinstance(exc, ExecutionError):
+            STATS.bump("worker_faults")
+            ctx.record_worker_fault()
+        return parts
+
+
 def mxm(
     a: MatData,
     b: MatData,
     semiring: Semiring,
     mask_keys: np.ndarray | None = None,
     mask_complement: bool = False,
+    ctx=None,
 ) -> MatData:
     """C = A ⊕.⊗ B (accum and mask *write-back* live in the operations
     layer; ``mask_keys`` optionally pushes a key filter down into the
     kernel so off-mask products die before they are multiplied or
     folded; ``mask_complement`` inverts the filter — the BFS pattern
-    where the mask is the visited set).
+    where the mask is the visited set).  With a ``ctx`` the blocks run
+    on its worker pool (:func:`_map_blocks`); the output is the same
+    bit for bit.
     """
     maybe_inject("kernel.mxm")
     out_type = semiring.out_type
@@ -206,15 +260,15 @@ def mxm(
         before, np.arange(BLOCK_PRODUCTS, total, BLOCK_PRODUCTS),
         side="right") - 1
     cuts = np.unique(np.concatenate(([0], cuts, [len(a.indptr) - 1])))
+    spans = [(s0, s1) for s0, s1 in zip(cuts[:-1], cuts[1:])
+             if before[s1] > before[s0]]
 
     a_rows = a.row_indices()
     av = semiring.mult.in1_type.coerce_array(a.values)
     bv = semiring.mult.in2_type.coerce_array(b.values)
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        if before[s1] == before[s0]:
-            continue
-        e0, e1 = int(a.indptr[s0]), int(a.indptr[s1])
+
+    def block(span):
+        e0, e1 = int(a.indptr[span[0]]), int(a.indptr[span[1]])
         r0 = int(a_rows[e0])
         nb = int(a_rows[e1 - 1]) - r0 + 1
         space = nb * ncols
@@ -226,12 +280,14 @@ def mxm(
             keep = in_sorted(keys, rows_of_keys(mask_keys, r0, r0 + nb, ncols),
                              invert=mask_complement, space=space)
             if not keep.any():
-                continue
+                return None
             keys, a_idx, b_idx = keys[keep], a_idx[keep], b_idx[keep]
         prod = _multiply(semiring, av, bv, a_idx, b_idx)
         uniq, folded = fold_keys(keys, semiring.add.type.coerce_array(prod),
                                  semiring.add, out_type, space)
-        parts.append((uniq // ncols + r0, uniq % ncols, folded))
+        return uniq // ncols + r0, uniq % ncols, folded
+
+    parts = [p for p in _map_blocks(block, spans, ctx) if p is not None]
     if not parts:
         return empty_mat_auto(a.nrows, ncols, out_type)
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))

@@ -6,8 +6,8 @@ C-style argument order matches the specification:
 
 Descriptor ``INP0``/``INP1`` transpose the matrix inputs; the mask and
 accumulator follow the standard write-back.  When the shared context
-resolves ``nthreads > 1``, ``mxm`` runs the row-partitioned parallel
-kernel (§IV resource scoping).
+resolves ``nthreads > 1``, ``mxm`` hands it to the kernel, whose row
+blocks then run on the context's worker pool (§IV resource scoping).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from ..core.vector import Vector
 from ..internals import config
 from ..internals import mxm as _k
 from ..internals.maskaccum import mat_mask_keys, vec_mask_keys
-from ..internals.parallel import parallel_mxm
 from .common import (
     capture_source,
     check_accum,
@@ -75,7 +74,6 @@ def mxm(
     a_src = capture_source(A)
     b_src = capture_source(B) if B is not A else a_src
     mask_src = capture_source(Mask)
-    chunk_rows = ctx.chunk_rows
     tran0, tran1 = d.transpose0, d.transpose1
     comp, struct = d.mask_complement, d.mask_structure
 
@@ -95,11 +93,10 @@ def mxm(
             mask_comp = comp
         # Resolved at execution time (not submit time): a context that
         # degraded to serial while this node was deferred must not
-        # re-enter the parallel path.
-        nthreads = 1 if ctx.is_degraded else ctx.nthreads
-        return parallel_mxm(a, b, semiring, nthreads, chunk_rows=chunk_rows,
-                            mask_keys=mask_keys, mask_complement=mask_comp,
-                            ctx=ctx)
+        # re-enter its worker pool.
+        threaded = ctx.nthreads > 1 and not ctx.is_degraded
+        return _k.mxm(a, b, semiring, mask_keys, mask_comp,
+                      ctx if threaded else None)
 
     writeback, pure = writeback_closure(
         False, C.type, mask_src, accum,

@@ -377,7 +377,6 @@ class GraphService:
         tenant: str,
         *,
         nthreads: int | None = None,
-        chunk_rows: int | None = None,
         memo_capacity: int | None = None,
     ) -> Session:
         """Bind *tenant* to a fresh child context with its own quota.
@@ -389,8 +388,6 @@ class GraphService:
         spec: dict[str, Any] = {"fault_domain": tenant}
         if nthreads is not None:
             spec["nthreads"] = nthreads
-        if chunk_rows is not None:
-            spec["chunk_rows"] = chunk_rows
         if memo_capacity is not None:
             spec["memo_capacity"] = memo_capacity
         with self._lock:

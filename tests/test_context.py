@@ -1,8 +1,12 @@
 """Experiment F2 conformance: the §IV / Fig. 2 context surface."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core import types as T
+from repro.core.binaryop import PLUS
 from repro.core.context import (
     Context,
     Mode,
@@ -21,6 +25,7 @@ from repro.core.errors import (
 from repro.core.matrix import Matrix
 from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.core.vector import Vector
+from repro.ops.ewise import ewise_add
 from repro.ops.mxm import mxm
 
 
@@ -57,6 +62,36 @@ class TestLifecycle:
         assert not is_initialized()
         init()
 
+    def test_no_worker_thread_outlives_finalize(self, monkeypatch):
+        from repro.internals import mxm as kernels
+
+        def live():
+            return [t.name for t in threading.enumerate()
+                    if t.name.startswith("grb-")]
+
+        # One product per block: each 4×4 mxm runs on the context's pool.
+        monkeypatch.setattr(kernels, "BLOCK_PRODUCTS", 1)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
+        pt = PLUS_TIMES_SEMIRING[T.FP64]
+        a = Matrix.new(T.FP64, 4, 4, ctx)
+        a.build([0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, 3.0, 4.0])
+        eye = Matrix.new(T.FP64, 4, 4, ctx)
+        eye.build([0, 1, 2, 3], [0, 1, 2, 3], [1.0] * 4)
+        c = Matrix.new(T.FP64, 4, 4, ctx)
+        d = Matrix.new(T.FP64, 4, 4, ctx)
+        e = Matrix.new(T.FP64, 4, 4, ctx)
+        mxm(c, None, None, pt, a, a)    # two independent products ...
+        mxm(d, None, None, pt, a, eye)
+        ewise_add(e, None, None, PLUS[T.FP64], c, d)  # ... joined
+        assert e.nvals() == 8
+        assert live(), "the forcing should have used the worker pool"
+        finalize()
+        deadline = time.monotonic() + 1.0
+        while live() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert live() == []
+        init()
+
     def test_get_version(self):
         assert get_version() == (2, 0)
 
@@ -81,16 +116,17 @@ class TestHierarchy:
         assert not c.is_ancestor_of(p)
 
     def test_exec_spec_inheritance(self):
-        p = Context.new(Mode.NONBLOCKING, None, {"nthreads": 8, "chunk_rows": 64})
+        p = Context.new(Mode.NONBLOCKING, None,
+                        {"nthreads": 8, "memo_capacity": 64})
         c = Context.new(Mode.NONBLOCKING, p, {"nthreads": 2})
         assert c.nthreads == 2          # own value wins
-        assert c.chunk_rows == 64       # inherited from parent
+        assert c.memo_capacity == 64    # inherited from parent
         assert p.nthreads == 8
 
     def test_default_exec_values(self):
         ctx = Context.new(Mode.NONBLOCKING, None, None)
         assert ctx.nthreads == 1
-        assert ctx.chunk_rows == 1
+        assert ctx.memo_capacity is None
 
     def test_exec_spec_validation(self):
         with pytest.raises(InvalidValueError):

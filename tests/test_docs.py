@@ -97,6 +97,25 @@ class TestDocsReferenceRealArtifacts:
         assert "symbols total" in text
 
 
+class TestFaultSiteRegistry:
+    def test_registry_matches_the_injection_sites(self):
+        """Every registered site is injected somewhere in ``src/`` and
+        every site injected there is registered."""
+        from repro.faults.sites import SITES
+
+        text = "\n".join(p.read_text()
+                         for p in sorted((ROOT / "src").rglob("*.py")))
+        used = set(re.findall(
+            r'(?:maybe_inject|guard|should_drop)\(\s*"([\w.]+)"', text))
+        # The planner visits ``planner.<pass>`` for each pass it runs.
+        fusion = (ROOT / "src/repro/engine/fusion.py").read_text()
+        assert 'maybe_inject(f"planner.{name}"' in fusion
+        used |= {f"planner.{name}" for name in
+                 re.findall(r'\("(\w+)", \w+\.run\)', fusion)}
+        assert sorted(set(SITES) - used) == [], "registered, never injected"
+        assert sorted(used - set(SITES)) == [], "injected, not registered"
+
+
 def _load_tool(name: str):
     import importlib.util
 

@@ -1,16 +1,16 @@
 """Fault-injection plane + resilience machinery (§V stress tests).
 
 Covers the plane itself (determinism, gating, spec matching), the
-retry envelope, the transactional commit gate, scheduler worker-crash
-absorption with per-Context degradation, and the parallel-path
-serial fallback.
+retry envelope, the transactional commit gate, and the ladder around
+``mxm``'s threaded row blocks: worker faults retried or absorbed by a
+serial re-run, with per-Context degradation.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import types as T
-from repro.core.context import Context, Mode, WaitMode
+from repro.core.context import DEGRADE_AFTER_FAULTS, Context, Mode, WaitMode
 from repro.core.errors import (
     InsufficientSpaceError,
     InvalidObjectError,
@@ -37,7 +37,6 @@ from repro.faults import (
 from repro.faults.plane import configure_from_env
 from repro.internals import config
 from repro.internals.containers import MatData, VecData
-from repro.internals.parallel import parallel_mxm
 from repro.ops.mxm import mxm
 from repro.validate import check_object
 
@@ -332,12 +331,21 @@ class TestKernelSiteResilience:
         check_object(m)
 
 
-# -- scheduler worker crashes + degradation -----------------------------------
+# -- mxm block-worker faults + degradation ------------------------------------
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """One product per block: even a 4×4 mxm splits into several blocks,
+    so a context with ``nthreads > 1`` runs them on its worker pool."""
+    from repro.internals import mxm as kernels
+
+    monkeypatch.setattr(kernels, "BLOCK_PRODUCTS", 1)
 
 
 def _two_source_program(ctx):
-    """A diamond whose forcing has two independent ready nodes (the two
-    builds) — the shape that exercises the parallel dispatcher."""
+    """A diamond of two mxm chains joined by an eWise add: two threaded
+    block batches per forcing."""
     a = _mat(D1, ctx=ctx)
     b = _mat({(0, 0): 1.0, (1, 1): 2.0, (2, 3): 3.0}, ctx=ctx)
     c = Matrix.new(T.FP64, 4, 4, ctx)
@@ -352,6 +360,7 @@ def _two_source_program(ctx):
     return e
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestWorkerCrashAbsorption:
     def test_crash_absorbed_and_result_correct(self):
         ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
@@ -360,7 +369,7 @@ class TestWorkerCrashAbsorption:
             wait(ref)
             expected = ref.to_dict()
         before = _stat("worker_faults")
-        PLANE.configure(3, [FaultSpec(site="scheduler.worker", max_hits=1,
+        PLANE.configure(3, [FaultSpec(site="parallel.worker", max_hits=1,
                                       error=PanicError)])
         e = _two_source_program(ctx)
         wait(e)
@@ -372,19 +381,19 @@ class TestWorkerCrashAbsorption:
     def test_repeated_crashes_degrade_context_to_serial(self):
         ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
         before = _stat("degraded_serial")
-        with config.option("DEGRADE_WORKER_FAULTS", 2):
+        for _ in range(DEGRADE_AFTER_FAULTS - 1):
             assert not ctx.record_worker_fault()
             assert not ctx.is_degraded
-            assert ctx.record_worker_fault()  # crosses the threshold
+        assert ctx.record_worker_fault()  # crosses the threshold
         assert ctx.is_degraded
         assert ctx.record_worker_fault() is False  # only flips once
-        # degraded contexts cap the scheduler at one node
-        from repro.engine.scheduler import _node_cap
-
-        m = Matrix.new(T.FP64, 2, 2, ctx)
-        m.set_element(1.0, 0, 0)
-        assert _node_cap(m._tail) == 1
-        wait(m)
+        # a degraded context's mxm blocks never reach a pool worker
+        PLANE.configure(5, [FaultSpec(site="parallel.worker",
+                                      error=PanicError)])
+        wait(_two_source_program(ctx))
+        assert PLANE.snapshot()["injected"].get("parallel.worker", 0) == 0
+        PLANE.disable()
+        assert ctx._pool is None
         ctx.restore()
         assert not ctx.is_degraded
         assert _stat("degraded_serial") == before
@@ -396,24 +405,26 @@ class TestWorkerCrashAbsorption:
             wait(ref)
             expected = ref.to_dict()
         before = _stat("degraded_serial")
-        with config.option("DEGRADE_WORKER_FAULTS", 2):
-            PLANE.configure(9, [FaultSpec(site="scheduler.worker", max_hits=2,
-                                          error=PanicError)])
-            e = _two_source_program(ctx)
-            wait(e)
-            PLANE.disable()
+        # Every pool worker faults: each mxm's batch re-runs serially
+        # and counts one fault, which degrades the context.
+        PLANE.configure(9, [FaultSpec(site="parallel.worker",
+                                      error=PanicError)])
+        e = _two_source_program(ctx)
+        wait(e)
+        PLANE.disable()
         assert e.to_dict() == expected
         assert ctx.is_degraded
-        assert _stat("degraded_serial") == before + 1
+        assert _stat("degraded_serial") == before + DEGRADE_AFTER_FAULTS
         # and degraded execution remains correct
         e2 = _two_source_program(ctx)
         wait(e2)
         assert e2.to_dict() == expected
 
 
-# -- parallel batch path ------------------------------------------------------
+# -- block batch path ---------------------------------------------------------
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestParallelDegradation:
     def _operands(self):
         rng = np.random.default_rng(0)
@@ -430,15 +441,36 @@ class TestParallelDegradation:
 
         with suspended():
             expected = kernel_mxm(a, a, PT)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
         before = _stat("degraded_serial")
         PLANE.configure(2, [FaultSpec(site="parallel.worker",
                                       error=PanicError)])
-        got = parallel_mxm(a, a, PT, 4, chunk_rows=1)
+        got = kernel_mxm(a, a, PT, ctx=ctx)
         PLANE.disable()
         assert _stat("degraded_serial") == before + 1
         assert np.array_equal(got.indptr, expected.indptr)
         assert np.array_equal(got.col_indices, expected.col_indices)
         assert np.allclose(got.values, expected.values)
+
+    def test_failing_user_op_is_not_a_worker_fault(self):
+        from repro.core.binaryop import BinaryOp
+        from repro.core.monoid import Monoid
+        from repro.core.semiring import Semiring
+        from repro.internals.mxm import mxm as kernel_mxm
+
+        def bad_mult(x, y):
+            raise PanicError("mult exploded")
+
+        sr = Semiring.new(Monoid.new(PT.add.op, 0.0),
+                          BinaryOp.new(bad_mult, T.FP64, T.FP64, T.FP64))
+        a = self._operands()
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
+        before = _stat("worker_faults")
+        for _ in range(DEGRADE_AFTER_FAULTS):
+            with pytest.raises(PanicError):
+                kernel_mxm(a, a, sr, ctx=ctx)
+        assert _stat("worker_faults") == before
+        assert not ctx.is_degraded
 
     def test_transient_fault_retried_at_node_level(self):
         ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
@@ -497,6 +529,7 @@ class TestObservability:
         assert not PLANE.active  # CLI turns the plane off afterwards
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestPoolAfterFree:
     def test_deferred_forcing_after_free_does_not_resurrect_pool(self):
         # Regression: ``worker_pool()`` used to rebuild a fresh executor

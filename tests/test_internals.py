@@ -1,4 +1,4 @@
-"""Kernel-layer unit battery: carriers, build, parallel plumbing."""
+"""Kernel-layer unit battery: carriers, build, threaded mxm blocks."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.core import binaryop as B
 from repro.core import semiring as S
 from repro.core import types as T
+from repro.core.context import Context, Mode
 from repro.core.errors import DuplicateIndexError, IndexOutOfBoundsError
-from repro.internals import parallel
+from repro.internals import mxm as mxm_kernels
 from repro.internals.build import build_matrix, build_vector, dedup_sorted
 from repro.internals.containers import (
     VecData,
@@ -151,31 +152,9 @@ class TestBuildKernels:
 
 
 class TestParallel:
-    def test_row_blocks_cover_exactly(self):
-        blocks = parallel.row_blocks(10, 3)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 10
-        covered = sum(hi - lo for lo, hi in blocks)
-        assert covered == 10
-
-    def test_row_blocks_more_threads_than_rows(self):
-        blocks = parallel.row_blocks(2, 8)
-        assert len(blocks) == 2
-
-    def test_row_blocks_empty_matrix(self):
-        assert parallel.row_blocks(0, 4) == []
-
-    def test_concat_row_blocks(self):
-        a = coo_to_csr(2, 3, T.FP64, np.array([0, 1]), np.array([0, 2]),
-                       np.array([1.0, 2.0]))
-        b = coo_to_csr(1, 3, T.FP64, np.array([0]), np.array([1]),
-                       np.array([3.0]))
-        m = parallel.concat_row_blocks([a, b], 3)
-        m.check()
-        assert m.nrows == 3
-        assert m.to_dense()[2, 1] == 3.0
-
     @pytest.mark.parametrize("nthreads", [1, 2, 4, 7])
-    def test_parallel_mxm_matches_serial(self, nthreads):
+    def test_parallel_mxm_matches_serial(self, nthreads, monkeypatch):
+        monkeypatch.setattr(mxm_kernels, "BLOCK_PRODUCTS", 4)
         rng = np.random.default_rng(0)
         d = rng.random((17, 13)) * (rng.random((17, 13)) < 0.3)
         e = rng.random((13, 11)) * (rng.random((13, 11)) < 0.3)
@@ -183,43 +162,13 @@ class TestParallel:
         A = coo_to_csr(17, 13, T.FP64, r, c, d[r, c])
         r, c = np.nonzero(e)
         Bm = coo_to_csr(13, 11, T.FP64, r, c, e[r, c])
-        out = parallel.parallel_mxm(A, Bm, S.PLUS_TIMES_SEMIRING[T.FP64],
-                                    nthreads)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": nthreads})
+        out = mxm_kernels.mxm(A, Bm, S.PLUS_TIMES_SEMIRING[T.FP64], ctx=ctx)
         out.check()
         assert np.allclose(out.to_dense(), d @ e)
 
     def test_parallel_mxm_empty_result(self):
         A = empty_mat(4, 4, T.FP64)
-        out = parallel.parallel_mxm(A, A, S.PLUS_TIMES_SEMIRING[T.FP64], 4)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 4})
+        out = mxm_kernels.mxm(A, A, S.PLUS_TIMES_SEMIRING[T.FP64], ctx=ctx)
         assert out.nvals == 0
-
-    def test_chunk_rows_limits_split(self):
-        """chunk_rows from the exec spec bounds the block granularity."""
-        rng = np.random.default_rng(3)
-        d = rng.random((16, 16)) * (rng.random((16, 16)) < 0.3)
-        r, c = np.nonzero(d)
-        A = coo_to_csr(16, 16, T.FP64, r, c, d[r, c])
-        # chunk_rows=16 forces a single block even with 8 threads.
-        out = parallel.parallel_mxm(
-            A, A, S.PLUS_TIMES_SEMIRING[T.FP64], 8, chunk_rows=16)
-        out.check()
-        assert np.allclose(out.to_dense(), d @ d)
-        # chunk_rows=4 allows at most 4 blocks; results identical.
-        out2 = parallel.parallel_mxm(
-            A, A, S.PLUS_TIMES_SEMIRING[T.FP64], 8, chunk_rows=4)
-        assert np.allclose(out2.to_dense(), d @ d)
-
-    def test_chunk_rows_through_context(self):
-        from repro.core.context import Context, Mode
-        from repro.core.matrix import Matrix
-        from repro.ops.mxm import mxm as op_mxm
-        ctx = Context.new(Mode.NONBLOCKING, None,
-                          {"nthreads": 8, "chunk_rows": 1024})
-        rng = np.random.default_rng(5)
-        d = rng.random((12, 12)) * (rng.random((12, 12)) < 0.4)
-        r, c = np.nonzero(d)
-        A = Matrix.new(T.FP64, 12, 12, ctx)
-        A.build(r, c, d[r, c])
-        C = Matrix.new(T.FP64, 12, 12, ctx)
-        op_mxm(C, None, None, S.PLUS_TIMES_SEMIRING[T.FP64], A, A)
-        assert np.allclose(C.to_dense(), d @ d)

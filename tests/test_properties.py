@@ -12,6 +12,7 @@ from repro.core import indexunaryop as IU
 from repro.core import monoid as M
 from repro.core import semiring as S
 from repro.core import types as T
+from repro.core.context import Context, Mode
 from repro.core.matrix import Matrix
 from repro.core.vector import Vector
 from repro.formats import (
@@ -119,7 +120,9 @@ class TestMxmProperties:
 # table or a binary search for mxv's column lookup, and row blocks of
 # ``BLOCK_PRODUCTS`` products in mxm.  Shapes are drawn on both sides of
 # each rule; the block size runs at 1 and 3 (many blocks, a single row
-# over budget, blocks the mask empties) and at its default.
+# over budget, blocks the mask empties) and at its default.  Each mxm
+# case also runs its blocks on a 2-worker context pool and must match
+# the serial kernel bit for bit.
 
 _EXACT_INT = T.Type.new("ExactInt", cast=int)
 _UDT_RING = S.Semiring.new(
@@ -225,6 +228,19 @@ def _assert_parity(got, expected, exact):
             assert got[k] == pytest.approx(v, rel=1e-12, abs=1e-12), k
 
 
+def _assert_identical(got, want):
+    """Bit for bit: same carrier format, same index and value arrays."""
+    assert type(got) is type(want)
+    for g, w in ((got.row_indices(), want.row_indices()),
+                 (got.col_indices, want.col_indices),
+                 (got.values, want.values)):
+        assert g.dtype == w.dtype
+        if g.dtype == object:
+            assert g.tolist() == w.tolist()
+        else:
+            assert g.tobytes() == w.tobytes()
+
+
 PARITY_SETTINGS = settings(SETTINGS, max_examples=120)
 PARITY_CASES = given(data=st.data(), ring=st.sampled_from(sorted(PARITY_RINGS)),
                      fmt=st.sampled_from(["csr", "dcsr"]),
@@ -245,13 +261,19 @@ class TestKernelFastPathParity:
         mask = _mat_entries(data.draw, m, n, st.booleans(), 0)
         mask_keys, comp = _mask_args(mask, kind, (m, n))
         expected = _masked(ref_mxm(a, b, add, mult, None), mask, kind)
-        for block in (1, 3, kernels.BLOCK_PRODUCTS):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "BLOCK_PRODUCTS", block)
-                got = kernels.mxm(_carrier(a, m, k, t, fmt),
-                                  _carrier(b, k, n, t, fmt), sr,
-                                  mask_keys, comp)
-            _assert_parity(got, expected, exact)
+        args = (_carrier(a, m, k, t, fmt), _carrier(b, k, n, t, fmt), sr,
+                mask_keys, comp)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
+        try:
+            for block in (1, 3, kernels.BLOCK_PRODUCTS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(kernels, "BLOCK_PRODUCTS", block)
+                    got = kernels.mxm(*args)
+                    threaded = kernels.mxm(*args, ctx=ctx)
+                _assert_parity(got, expected, exact)
+                _assert_identical(threaded, got)
+        finally:
+            ctx.free()
 
     @PARITY_SETTINGS
     @PARITY_CASES

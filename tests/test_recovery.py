@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.context import DEGRADE_AFTER_FAULTS
 from repro.core.errors import (
     IndexOutOfBoundsError,
     InvalidObjectError,
@@ -601,7 +602,7 @@ class TestCircuitBreakers:
         svc = GraphService()
         svc.register_graph("g", ring(24, 5))
         s = svc.open_session("t1")
-        with config.option("DEGRADE_WORKER_FAULTS", 1):
+        for _ in range(DEGRADE_AFTER_FAULTS):
             s.ctx.record_worker_fault()   # serial demotion, as faults do
         assert s.ctx.is_degraded
         with config.option("BREAKER_THRESHOLD", 1), \

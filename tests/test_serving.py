@@ -24,7 +24,12 @@ import pytest
 from repro.algorithms import bfs_levels, pagerank, triangle_count
 from repro.core import binaryop as B
 from repro.core import types as T
-from repro.core.context import Context, Mode, ResourceSpec
+from repro.core.context import (
+    DEGRADE_AFTER_FAULTS,
+    Context,
+    Mode,
+    ResourceSpec,
+)
 from repro.core.errors import (
     InsufficientSpaceError,
     InvalidValueError,
@@ -222,7 +227,7 @@ class TestTenantIsolation:
     def test_degradation_is_tenant_local(self, service):
         a_sess = service.open_session("a", nthreads=4)
         b_sess = service.open_session("b", nthreads=4)
-        threshold = config.get_option("DEGRADE_WORKER_FAULTS")
+        threshold = DEGRADE_AFTER_FAULTS
         for _ in range(threshold):
             a_sess.ctx.record_worker_fault()
         assert a_sess.is_degraded
@@ -356,7 +361,7 @@ class TestBatcher:
 
     def test_degraded_tenant_excluded_from_shared_groups(self, service):
         a_sess, _, entries = self._entries(service)
-        for _ in range(config.get_option("DEGRADE_WORKER_FAULTS")):
+        for _ in range(DEGRADE_AFTER_FAULTS):
             a_sess.ctx.record_worker_fault()
         groups = coalesce(entries)
         for g in groups:
@@ -422,10 +427,18 @@ class TestBatcher:
 # -- chaos: faults scoped to one tenant's domain ------------------------------
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """One product per block, so even a 4×4 mxm runs several blocks on
+    its context's worker pool (where ``parallel.worker`` faults land)."""
+    from repro.internals import mxm as kernels
+
+    monkeypatch.setattr(kernels, "BLOCK_PRODUCTS", 1)
+
+
 def diamond(ctx):
-    """Two independent mxm chains joined by an eWise add — the shape
-    whose forcing has two concurrently-ready nodes, so it flows through
-    the engine's worker pool (where ``scheduler.worker`` faults land)."""
+    """Two mxm chains joined by an eWise add: two threaded block batches
+    per forcing on a context with ``nthreads > 1``."""
     def _mat(d):
         m = Matrix.new(T.FP64, 4, 4, ctx)
         r, c = zip(*d)
@@ -445,13 +458,14 @@ def diamond(ctx):
     return e.to_dict()
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestServingChaos:
     def test_targeted_faults_respect_the_domain_boundary(self, service):
         chaos = service.open_session("chaos", nthreads=4)
         calm = service.open_session("calm", nthreads=4)
         oracle = diamond(Context.new(Mode.NONBLOCKING))
         PLANE.configure(seed=7, specs=[
-            FaultSpec(site="scheduler.worker", rate=1.0, max_hits=1,
+            FaultSpec(site="parallel.worker", rate=1.0, max_hits=1,
                       where={"domain": "chaos"}),
         ])
         try:
@@ -474,14 +488,12 @@ class TestServingChaos:
         chaos = service.open_session("chaos", nthreads=4)
         calm = service.open_session("calm", nthreads=4)
         oracle = diamond(Context.new(Mode.NONBLOCKING))
-        threshold = config.get_option("DEGRADE_WORKER_FAULTS")
         PLANE.configure(seed=11, specs=[
-            FaultSpec(site="scheduler.worker", rate=1.0,
-                      max_hits=threshold,
+            FaultSpec(site="parallel.worker", rate=1.0,
                       where={"domain": "chaos"}),
         ])
         try:
-            for _ in range(threshold + 1):
+            for _ in range(DEGRADE_AFTER_FAULTS + 1):
                 assert diamond(chaos.ctx) == oracle
         finally:
             PLANE.disable()
