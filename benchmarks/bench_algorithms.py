@@ -2,9 +2,10 @@
 
 Exercises the whole stack (semirings, masks, select, index apply) the
 way the paper's ecosystem uses it, on RMAT and mesh graphs.  Also the
-ablation DESIGN.md calls out: triangle counting with the Fig. 3 masked
-L·Lᵀ formulation vs the unmasked Burkhardt formulation — the masked
-variant must win (that is *why* masks are in the API).
+ablation DESIGN.md calls out: triangle counting with the masked D·Dᵀ
+formulation (D the degree-oriented pattern, one §VIII select) vs the
+unmasked Burkhardt formulation — the masked variant must win (that is
+*why* masks are in the API).
 """
 
 import time
@@ -67,7 +68,7 @@ class TestTraversals:
 
 @pytest.mark.benchmark(group="A1-analytics")
 class TestAnalytics:
-    def test_triangles_masked_sandia(self, benchmark, social):
+    def test_triangles_masked_degree_order(self, benchmark, social):
         benchmark(triangle_count, social)
 
     def test_triangles_unmasked_burkhardt(self, benchmark, social):
@@ -142,7 +143,7 @@ def test_algorithms_report(benchmark, capsys, social, social_bool, mesh):
         ["BFS levels", f"{t_bfs:9.1f}", f"reached {lv.nvals()} vertices"],
         ["BFS parents (ROWINDEX apply)", f"{t_par:9.1f}", "valid tree"],
         ["SSSP (min.+)", f"{t_sssp:9.1f}", ""],
-        ["triangles masked L·Lᵀ (Fig.3 TRIL)", f"{t_tri:9.1f}",
+        ["triangles masked D·Dᵀ (degree-order select)", f"{t_tri:9.1f}",
          f"{tri} triangles"],
         ["triangles unmasked A²⊙A", f"{t_trib:9.1f}",
          f"masked is {t_trib / t_tri:4.1f}x faster"],

@@ -2,9 +2,10 @@
 
 Every algorithm in this package starts by deriving the same handful of
 pure values from its input graph — a pattern (weights-erased) copy of
-the adjacency matrix, its degree vector, a strict lower triangle, a
-normalized flow matrix — and until now re-ran those kernels on *every*
-call.  The per-Context result memo (:mod:`repro.engine.memo`) already
+the adjacency matrix, its degree vector, a normalized flow matrix, the
+closed-wedge matrix of triangle counting — and until now re-ran those
+kernels on *every* call.  The per-Context result memo
+(:mod:`repro.engine.memo`) already
 knows how to cache committed carriers keyed on versioned handle
 identity, so this module routes the building blocks through it: the
 first ``pagerank(a)`` materializes and stores each block, the second
@@ -46,7 +47,6 @@ from typing import Callable
 from ..core import types as T
 from ..core.binaryop import ONEB
 from ..core.context import WaitMode
-from ..core.indexunaryop import TRIL
 from ..core.matrix import Matrix
 from ..core.monoid import PLUS_MONOID
 from ..core.vector import Vector
@@ -56,11 +56,10 @@ from ..faults.retry import with_retry
 from ..internals import config
 from ..ops.apply import apply
 from ..ops.reduce import reduce_to_vector
-from ..ops.select import select
 
 __all__ = [
     "memoized_matrix", "memoized_vector",
-    "pattern_matrix", "degree_vector", "lower_triangle",
+    "pattern_matrix", "degree_vector",
     "load_warm", "store_warm",
 ]
 
@@ -257,15 +256,3 @@ def degree_vector(a, out_type=T.FP64):
         return deg
 
     return memoized_vector(a, "degree", build, (out_type.name,))
-
-
-def lower_triangle(a, out_type=T.INT64, k: int = -1):
-    """Strict (``k=-1``) lower triangle of ``a``'s pattern — the Fig. 3
-    ``select(TRIL)`` idiom the Sandia triangle count starts from."""
-    def build():
-        pat = pattern_matrix(a, out_type)
-        low = Matrix.new(out_type, a.nrows, a.ncols, a.context)
-        select(low, None, None, TRIL, pat, k)
-        return low
-
-    return memoized_matrix(a, "tril", build, (out_type.name, k))

@@ -12,11 +12,11 @@ no memo re-entry, no forcing.
 
 Two block families are patchable:
 
-* **Building blocks** (``pattern``/``degree``/``tril``) are *exact*
-  merges: a genuinely-new edge is by construction absent from every
-  derived pattern of the old graph, so the patch is an insert-only
-  positional merge (plus a per-row count bump for degrees).  A
-  value-only overwrite leaves all three untouched.
+* **Building blocks** (``pattern``/``degree``) are *exact* merges: a
+  genuinely-new edge is by construction absent from the old graph's
+  pattern, so the patch is an insert-only positional merge (plus a
+  per-row count bump for degrees).  A value-only overwrite leaves both
+  untouched.
 * **Warm fixpoints** (``warm:pagerank``/``warm:components``/
   ``warm:triangles``, stored by the algorithms themselves via
   :func:`repro.algorithms._blocks.store_warm`):
@@ -135,19 +135,6 @@ def _patch_degree(value, params, delta):
     return VecData(
         value.size, t, merge_column(from_old, dst, value.indices, uniq),
         t.coerce_array(out),
-    )
-
-
-def _patch_tril(value, params, delta):
-    new_r, new_c = delta.new_edges()
-    if len(new_r) == 0:
-        return value
-    if not should_delta_patch("tril", delta.n, delta.base.nvals):
-        return None
-    k = int(params[1]) if len(params) > 1 else -1
-    keep = new_c <= new_r + k  # the TRIL keep condition (Table IV)
-    return insert_edges(
-        value, new_r[keep], new_c[keep], _ones(value.type, int(keep.sum()))
     )
 
 
@@ -304,7 +291,6 @@ def _mark_patched(rule):
 _RULES = {
     "pattern": _patch_pattern,
     "degree": _patch_degree,
-    "tril": _patch_tril,
     "warm:pagerank": _mark_patched(_patch_warm_pagerank),
     "warm:components": _mark_patched(_patch_warm_components),
     "warm:triangles": _mark_patched(_patch_warm_triangles),

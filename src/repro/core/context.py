@@ -147,6 +147,7 @@ class Context:
     """An opaque execution context (``GrB_Context``)."""
 
     __slots__ = (
+        "__weakref__",
         "mode", "parent", "_spec", "_freed", "_children", "name",
         "_lock", "_degraded", "_worker_faults",
         "_result_memo", "_pool", "_pool_nthreads", "_local_stats",
@@ -433,11 +434,18 @@ class Context:
         """``GrB_free`` on a context: it then behaves uninitialized (§IV).
 
         Scoped resources die with the context: the result memo's cached
-        carriers are dropped and the kernel thread pool is stopped.
+        carriers are dropped and the kernel thread pool is stopped.  The
+        context leaves the live list :func:`finalize` walks and its
+        parent's children, so nothing the library holds keeps it alive.
         """
         self._freed = True
         self._release_resources()
-        for child in self._children:
+        with _state_lock:
+            if self in _all_contexts:
+                _all_contexts.remove(self)
+            if self.parent is not None and self in self.parent._children:
+                self.parent._children.remove(self)
+        for child in list(self._children):
             child.free()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -387,8 +387,10 @@ def structural_key(
 def memo_key(node: Node) -> tuple[tuple, frozenset] | None:
     """Cross-forcing identity of the value *node* computes, plus the
     handle uids the cached entry depends on — or ``None`` when the node
-    must not be memoized (impure, thunk-form, user-defined op, or any
-    input captured without a versioned identity)."""
+    must not be memoized (impure, thunk-form, user-defined op, any input
+    captured without a versioned identity, or any input whose producer
+    an earlier forcing settled — :func:`~repro.engine.scheduler.force`
+    releases a settled node's links, so nothing is left to key it by)."""
     if not node.pure or node.thunk is not None:
         return None
     if node.opkey is not None:
@@ -409,6 +411,8 @@ def memo_key(node: Node) -> tuple[tuple, frozenset] | None:
     idents = []
     for src in node.inputs:
         if src.node is not None:
+            if src.node.state != PENDING:
+                return None  # settled: its links were released
             sub = memo_key(src.node)
             if sub is None:
                 return None

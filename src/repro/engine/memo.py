@@ -42,7 +42,7 @@ sequence layer calls :func:`patch_handle_blocks` instead of
 :func:`invalidate_handle`.  Algorithm-block entries keyed at exactly
 the pre-write version whose kind has a registered patch rule
 (:mod:`repro.algorithms.delta`: degree vectors, pattern matrices,
-tril, warm fixpoints) are updated from the write set and re-keyed at
+warm fixpoints) are updated from the write set and re-keyed at
 the post-write version; everything else drops as before.  Soundness is
 inherited: a patched entry exists only under the new version's key,
 and patching happens before the write returns, so no forcing can

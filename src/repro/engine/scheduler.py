@@ -62,10 +62,15 @@ def force(tail: Node):
         if tail.state == PENDING:
             t0 = time.perf_counter()
             cancel.checkpoint(f"force:{tail.label}")
-            executed = _collect(tail)
-            plan_subgraph(executed)
-            for node in executed:  # topo order: deps already settled
-                _run_node(node)
+            try:
+                executed = _collect(tail)
+                plan_subgraph(executed)
+                for node in executed:  # topo order: deps already settled
+                    _run_node(node)
+            finally:
+                for node in executed:
+                    if node.state == DONE:
+                        _release(node)
             STATS.span(
                 f"force:{tail.label}", "force", t0,
                 time.perf_counter() - t0, {"nodes": len(executed)},
@@ -78,6 +83,24 @@ def force(tail: Node):
             tail.exc_raised = True
             raise tail.exc
         return tail.result
+
+
+def _release(node: Node) -> None:
+    """Drop a settled node's links once its forcing has ended.
+
+    After a node is DONE only ``state`` and ``result`` are read (a
+    consumer's ``Source.resolve``, a later forcing's dependency check),
+    so its sequence and data edges, owner, closures and planner
+    decorations go: the inputs and intermediates they pin then die by
+    refcount instead of waiting in owner ↔ node cycles for the cyclic
+    collector.  A node another forcing has yet to plan around sees no
+    inputs here, so :func:`~repro.engine.dag.memo_key` declines to key
+    its consumers."""
+    node.prev = node.owner = None
+    node.inputs = ()
+    node.thunk = node.compute = node.writeback = node.writes = None
+    node.stages = node.mask_info = node.plan = None
+    node.pushed_mask = node.pushed_into = None
 
 
 def chain_complete_safe(tail: Node) -> bool:
@@ -333,6 +356,8 @@ def _run_batch(node: Node, t0: float) -> bool:
         if local is not None:
             local.kernel(share)
         _memo_store(n)
+    for p in peers:  # ran ahead of their own forcing, which will not see them
+        _release(p)
     return True
 
 

@@ -62,7 +62,7 @@ OPTIONS: dict[str, tuple] = {
     "ENGINE_ALGO_MEMO": (
         True,
         "route the algorithms' pure preprocessing blocks (pattern, "
-        "degrees, tril, wedges) through the result memo",
+        "degrees, degree-oriented wedges, …) through the result memo",
     ),
     "FORMAT_AUTO": (
         True,

@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     bfs_levels,
@@ -15,6 +17,7 @@ from repro.algorithms import (
     triangle_count_burkhardt,
 )
 from repro.core import types as T
+from repro.core.context import Mode
 from repro.core.errors import InvalidIndexError, InvalidValueError
 from repro.generators import erdos_renyi, grid_2d, to_matrix
 
@@ -101,6 +104,29 @@ class TestSSSP:
             sssp(A, 0, max_iters=0)
 
 
+@st.composite
+def _tie_heavy_graph(draw):
+    """``(vertices, undirected edge list, weights)``: a random graph, a
+    complete graph or disjoint cycles (every degree ties in the last
+    two), plus self loops and trailing isolated vertices."""
+    kind = draw(st.sampled_from(["random", "complete", "cycles"]))
+    nv = draw(st.integers(1, 12))
+    if kind == "random":
+        vertex = st.integers(0, nv - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=36))
+    elif kind == "complete":
+        edges = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    else:
+        k = draw(st.integers(3, 5))
+        edges = [(c * k + i, c * k + (i + 1) % k)
+                 for c in range(nv // k) for i in range(k)]
+    edges += [(v, v) for v in draw(st.lists(st.integers(0, nv - 1),
+                                            max_size=3))]
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0]),
+                            min_size=len(edges), max_size=len(edges)))
+    return nv + draw(st.integers(0, 4)), edges, weights
+
+
 class TestTriangles:
     def test_matches_networkx(self, ugraph):
         A, g = ugraph
@@ -117,6 +143,72 @@ class TestTriangles:
         rows, cols = np.nonzero(~np.eye(4, dtype=bool))
         A = to_matrix(4, rows, cols, np.ones(len(rows)), T.FP64)
         assert triangle_count(A) == 4
+
+    def test_tied_degrees_orient_as_the_strict_lower_triangle(self):
+        """Every vertex of K5 ∪ C4 has degree 4 or 2, ties broken by id:
+        the degree order then keeps exactly ``select(TRIL, -1)``."""
+        from repro.algorithms.triangles import _oriented
+        from repro.core.indexunaryop import TRIL
+        from repro.core.matrix import Matrix
+        from repro.ops.select import select
+
+        rows, cols = np.nonzero(~np.eye(5, dtype=bool))
+        cyc = np.arange(4)
+        rows = np.concatenate([rows, 5 + cyc, 5 + (cyc + 1) % 4])
+        cols = np.concatenate([cols, 5 + (cyc + 1) % 4, 5 + cyc])
+        A = to_matrix(9, rows, cols, np.arange(len(rows), dtype=float),
+                      T.FP64)
+        low = Matrix.new(T.FP64, 9, 9)
+        select(low, None, None, TRIL, A, -1)
+        assert set(_oriented(A).to_dict()) == set(low.to_dict())
+        assert len(low.to_dict()) == 10 + 4
+
+    def test_degree_order_points_edges_at_lower_degree(self):
+        """A star's hub has the highest degree: it keeps every edge,
+        whatever its id, and the leaves keep none."""
+        from repro.algorithms.triangles import _oriented
+
+        leaves = np.array([1, 2, 3, 4])
+        hub = np.zeros(4, dtype=np.int64)
+        A = to_matrix(5, np.concatenate([hub, leaves]),
+                      np.concatenate([leaves, hub]), np.ones(8), T.FP64)
+        assert set(_oriented(A).to_dict()) == {(0, j) for j in leaves}
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_tie_heavy_graph(), tall=st.booleans(),
+           mode=st.sampled_from([Mode.BLOCKING, Mode.NONBLOCKING]),
+           data=st.data())
+    def test_formulations_agree_with_networkx(self, graph, tall, mode, data):
+        """Degree-oriented D·Dᵀ, Burkhardt and networkx give one count —
+        on tie-heavy graphs with isolated vertices, self loops and
+        weights, over CSR and over a hypersparse 2^40-vertex DCSR."""
+        from repro.core.context import Context
+        from repro.internals import config
+        from repro.internals.containers import DcsrData, MatData
+
+        nv, edges, weights = graph
+        g = nx.Graph()
+        g.add_nodes_from(range(nv))
+        g.add_edges_from(edges)
+        expected = sum(nx.triangles(g).values()) // 3
+        if tall:
+            n = 1 << 40
+            ids = np.array(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=nv, max_size=nv,
+                unique=True)), dtype=np.int64)
+        else:
+            n, ids = nv, np.arange(nv, dtype=np.int64)
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        with config.option("FORMAT_AUTO", True):
+            ctx = Context.new(mode, None, None)
+            A = to_matrix(n, ids[ends[:, 0]], ids[ends[:, 1]],
+                          np.array(weights, dtype=float), T.FP64,
+                          make_undirected=True, ctx=ctx)
+            carrier = A._capture()
+            assert isinstance(carrier, DcsrData if tall else MatData)
+            assert triangle_count(A) == expected
+            assert triangle_count_burkhardt(A) == expected
+            ctx.free()
 
 
 class TestComponents:

@@ -200,6 +200,42 @@ class TestObjectBinding:
         assert c.is_freed
 
 
+class TestContextLifetime:
+    """A freed context is dropped by everything the library holds."""
+
+    def test_new_free_cycles_do_not_grow_the_registries(self):
+        from repro.core import context as ctx_mod
+
+        top = default_context()
+        live, children = len(ctx_mod._all_contexts), len(top._children)
+        for _ in range(1000):
+            ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 1})
+            Context.new(Mode.NONBLOCKING, ctx, None)   # a child, freed with it
+            ctx.free()
+        assert len(ctx_mod._all_contexts) == live
+        assert len(top._children) == children
+
+    def test_freed_context_is_collectable(self):
+        import weakref
+
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        m = Matrix.new(T.FP64, 2, 2, ctx)
+        m.set_element(1.0, 0, 0)
+        assert m.nvals() == 1
+        del m
+        ref = weakref.ref(ctx)
+        ctx.free()
+        del ctx
+        assert ref() is None
+
+    def test_finalize_still_frees_every_live_context(self):
+        kept = Context.new(Mode.NONBLOCKING, None, None)
+        Context.new(Mode.NONBLOCKING, None, None).free()
+        finalize()
+        assert kept.is_freed
+        init()
+
+
 class TestModeSemantics:
     def test_blocking_context_runs_eagerly(self):
         ctx = Context.new(Mode.BLOCKING, None, None)

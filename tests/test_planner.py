@@ -423,6 +423,32 @@ class TestTracing:
                 assert e["ts"] >= 0 and e["dur"] >= 0
         json.dumps(events)  # must be serializable as-is
 
+    def test_buffered_events_render_to_the_chrome_shape(self):
+        """Spans are buffered as tuples; the rendered events keep the
+        exact dict shape, key for key."""
+        from repro.engine.stats import _T0, EngineStats
+
+        stats = EngineStats()
+        stats.span("k", "kernel", _T0 + 2.0, 0.5, {"node": "mxm"})
+        stats.span("clamped", "kernel", _T0 + 3.0, -1.0)
+        stats.instant("decision", "planner", {"kind": "fuse"})
+        stats.instant("bare", "memo")
+        meta, x, clamped, i, bare = stats.trace_events()
+        assert meta == {"name": "thread_name", "ph": "M", "pid": 1,
+                        "tid": 0, "args": {"name": meta["args"]["name"]}}
+        assert list(x) == ["name", "cat", "ph", "ts", "dur", "pid", "tid",
+                           "args"]
+        assert x == {"name": "k", "cat": "kernel", "ph": "X",
+                     "ts": pytest.approx(2e6), "dur": pytest.approx(5e5),
+                     "pid": 1, "tid": 0, "args": {"node": "mxm"}}
+        assert clamped["dur"] == 0.0 and clamped["args"] == {}
+        assert list(i) == ["name", "cat", "ph", "s", "ts", "pid", "tid",
+                           "args"]
+        assert (i["ph"], i["s"], i["args"]) == ("i", "t", {"kind": "fuse"})
+        assert i["ts"] > 0
+        assert bare["args"] == {}
+        assert stats.snapshot()["spans_recorded"] == 4
+
     def test_write_trace_round_trips(self, tmp_path):
         STATS.reset()
         self._workload()

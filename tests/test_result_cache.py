@@ -214,6 +214,30 @@ class TestNoServe:
         assert snap["kernel_count"].get("mxm", 0) == 2
         assert snap["memo_stores"] == 0
 
+    def test_consumer_of_a_settled_producer_is_not_keyed(self):
+        """A product forced on its own settles and drops its inputs; a
+        consumer that captured it while pending must not be keyed by
+        the bare operation, or two such consumers over different graphs
+        would share one entry."""
+        from repro.core import unaryop as U
+        from repro.ops.apply import apply
+
+        ctx = _nb()
+        outs = []
+        for seed in (20, 21):
+            a = _graph(ctx, seed=seed)
+            x = Matrix.new(T.FP64, N, N, ctx)
+            mxm(x, None, None, _sr(), a, a)
+            y = Matrix.new(T.FP64, N, N, ctx)
+            apply(y, None, None, U.AINV[T.FP64], x)   # captures x's node
+            x.nvals()                                 # settles it alone
+            outs.append(mat_to_dict(y))
+        bl = _bl()
+        for seed, got in zip((20, 21), outs):
+            want = _product(bl, _graph(bl, seed=seed))
+            assert got == {k: -v for k, v in mat_to_dict(want).items()}
+        assert ctx.engine_stats()["memo_reused"] == 0
+
     def test_ablation_knob_disables(self):
         ctx = _nb()
         a = _graph(ctx, seed=10)
