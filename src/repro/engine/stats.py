@@ -28,9 +28,11 @@ Trace spans
 
 Every planner pass and every executed kernel records a span (name,
 category, start, duration, thread); planner *decisions* (a CSE alias, a
-pushed mask, a fused chain) record instant events.  The buffer holds
-one plain tuple per event (about 60 % of the memory of the dict it
-stands for) and renders on read to the Chrome trace event format —
+pushed mask, a fused chain) record instant events.  The buffer is a
+ring of the newest ``SPAN_CAP`` events, one plain tuple each (about
+60 % of the memory of the dict it stands for), so a long-running
+process keeps its recent history at a fixed cost.  It renders on read
+to the Chrome trace event format —
 ``{"traceEvents": [...]}`` with
 ``ph="X"`` complete events in microseconds — so ``chrome://tracing`` or
 Perfetto can load a dump directly.  ``Context.engine_stats(
@@ -43,6 +45,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 
 __all__ = ["EngineStats", "ContextStats", "STATS", "SPAN_CAP"]
 
@@ -224,8 +227,9 @@ COUNTERS: dict[str, str] = {
     "engine_batched_ops":
         "pending ops that rode in those batches",
     "spans_dropped":
-        "trace spans discarded after the in-memory buffer filled (counters "
-        "are never dropped)",
+        "oldest trace spans pushed out of the full in-memory ring by newer "
+        "ones (the ring keeps the last `SPAN_CAP`; counters are never "
+        "dropped)",
 }
 _COUNTERS = tuple(COUNTERS)
 
@@ -245,9 +249,10 @@ CTX_COUNTERS = (
     "queries_timeout",
 )
 
-#: Trace-span buffer bound; past it spans are counted in
-#: ``spans_dropped`` instead of stored (counters are never dropped).
-SPAN_CAP = 50_000
+#: Trace-span ring size: the buffer keeps the newest ``SPAN_CAP`` spans
+#: (about 2.5 MB at ~305 B each); each older one a new span pushes out
+#: is counted in ``spans_dropped`` (counters are never dropped).
+SPAN_CAP = 8192
 
 #: Process start reference for trace timestamps (µs since this moment).
 _T0 = time.perf_counter()
@@ -264,7 +269,7 @@ class EngineStats:
         self._lock = threading.Lock()
         self.kernel_time: dict[str, float] = {}
         self.kernel_count: dict[str, int] = {}
-        self._spans: list[dict] = []
+        self._spans: deque[tuple] = deque(maxlen=SPAN_CAP)
         self._threads: dict[int, tuple[int, str]] = {}  # ident -> (tid, name)
         for name in _COUNTERS:
             setattr(self, name, 0)
@@ -302,21 +307,19 @@ class EngineStats:
         renders it with timestamps in microseconds relative to engine
         start, which is what the Chrome trace format expects.
         """
-        with self._lock:
-            if len(self._spans) >= SPAN_CAP:
-                self.spans_dropped += 1
-                return
-            self._spans.append(
-                (name, cat, start, max(duration, 0.0), self._tid(), args))
+        self._record(name, cat, start, max(duration, 0.0), args)
 
     def instant(self, name: str, cat: str, args: dict | None = None) -> None:
         """Record an instant ("i") event — a point-in-time decision."""
+        self._record(name, cat, time.perf_counter(), None, args)
+
+    def _record(self, name, cat, start, duration, args) -> None:
+        """Append one event to the ring, counting the oldest one it
+        pushes out when the ring is full."""
         with self._lock:
-            if len(self._spans) >= SPAN_CAP:
+            if len(self._spans) == SPAN_CAP:
                 self.spans_dropped += 1
-                return
-            self._spans.append(
-                (name, cat, time.perf_counter(), None, self._tid(), args))
+            self._spans.append((name, cat, start, duration, self._tid(), args))
 
     # -- querying ------------------------------------------------------------
 

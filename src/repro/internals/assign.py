@@ -16,6 +16,9 @@ Semantics captured here:
 * The scalar variants fill *every* position of the region — Table II's
   ``GrB_assign(…, GrB_Scalar, …)`` lands here with an empty scalar
   meaning "delete the region" when unaccumulated.
+* A vector GrB_ALL assign without accumulator overwrites everything, so
+  Z is u's own (sorted) entries or the fill: no membership test, merge
+  or sort.
 
 All variants are format-polymorphic: the region rewrite works on the
 COO row stream (``row_indices()``), which both CSR and doubly-
@@ -43,6 +46,7 @@ from .containers import (
     MatData,
     VecData,
     check_nrows_limit,
+    empty_vec,
     mat_from_coo,
 )
 from .dispatch import register
@@ -71,12 +75,6 @@ def _indices_or_all(indices, limit: int, what: str) -> np.ndarray | None:
     return idx
 
 
-def _region_member_vec(indices: np.ndarray, region: np.ndarray | None) -> np.ndarray:
-    if region is None:
-        return np.ones(len(indices), dtype=bool)
-    return np.isin(indices, region)
-
-
 def vec_assign(
     c: VecData,
     u: VecData,
@@ -92,14 +90,19 @@ def vec_assign(
         raise InvalidIndexError(
             f"assign source length {u.size} != index-list length {region_len}"
         )
+    values = out_type.coerce_array(u.values)
     if idx is None:
-        mapped_idx = u.indices
+        # u's own entries are sorted; without accum the region is
+        # everything, so Z is u.
+        mapped = VecData(c.size, out_type, u.indices, values)
+        if accum is None:
+            return mapped
     else:
-        mapped_idx = idx[u.indices]
-    mapped = VecData(c.size, out_type, *_sorted_pair(mapped_idx, out_type.coerce_array(u.values)))
+        mapped = VecData(c.size, out_type,
+                         *_sorted_pair(idx[u.indices], values))
     if accum is not None:
         return vec_union(c.astype(out_type), mapped, accum, out_type)
-    keep = ~_region_member_vec(c.indices, idx)
+    keep = ~np.isin(c.indices, idx)
     outside_idx = c.indices[keep]
     outside_vals = out_type.coerce_array(c.values[keep])
     merged = np.concatenate([outside_idx, mapped.indices])
@@ -129,19 +132,23 @@ def vec_assign_scalar(
     """
     maybe_inject("kernel.assign")
     idx = _indices_or_all(indices, c.size, "vector")
-    region = np.arange(c.size, dtype=_INT) if idx is None else np.sort(idx)
     if value is None:
         if accum is not None:
             return c.astype(out_type)
-        keep = ~_region_member_vec(c.indices, region)
+        if idx is None:
+            return empty_vec(c.size, out_type)  # the region is everything
+        keep = ~np.isin(c.indices, idx)
         return VecData(c.size, out_type, c.indices[keep],
                        out_type.coerce_array(c.values[keep]))
+    region = np.arange(c.size, dtype=_INT) if idx is None else np.sort(idx)
     fill = np.full(len(region), out_type.coerce_scalar(value),
                    dtype=out_type.np_dtype)
     mapped = VecData(c.size, out_type, region, fill)
     if accum is not None:
         return vec_union(c.astype(out_type), mapped, accum, out_type)
-    keep = ~_region_member_vec(c.indices, region)
+    if idx is None:
+        return mapped  # the region is everything: Z is the fill
+    keep = ~np.isin(c.indices, region)
     merged = np.concatenate([c.indices[keep], region])
     merged_vals = np.concatenate(
         [out_type.coerce_array(c.values[keep]), fill]

@@ -17,6 +17,14 @@ tier — reducing matrix eWise to the vector merge over scalar pair-keys;
 the whole family is format-polymorphic via ``carrier.row_indices()``
 and assembles its output through the format policy.
 
+**Full vector operands.**  A ``VecData`` with ``nvals == size`` stores
+index i at position i (its indices are sorted, unique and in
+``[0, size)``), so when either side of a vector union or (unmasked)
+intersection is full, the other side's indices *are* positions in it:
+no merge, just a gather and the operator, in ``(a, b)`` order for the
+non-commutative ops.  Pagerank's and components' sweeps run on such
+vectors.
+
 The *intersection* kernels accept an optional planner-pushed mask
 filter (``mask_keys`` — sorted keys in the output coordinate space,
 ``mask_complement``): surviving keys are membership-tested right after
@@ -105,6 +113,12 @@ def _filter_common(a_keys, ia, ib, mask_keys, mask_complement, space):
     return ia[keep], ib[keep]
 
 
+def _full(v: VecData) -> bool:
+    """Whether *v* stores every index: its indices are sorted, unique
+    and in ``[0, size)``, so index i then sits at position i."""
+    return v.nvals == v.size
+
+
 def vec_intersect(
     a: VecData,
     b: VecData,
@@ -115,6 +129,14 @@ def vec_intersect(
 ) -> VecData:
     """w = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
+    if mask_keys is None and (_full(a) or _full(b)):
+        # The other side's indices are the positions in the full one.
+        if _full(b):
+            idx, av, bv = a.indices, a.values, b.values[a.indices]
+        else:
+            idx, av, bv = b.indices, a.values[b.indices], b.values
+        return VecData(a.size, out_type, idx,
+                       _merged_values(op, out_type, av, bv))
     ia, ib = _filter_common(
         a.indices, *_intersect_sorted(a.indices, b.indices),
         mask_keys, mask_complement, a.size,
@@ -132,6 +154,8 @@ def vec_union(
         return VecData(a.size, out_type, b.indices, out_type.coerce_array(b.values))
     if b.nvals == 0:
         return VecData(a.size, out_type, a.indices, out_type.coerce_array(a.values))
+    if _full(a) or _full(b):
+        return _union_full(a, b, op, out_type)
     pos, hit = merge_sorted(a.indices, b.indices)
     from_a, dst_b = merge_slots(a.nvals, pos, hit)
     return VecData(
@@ -140,6 +164,22 @@ def vec_union(
         _union_values(
             a.values, b.values, pos, hit, from_a, dst_b, op, out_type),
     )
+
+
+def _union_full(
+    a: VecData, b: VecData, op: BinaryOp, out_type: Type
+) -> VecData:
+    """The union when one side is full: its indices are the result's, and
+    the other side's indices are positions in it, where op runs."""
+    full, part = (a, b) if _full(a) else (b, a)
+    out = out_type.empty(full.size)
+    out[:] = out_type.coerce_array(full.values)
+    at = part.indices
+    if full is a:
+        out[at] = _merged_values(op, out_type, a.values[at], b.values)
+    else:
+        out[at] = _merged_values(op, out_type, a.values, b.values[at])
+    return VecData(a.size, out_type, full.indices, out)
 
 
 def mat_intersect(

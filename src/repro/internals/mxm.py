@@ -33,7 +33,14 @@ whose column is stored in u — one gather through a dense slot table when
 u is dense enough, a ``searchsorted`` into u's indices otherwise — and
 segment-reduces by row, which is already sorted order in CSR.  ``vxm``
 expands the A rows u selects and folds the products by column through
-:func:`fold_keys`.
+:func:`fold_keys`.  When u is dense (``nvals·8 ≥ size``, mxv's slot
+rule) and stores every nonempty row of A — the pagerank and components
+sweeps; sssp's distances and BFS frontiers miss rows — the selected
+rows are all of A in
+storage order: the products run over A's own column and value arrays,
+u's values repeated over the row lengths by one ``np.repeat``, with no
+row-window search or ragged gather (:func:`_covering_slots` decides, by
+a count and then a slot lookup at A's nonempty rows).
 
 Every choice here is a pure function of the call's inputs (stream
 length, key space, monoid, dtype): no option or learned state picks a
@@ -96,6 +103,28 @@ def _gather_expand(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=_INT)
     excl = np.cumsum(counts) - counts
     return np.repeat(lo - excl, counts) + np.arange(total, dtype=_INT)
+
+
+def _covering_slots(
+    u: VecData, a: "MatData | DcsrData",
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(pos, lens)`` over A's nonempty rows in order — ``pos`` the slot
+    of each row in u, ``lens`` its length — or ``None`` when u does not
+    store every nonempty row."""
+    lens = np.diff(a.indptr)
+    if isinstance(a, DcsrData):
+        rows = a.row_ids
+    else:
+        rows = np.flatnonzero(lens > 0)  # ~4x faster than on the int64s
+        lens = lens[rows]
+    if u.nvals < len(rows):
+        return None
+    if u.nvals == u.size:
+        return rows, lens  # a full u stores index i at position i
+    slot = np.full(u.size, -1, dtype=_INT)
+    slot[u.indices] = np.arange(u.nvals, dtype=_INT)
+    pos = slot[rows]
+    return None if (pos < 0).any() else (pos, lens)
 
 
 def segment_reduce_sorted(
@@ -177,6 +206,28 @@ def _multiply(
     if shortcut == "one":
         return out_type.coerce_array(np.ones(len(a_idx), dtype=out_type.np_dtype))
     return semiring.mult.vec(av[a_idx], bv[b_idx])
+
+
+def _product(semiring: Semiring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """⊗ of two aligned value streams: *x* is already in ⊗'s first domain
+    and a fresh array the kernel owns, *y* is cast here, and only if ⊗
+    reads it (a cast of A's values is O(nnz) per call).  A built-in ⊗
+    with a ufunc and one dtype throughout writes over *x* rather than
+    allocating a third stream."""
+    mult, out_type = semiring.mult, semiring.out_type
+    shortcut = _mult_shortcut(mult.name)
+    if shortcut == "first":
+        return out_type.coerce_array(x)
+    if shortcut == "one":
+        return out_type.coerce_array(np.ones(len(x), dtype=out_type.np_dtype))
+    y = mult.in2_type.coerce_array(y)
+    if shortcut == "second":
+        return out_type.coerce_array(y)
+    if (mult.is_builtin and mult.ufunc is not None
+            and x.dtype == y.dtype == out_type.np_dtype):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return mult.ufunc(x, y, out=x)
+    return mult.vec(x, y)
 
 
 def _map_blocks(body, spans: list, ctx) -> list:
@@ -366,22 +417,31 @@ def vxm(
     mask_complement: bool = False,
 ) -> VecData:
     """w' = u' ⊕.⊗ A (gather the A rows selected by u's pattern;
-    optional column-index mask push-down — the masked-BFS hot path)."""
+    optional column-index mask push-down — the masked-BFS hot path).
+
+    When u is dense and stores every nonempty row of A, the selected
+    rows are all of A in storage order: the products run over A's own
+    arrays, with u's values repeated over the row lengths."""
     maybe_inject("kernel.vxm")
     out_type = semiring.out_type
     if a.nvals == 0 or u.nvals == 0:
         return empty_vec(a.ncols, out_type)
-    lo, hi = row_gather(a, u.indices)
-    counts = (hi - lo).astype(_INT)
-    flat = _gather_expand(lo, counts)
-    if len(flat) == 0:
-        return empty_vec(a.ncols, out_type)
-    out_cols = a.col_indices[flat]
     uv = semiring.mult.in1_type.coerce_array(u.values)
-    u_exp = np.repeat(uv, counts)
-    # Gather, then cast (as mxv does): casting all of A's values first
-    # is O(nnz(A)) per call, and a BFS calls this once per level.
-    a_exp = semiring.mult.in2_type.coerce_array(a.values[flat])
+    cover = _covering_slots(u, a) if u.nvals * 8 >= u.size else None
+    if cover is not None:
+        pos, lens = cover
+        out_cols = a.col_indices
+        u_exp = np.repeat(uv[pos], lens)
+        a_exp = a.values
+    else:
+        lo, hi = row_gather(a, u.indices)
+        counts = (hi - lo).astype(_INT)
+        flat = _gather_expand(lo, counts)
+        if len(flat) == 0:
+            return empty_vec(a.ncols, out_type)
+        out_cols = a.col_indices[flat]
+        u_exp = np.repeat(uv, counts)
+        a_exp = a.values[flat]
     if mask_keys is not None and not (len(mask_keys) == 0 and mask_complement):
         keep = in_sorted(out_cols, mask_keys, invert=mask_complement,
                          space=a.ncols)
@@ -390,7 +450,7 @@ def vxm(
         out_cols = out_cols[keep]
         u_exp = u_exp[keep]
         a_exp = a_exp[keep]
-    prod = semiring.mult.vec(u_exp, a_exp)
+    prod = _product(semiring, u_exp, a_exp)
     uniq, folded = fold_keys(out_cols, semiring.add.type.coerce_array(prod),
                              semiring.add, out_type, a.ncols)
     return VecData(a.ncols, out_type, uniq, folded)

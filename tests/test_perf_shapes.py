@@ -119,6 +119,86 @@ class TestHeadlineShapes:
         given_order, by_degree = products(low), products(d)
         assert given_order >= 3 * by_degree, (given_order, by_degree)
 
+    def test_full_operands_skip_the_index_search(self, monkeypatch):
+        """A vxm over a u that covers A's nonempty rows runs over A's
+        own arrays, and a full ⊕ full union merges by position: neither
+        searches an index array.  A u missing one nonempty row still
+        takes the row windows.  Counted, not timed."""
+        from repro.core.binaryop import PLUS
+        from repro.core.semiring import PLUS_TIMES_SEMIRING
+        from repro.internals import ewise
+        from repro.internals import mxm as kernels
+        from repro.internals.containers import VecData
+
+        calls = {"row_gather": 0, "_gather_expand": 0, "merge_sorted": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(kernels, "row_gather")
+        counted(kernels, "_gather_expand")
+        counted(ewise, "merge_sorted")
+
+        n, rows, cols, _ = rmat(12, 8, seed=3)
+        a = to_matrix(n, rows, cols, np.ones(len(rows)), T.FP64,
+                      make_undirected=True, no_self_loops=True)._capture()
+        ring = PLUS_TIMES_SEMIRING[T.FP64]
+        nonempty = np.flatnonzero(np.diff(a.indptr))
+        assert len(nonempty) < n  # RMAT leaves some vertices isolated
+
+        def vec(idx):
+            return VecData(n, T.FP64, idx, np.linspace(1.0, 2.0, len(idx)))
+
+        for idx in (np.arange(n, dtype=np.int64), nonempty):
+            kernels.vxm(vec(idx), a, ring)
+        full = vec(np.arange(n, dtype=np.int64))
+        ewise.vec_union(full, full, PLUS[T.FP64], T.FP64)
+        assert calls == {"row_gather": 0, "_gather_expand": 0,
+                         "merge_sorted": 0}
+
+        kernels.vxm(vec(nonempty[1:]), a, ring)
+        assert calls["row_gather"] == calls["_gather_expand"] == 1
+
+    def test_dense_vxm_visits_the_kernel_fault_site(self):
+        """The covering-u path sits behind the same armed ``kernel.vxm``
+        site: a transient fault there is injected and retried, and the
+        answer is exact."""
+        from repro.core.context import Context, Mode
+        from repro.core.semiring import PLUS_TIMES_SEMIRING
+        from repro.core.vector import Vector
+        from repro.faults import PLANE, FaultSpec, suspended
+        from repro.faults.plane import configure_from_env
+        from repro.ops.mxm import vxm
+
+        ctx = Context.new(Mode.NONBLOCKING, None, None)
+        n, rows, cols, _ = rmat(8, 8, seed=3)
+        a = to_matrix(n, rows, cols, np.ones(len(rows)), T.FP64,
+                      no_self_loops=True, ctx=ctx)
+        u = Vector.new(T.FP64, n, ctx)
+        u.build(list(range(n)), [1.0 + i for i in range(n)])
+        ring = PLUS_TIMES_SEMIRING[T.FP64]
+
+        def run():
+            w = Vector.new(T.FP64, n, ctx)
+            vxm(w, None, None, ring, u, a)
+            return w.to_dict()
+
+        with suspended():
+            expected = run()
+        PLANE.configure(7, [FaultSpec(site="kernel.vxm", transient=True,
+                                      max_hits=1)], armed_only=True)
+        try:
+            assert run() == expected
+            assert PLANE.snapshot()["injected"] == {"kernel.vxm": 1}
+        finally:
+            PLANE.disable()
+            configure_from_env()
+
     def test_masked_triangles_beat_unmasked(self):
         """Masks exist to prune work: masked D·Dᵀ ≤ Burkhardt wall-clock."""
         from repro.algorithms import (

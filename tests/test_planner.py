@@ -471,6 +471,24 @@ class TestTracing:
         assert len(snap["trace_events"]) == snap["spans_recorded"] + 1
         assert snap["spans_recorded"] > 0
 
+    def test_span_ring_keeps_the_newest_spans(self):
+        """Past ``SPAN_CAP`` the buffer is a ring: it holds the newest
+        spans, and ``spans_dropped`` counts the ones pushed out."""
+        from repro.engine.stats import _T0, SPAN_CAP, EngineStats
+
+        stats = EngineStats()
+        k = 5
+        for i in range(SPAN_CAP + k):
+            if i % 2:
+                stats.instant(f"e{i}", "planner")
+            else:
+                stats.span(f"e{i}", "kernel", _T0 + i, 0.0)
+        snap = stats.snapshot()
+        assert snap["spans_recorded"] == SPAN_CAP
+        assert snap["spans_dropped"] == k
+        names = [e["name"] for e in stats.trace_events() if e["ph"] != "M"]
+        assert names == [f"e{i}" for i in range(k, SPAN_CAP + k)]
+
     def test_reset_clears_spans(self):
         self._workload()
         STATS.reset()

@@ -22,6 +22,8 @@ from repro.formats import (
     matrix_import,
     matrix_serialize,
 )
+from repro.internals import assign as kernels_assign
+from repro.internals import ewise as kernels_ewise
 from repro.internals import mxm as kernels
 from repro.internals.containers import VecData, coo_to_csr, coo_to_dcsr
 from repro.internals.maskaccum import mat_mask_keys, vec_mask_keys
@@ -117,7 +119,9 @@ class TestMxmProperties:
 #
 # The multiply kernels pick a path from each call's inputs alone: dense
 # accumulation or sort for the fold (``len(keys) * 8 >= space``), a slot
-# table or a binary search for mxv's column lookup, and row blocks of
+# table or a binary search for mxv's column lookup, A's own arrays or
+# row windows in vxm (does u cover A's nonempty rows?), positions or a
+# merge for a full eWise / GrB_ALL assign operand, and row blocks of
 # ``BLOCK_PRODUCTS`` products in mxm.  Shapes are drawn on both sides of
 # each rule; the block size runs at 1 and 3 (many blocks, a single row
 # over budget, blocks the mask empties) and at its default.  Each mxm
@@ -163,6 +167,22 @@ MASK_KINDS = ["none", "structural", "valued", "comp_structural", "comp_valued"]
 #: (m, k, n): A is m x k; mxm's B is k x n.  The first shape folds
 #: densely; the wide ones leave far fewer products than key slots.
 PARITY_SHAPES = [(4, 5, 3), (3, 6, 120), (5, 160, 4)]
+
+_NONZERO = st.integers(-9, 9).filter(bool)  # DIV operands
+#: name -> (op, operand type, output type, values, Python reference);
+#: none of these ops commutes, and "div_cast" casts on the way in and out.
+FULL_OPS = {
+    "minus": (B.MINUS[T.FP64], T.FP64, T.FP64, _NONZERO.map(float),
+              lambda x, y: x - y),
+    "div": (B.DIV[T.FP64], T.FP64, T.FP64, _NONZERO.map(float),
+            lambda x, y: x / y),
+    "first": (B.FIRST[T.FP64], T.FP64, T.FP64, _NONZERO.map(float),
+              lambda x, y: x),
+    "second": (B.SECOND[T.FP64], T.FP64, T.FP64, _NONZERO.map(float),
+               lambda x, y: y),
+    "div_cast": (B.DIV[T.FP64], T.INT64, T.INT32, _NONZERO,
+                 lambda x, y: x / y),
+}
 
 
 def _entries(draw, keys, values, min_size=2):
@@ -231,9 +251,12 @@ def _assert_parity(got, expected, exact):
 def _assert_identical(got, want):
     """Bit for bit: same carrier format, same index and value arrays."""
     assert type(got) is type(want)
-    for g, w in ((got.row_indices(), want.row_indices()),
-                 (got.col_indices, want.col_indices),
-                 (got.values, want.values)):
+    if isinstance(got, VecData):
+        index_pairs = [(got.indices, want.indices)]
+    else:
+        index_pairs = [(got.row_indices(), want.row_indices()),
+                       (got.col_indices, want.col_indices)]
+    for g, w in index_pairs + [(got.values, want.values)]:
         assert g.dtype == w.dtype
         if g.dtype == object:
             assert g.tolist() == w.tolist()
@@ -249,7 +272,8 @@ PARITY_CASES = given(data=st.data(), ring=st.sampled_from(sorted(PARITY_RINGS)),
 
 
 class TestKernelFastPathParity:
-    """mxm / vxm / mxv against the dict reference, every path."""
+    """mxm / vxm / mxv and the full-operand eWise and assign paths
+    against the dict reference, every path."""
 
     @PARITY_SETTINGS
     @PARITY_CASES
@@ -278,16 +302,35 @@ class TestKernelFastPathParity:
     @PARITY_SETTINGS
     @PARITY_CASES
     def test_vxm(self, data, ring, fmt, shape, kind):
+        """u is drawn at random, or to cover A's rows: exactly its
+        nonempty rows or every row (the fast path over A's own arrays),
+        or every row but one nonempty one (the row-window path)."""
         sr, t, values, add, mult, exact = PARITY_RINGS[ring]
         m, k, _ = shape
         a = _mat_entries(data.draw, m, k, values)
-        u = _entries(data.draw, st.integers(0, m - 1), values)
+        cover = data.draw(st.sampled_from(
+            ["random", "nonempty_rows", "all_rows", "all_but_one"]))
+        if cover == "random":
+            u = _entries(data.draw, st.integers(0, m - 1), values)
+        else:
+            nonempty = sorted({i for i, _ in a})
+            rows = {"nonempty_rows": nonempty, "all_rows": range(m),
+                    "all_but_one": set(range(m)) - {
+                        data.draw(st.sampled_from(nonempty))}}[cover]
+            u = {i: data.draw(values) for i in rows}
         mask = _entries(data.draw, st.integers(0, k - 1), st.booleans(), 0)
         mask_keys, comp = _mask_args(mask, kind, k)
-        got = kernels.vxm(_vec(u, m, t), _carrier(a, m, k, t, fmt), sr,
-                          mask_keys, comp)
+        args = (_vec(u, m, t), _carrier(a, m, k, t, fmt), sr, mask_keys, comp)
+        if cover != "random":
+            covered = kernels._covering_slots(*args[:2]) is not None
+            assert covered == (cover != "all_but_one")
+        got = kernels.vxm(*args)
         _assert_parity(got, _masked(ref_vxm(u, a, add, mult), mask, kind),
                        exact)
+        # Both paths expand the same products in the same order.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_covering_slots", lambda u, a: None)
+            _assert_identical(got, kernels.vxm(*args))
 
     @PARITY_SETTINGS
     @PARITY_CASES
@@ -302,6 +345,50 @@ class TestKernelFastPathParity:
                           mask_keys, comp)
         _assert_parity(got, _masked(ref_mxv(a, u, add, mult), mask, kind),
                        exact)
+
+    @PARITY_SETTINGS
+    @given(data=st.data(), op=st.sampled_from(sorted(FULL_OPS)),
+           full=st.sampled_from(["a", "b", "both", "neither"]),
+           size=st.integers(1, 12), use_accum=st.booleans())
+    def test_full_operands(self, data, op, full, size, use_accum):
+        """eWise union / intersection and GrB_ALL assign, with either
+        side storing every index, both, or neither: a full operand is
+        read by position, and the operand order must survive."""
+        binop, t, out_t, values, fn = FULL_OPS[op]
+        cast = out_t.coerce_scalar
+
+        def draw_side(is_full):
+            keys = range(size) if is_full else data.draw(
+                st.sets(st.integers(0, size - 1)))
+            return {i: data.draw(values) for i in keys}
+
+        a = draw_side(full in ("a", "both"))
+        b = draw_side(full in ("b", "both"))
+
+        def union(x, y):
+            return {k: cast(fn(x[k], y[k]) if k in x and k in y
+                            else x.get(k, y.get(k)))
+                    for k in x.keys() | y.keys()}
+
+        a_vec, b_vec = _vec(a, size, t), _vec(b, size, t)
+        _assert_parity(kernels_ewise.vec_union(a_vec, b_vec, binop, out_t),
+                       union(a, b), True)
+        _assert_parity(
+            kernels_ewise.vec_intersect(a_vec, b_vec, binop, out_t),
+            {k: cast(fn(a[k], b[k])) for k in a.keys() & b.keys()}, True)
+
+        # w(GrB_ALL) = [accum] u, and w(GrB_ALL) = [accum] s.
+        accum = binop if use_accum else None
+        a_out = {k: cast(v) for k, v in a.items()}
+        b_out = {k: cast(v) for k, v in b.items()}
+        _assert_parity(
+            kernels_assign.vec_assign(a_vec, b_vec, None, accum, out_t),
+            union(a_out, b_out) if use_accum else b_out, True)
+        s = data.draw(st.none() | values)
+        fill = {} if s is None else {i: cast(s) for i in range(size)}
+        _assert_parity(
+            kernels_assign.vec_assign_scalar(a_vec, s, None, accum, out_t),
+            union(a_out, fill) if use_accum else fill, True)
 
 
 class TestEwiseProperties:
