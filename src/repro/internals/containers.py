@@ -602,19 +602,16 @@ def in_sorted(
     table entries lie in ``[0, space)``) and the workload is large
     enough to amortize it, membership switches to a dense boolean
     lookup table: one scatter plus one gather, beating binary search's
-    ``n log m`` cache-missing probes into a large table.  This is the
-    masked-SpGEMM hot path — every row block of a masked ``mxm`` tests
-    ~2^17 product keys against its rows' mask keys.
+    ``n log m`` cache-missing probes into a large table.  Masked
+    ``mxv`` / ``vxm`` and the mask write-back test their keys here;
+    masked ``mxm`` looks up slots in its own reused table instead
+    (``mxm.SLOT_SPACE``), under the same 64-slots-per-key rule.
 
     The table is built when ``space`` is at most 64 slots per key.  On a
     2-core x86 box at 2^17 keys the table costs 0.13 / 0.42 / 1.3 ms
     for a 2^20 / 2^22 / 2^24-slot space, against 1.5–3.9 ms of binary
     search when the keys arrive sorted and 11–21 ms when they do not
-    (1k–100k table entries).  The triangle count's masked product on
-    the scale-13 RMAT graph, D·Dᵀ over the degree-oriented pattern
-    (1.34 M products), takes ~35 ms in the kernel at this threshold and
-    ~90 ms at a threshold of 8 slots per key; the given-order L·Lᵀ it
-    replaced (5.62 M products) took ~80 and ~150 ms.
+    (1k–100k table entries).
     """
     if len(table) == 0:
         base = np.zeros(len(keys), dtype=bool)

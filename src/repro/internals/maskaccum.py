@@ -187,6 +187,8 @@ def mat_write_back(
     new_rows = z_rows[keep_z]
     new_cols = z.col_indices[keep_z]
     new_vals = out_type.coerce_array(z.values[keep_z])
+    # Filtering keeps z's row-major order: only kept C entries need a sort.
+    presorted = True
     if not replace:
         c_rows = c.row_indices()
         c_keys = pair_keys(c_rows, c.col_indices, c.ncols)
@@ -197,8 +199,9 @@ def mat_write_back(
             new_vals = np.concatenate(
                 [new_vals, out_type.coerce_array(c.values[keep_c])]
             )
+            presorted = False
     return mat_from_coo(c.nrows, c.ncols, out_type, new_rows, new_cols,
-                        new_vals)
+                        new_vals, presorted=presorted)
 
 
 # Write-back merges run over the sorted COO streams of both carriers —

@@ -7,17 +7,30 @@ A's entries are cut at row boundaries into blocks of about
 
 1. **Expand** — for every stored A(i,k) of the block, enumerate all
    stored B(k,j) partners by a gather driven by ``np.repeat`` over B's
-   row lengths (no Python-level loop).
-2. **Mask** — key each product ``(i − r0)·ncols + j`` relative to the
-   block's first row r0 and drop the products a pushed-down mask
-   excludes, against the mask keys of the block's rows only.
+   row lengths (no Python-level loop).  Each product is keyed
+   ``(i − r0)·ncols + j`` relative to the block's first row r0: A's
+   row offsets repeated over the row lengths, plus B's column.
+2. **Mask** — a pushed-down mask gives each product its *slot*: its
+   position among the mask keys ``mk`` of the block's rows, or −1.  One
+   int32 slot table per call and thread holds ``mk``'s slots while a
+   block gathers ``pos = table[keys]``, and is reset to −1 at ``mk``
+   afterwards (in a ``finally``: a retried batch never sees a stale
+   slot).  A masked block therefore spans at most ``SLOT_SPACE`` keys;
+   when ``ncols`` alone exceeds that, or the call is too small to pay
+   for the table, ``pos`` comes from a ``searchsorted`` into ``mk``.
+   The survivors (``pos ≥ 0``, or ``pos < 0`` under a complemented
+   mask) are taken by index.
 3. **Multiply** — apply the semiring's ⊗ to the two surviving value
    streams (one vectorized call for predefined ops; per-element for
    user-defined ops, the §II penalty).
-4. **Fold** — :func:`fold_keys` combines duplicate keys with the ⊕
-   monoid: a dense accumulator over the block's key space when the
-   stream covers it densely, a stable sort plus ``ufunc.reduceat``
-   otherwise.
+4. **Fold** — under a mask that is not complemented every survivor is
+   one of ``mk``, already sorted: ``ufunc.at`` folds by ``pos`` into an
+   identity-filled array of ``len(mk)`` slots, and the stored slots are
+   the output keys — no sort.  Otherwise (complemented or no mask, a
+   user-defined ⊕, object values) :func:`fold_keys` combines duplicate
+   keys with the ⊕ monoid: a dense accumulator over the block's key
+   space when the stream covers it densely, a stable sort plus
+   ``ufunc.reduceat`` otherwise.
 
 Blocks come out in row order, so the output stream is sorted without a
 global sort, and the peak intermediate is one block, not every product.
@@ -59,6 +72,8 @@ shared pass over A's structure amortized across many right-hand sides.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..core.errors import ExecutionError
@@ -90,6 +105,20 @@ _INT = np.int64
 #: Products one ``mxm`` block expands.  Rows are never split, so a block
 #: holds more when a single row does.
 BLOCK_PRODUCTS = 1 << 17
+
+#: Key slots a masked ``mxm`` block may span, and so the largest slot
+#: table a call allocates (int32: 4 MiB).  Blocks are also cut wherever
+#: ``row // (SLOT_SPACE // ncols)`` changes.  The triangle count's
+#: masked product on the scale-13 RMAT graph (1.34 M products, 2-core
+#: x86, best of three rounds) reads 21 / 20 / 20 / 22 / 28 ms at 2^19 /
+#: 2^20 / 2^21 / 2^22 / 2^23 slots: smaller tables mean more blocks,
+#: larger ones more pages.
+SLOT_SPACE = 1 << 20
+
+
+def _slot_table(size: int) -> np.ndarray:
+    """A masked ``mxm``'s slot table: *size* int32 slots, all −1."""
+    return np.full(size, -1, dtype=np.int32)
 
 
 def _gather_expand(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -166,6 +195,25 @@ def fold_keys(
         return uniq, out_type.coerce_array(acc[uniq])
     order = stable_argsort(keys, space)
     return segment_reduce_sorted(keys[order], values[order], monoid, out_type)
+
+
+def _fold_slots(
+    mk: np.ndarray, pos: np.ndarray, values: np.ndarray, monoid: Monoid,
+    out_type: Type,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a value stream whose keys are the **sorted** keys *mk* at
+    slots *pos*; returns (the stored keys of *mk*, folded values).
+
+    ``ufunc.at`` into ``len(mk)`` identity-filled slots and a presence
+    bitmap: the keys come out sorted because *mk* is.  The monoid needs
+    a ufunc and non-object values, as ``fold_keys``' dense branch does.
+    """
+    acc = np.full(len(mk), monoid.identity, dtype=values.dtype)
+    monoid.op.ufunc.at(acc, pos, values)
+    present = np.zeros(len(mk), dtype=bool)
+    present[pos] = True
+    stored = np.flatnonzero(present)
+    return mk[stored], out_type.coerce_array(acc[stored])
 
 
 def rows_of_keys(keys: np.ndarray, lo: int, hi: int, ncols: int) -> np.ndarray:
@@ -307,16 +355,51 @@ def mxm(
     total = int(before[-1])
     if total == 0:
         return empty_mat_auto(a.nrows, ncols, out_type)
-    cuts = np.searchsorted(
+    cuts = [np.searchsorted(
         before, np.arange(BLOCK_PRODUCTS, total, BLOCK_PRODUCTS),
-        side="right") - 1
-    cuts = np.unique(np.concatenate(([0], cuts, [len(a.indptr) - 1])))
+        side="right") - 1]
+    step = SLOT_SPACE // ncols  # rows a masked block may span
+    if mask_keys is not None and step:
+        cuts.append(np.flatnonzero(np.diff(a.row_ids // step)) + 1
+                    if isinstance(a, DcsrData)
+                    else np.arange(step, a.nrows, step))
+    cuts = np.unique(np.concatenate([[0], *cuts, [len(a.indptr) - 1]]))
     spans = [(s0, s1) for s0, s1 in zip(cuts[:-1], cuts[1:])
              if before[s1] > before[s0]]
 
     a_rows = a.row_indices()
     av = semiring.mult.in1_type.coerce_array(a.values)
     bv = semiring.mult.in2_type.coerce_array(b.values)
+    add = semiring.add
+    fold_by_slot = (mask_keys is not None and not mask_complement
+                    and add.op.ufunc is not None
+                    and add.type.np_dtype != object)
+    # One slot table per thread, sized to the largest block's key space;
+    # searchsorted instead when it would not pay (in_sorted's rule).
+    tables = table_size = None
+    if mask_keys is not None and step:
+        s0, s1 = np.array(spans).T
+        rows = a_rows[a.indptr[s1] - 1] - a_rows[a.indptr[s0]] + 1
+        table_size = int(rows.max()) * ncols
+        if (total + len(mask_keys)) * 64 >= table_size:
+            tables = {}
+
+    def slots(keys, mk):
+        """Each key's position in the sorted mask keys *mk*, or −1."""
+        if tables is not None:
+            table = tables.get(threading.get_ident())
+            if table is None:
+                table = tables[threading.get_ident()] = _slot_table(table_size)
+            table[mk] = np.arange(len(mk), dtype=np.int32)
+            try:
+                return table[keys]
+            finally:
+                table[mk] = -1
+        if len(mk) == 0:
+            return np.full(len(keys), -1, dtype=_INT)
+        pos = np.minimum(np.searchsorted(mk, keys), len(mk) - 1)
+        pos[mk[pos] != keys] = -1
+        return pos
 
     def block(span):
         e0, e1 = int(a.indptr[span[0]]), int(a.indptr[span[1]])
@@ -324,18 +407,32 @@ def mxm(
         nb = int(a_rows[e1 - 1]) - r0 + 1
         space = nb * ncols
         cnt = counts[e0:e1]
-        a_idx = np.repeat(np.arange(e0, e1, dtype=_INT), cnt)
         b_idx = _gather_expand(lo[e0:e1], cnt)
-        keys = pair_keys(a_rows[a_idx] - r0, b.col_indices[b_idx], ncols)
+        if space < 1 << 62:
+            keys = np.repeat((a_rows[e0:e1] - r0) * ncols, cnt)
+            keys += b.col_indices[b_idx]
+        else:
+            keys = pair_keys(np.repeat(a_rows[e0:e1] - r0, cnt),
+                             b.col_indices[b_idx], ncols)
+        a_idx = np.repeat(np.arange(e0, e1, dtype=_INT), cnt)
         if mask_keys is not None:
-            keep = in_sorted(keys, rows_of_keys(mask_keys, r0, r0 + nb, ncols),
-                             invert=mask_complement, space=space)
-            if not keep.any():
+            mk = rows_of_keys(mask_keys, r0, r0 + nb, ncols)
+            if len(mk) == 0 and not mask_complement:
                 return None
-            keys, a_idx, b_idx = keys[keep], a_idx[keep], b_idx[keep]
-        prod = _multiply(semiring, av, bv, a_idx, b_idx)
-        uniq, folded = fold_keys(keys, semiring.add.type.coerce_array(prod),
-                                 semiring.add, out_type, space)
+            pos = slots(keys, mk)
+            hit = np.flatnonzero(pos < 0 if mask_complement else pos >= 0)
+            if len(hit) == 0:
+                return None
+            a_idx, b_idx = a_idx[hit], b_idx[hit]
+            if fold_by_slot:
+                pos = pos[hit]
+            else:
+                keys = keys[hit]
+        prod = add.type.coerce_array(_multiply(semiring, av, bv, a_idx, b_idx))
+        if fold_by_slot:
+            uniq, folded = _fold_slots(mk, pos, prod, add, out_type)
+        else:
+            uniq, folded = fold_keys(keys, prod, add, out_type, space)
         return uniq // ncols + r0, uniq % ncols, folded
 
     parts = [p for p in _map_blocks(block, spans, ctx) if p is not None]

@@ -7,9 +7,12 @@ regression ever inverts a shape the reproduction stands on:
 * §II / Table IV: predefined index-unary ops beat user-defined ones;
 * §II: 2.0 select beats the 1.X packed-values idiom;
 * masks: the masked triangle-count formulation beats the unmasked one,
-  and its degree order expands ≥3× fewer wedges than the given order.
+  and its degree order expands ≥3× fewer wedges than the given order;
+  its product folds through the mask with no sort or membership search,
+  one slot table per thread and call (counted, not timed).
 """
 
+import threading
 import time
 
 import numpy as np
@@ -214,3 +217,165 @@ class TestHeadlineShapes:
             f"masked {t_masked * 1e3:.1f} ms vs unmasked "
             f"{t_unmasked * 1e3:.1f} ms"
         )
+
+
+class TestMaskedProductShapes:
+    """A masked product folds through its mask: one slot table per call
+    and thread gives each product its mask slot, and survivors fold by
+    slot, with no sort and no membership search.  Counted with wrapped
+    kernel helpers, never timed."""
+
+    @staticmethod
+    def _graph(ctx=None):
+        n, rows, cols, _ = rmat(12, 8, seed=11)
+        return to_matrix(n, rows, cols, np.ones(len(rows)), T.FP64,
+                         make_undirected=True, no_self_loops=True, ctx=ctx)
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        """Wrap ``module.name``; returns the list of ``(thread, args)``
+        of every call."""
+        calls = []
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((threading.get_ident(), args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def _triangle_product(self):
+        """(D, Dᵀ, ring, mask keys) of the triangle count's C⟨D⟩ = D·Dᵀ."""
+        from repro.algorithms.triangles import _oriented
+        from repro.core.semiring import PLUS_TIMES_SEMIRING
+        from repro.internals.maskaccum import mat_mask_keys
+
+        d = _oriented(self._graph())._capture()
+        return (d, d.transpose(), PLUS_TIMES_SEMIRING[T.INT64],
+                mat_mask_keys(d, True))
+
+    @staticmethod
+    def _assert_same(got, want):
+        for g, w in ((got.indptr, want.indptr),
+                     (got.col_indices, want.col_indices),
+                     (got.values, want.values)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_triangle_product_neither_sorts_nor_searches(self, monkeypatch):
+        from repro.algorithms import triangle_count, triangle_count_burkhardt
+        from repro.faults import suspended
+        from repro.internals import config
+        from repro.internals import mxm as kernels
+
+        g = self._graph()
+        expected = triangle_count_burkhardt(g)
+        spies = {name: self._spy(monkeypatch, kernels, name)
+                 for name in ("stable_argsort", "in_sorted", "fold_keys",
+                              "_slot_table", "rows_of_keys")}
+        # The mask must reach the kernel; a retried kernel call would
+        # allocate again.
+        with config.option("MASK_PUSHDOWN", True), suspended():
+            assert triangle_count(g) == expected
+        assert not spies["stable_argsort"]
+        assert not spies["in_sorted"]
+        assert not spies["fold_keys"]
+        threads = [tid for tid, _ in spies["_slot_table"]]
+        assert 1 <= len(threads) == len(set(threads))
+        # rows_of_keys(mask_keys, r0, r0 + nb, ncols) runs once a block.
+        spaces = [(hi - lo) * ncols
+                  for _, (_, lo, hi, ncols) in spies["rows_of_keys"]]
+        assert len(spaces) > 1
+        assert max(spaces) <= kernels.SLOT_SPACE
+        assert all(size <= kernels.SLOT_SPACE
+                   for _, (size,) in spies["_slot_table"])
+
+    def test_each_thread_allocates_one_table_per_call(self, monkeypatch):
+        from repro.core.context import Context, Mode
+        from repro.internals import mxm as kernels
+
+        args = self._triangle_product()
+        tables = self._spy(monkeypatch, kernels, "_slot_table")
+        expected = kernels.mxm(*args)
+        assert len(tables) == 1
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
+        try:
+            for _ in range(2):
+                tables.clear()
+                self._assert_same(kernels.mxm(*args, ctx=ctx), expected)
+                threads = [tid for tid, _ in tables]
+                assert 1 <= len(threads) == len(set(threads)) <= 2
+        finally:
+            ctx.free()
+
+    def test_complemented_mask_folds_through_fold_keys(self, monkeypatch):
+        """msbfs's F⟨¬Levels⟩ = F·A: the complemented mask takes the slot
+        positions but folds through ``fold_keys``."""
+        from repro.algorithms import bfs_levels
+        from repro.algorithms.msbfs import msbfs_levels
+        from repro.internals import mxm as kernels
+
+        g = self._graph()
+        sources = [0, 5, 17]
+        expected = [bfs_levels(g, s).to_dict() for s in sources]
+        folds = self._spy(monkeypatch, kernels, "fold_keys")
+        levels = msbfs_levels(g, sources).to_dict()
+        assert folds
+        for row, want in enumerate(expected):
+            assert {j: v for (i, j), v in levels.items() if i == row} == want
+
+    def test_worker_fault_on_triangle_product_is_retried(self):
+        from repro.algorithms import triangle_count, triangle_count_burkhardt
+        from repro.core.context import Context, Mode
+        from repro.engine.stats import STATS
+        from repro.faults import PLANE, FaultSpec, suspended
+        from repro.faults.plane import configure_from_env
+
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
+        g = self._graph(ctx)
+        with suspended():
+            expected = triangle_count_burkhardt(g)
+        before = STATS.snapshot()["retries_recovered"]
+        PLANE.configure(7, [FaultSpec(site="parallel.worker", transient=True,
+                                      max_hits=1)])
+        try:
+            assert triangle_count(g) == expected
+            assert PLANE.snapshot()["injected"] == {"parallel.worker": 1}
+            assert STATS.snapshot()["retries_recovered"] > before
+        finally:
+            PLANE.disable()
+            configure_from_env()
+            ctx.free()
+
+    def test_block_raising_mid_table_leaves_it_clean(self, monkeypatch):
+        """A block that raises between writing its mask slots and
+        resetting them leaves every table all −1, and the retried batch,
+        which reuses the tables, is exact."""
+        from repro.core.context import Context, Mode
+        from repro.core.errors import OutOfMemoryError
+        from repro.internals import mxm as kernels
+
+        args = self._triangle_product()
+        expected = kernels.mxm(*args)
+        fired, tables = [], []
+
+        class Flaky(np.ndarray):
+            def __getitem__(self, idx):  # the slot gather
+                if not fired:
+                    fired.append(1)
+                    raise OutOfMemoryError("slot gather failed")
+                return np.asarray(self)[idx]
+
+        make = kernels._slot_table
+
+        def flaky_table(size):
+            tables.append(make(size).view(Flaky))
+            return tables[-1]
+        monkeypatch.setattr(kernels, "_slot_table", flaky_table)
+        ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
+        try:
+            got = kernels.mxm(*args, ctx=ctx)
+        finally:
+            ctx.free()
+        assert fired
+        self._assert_same(got, expected)
+        assert tables and all((np.asarray(t) == -1).all() for t in tables)

@@ -121,8 +121,9 @@ class TestMxmProperties:
 # accumulation or sort for the fold (``len(keys) * 8 >= space``), a slot
 # table or a binary search for mxv's column lookup, A's own arrays or
 # row windows in vxm (does u cover A's nonempty rows?), positions or a
-# merge for a full eWise / GrB_ALL assign operand, and row blocks of
-# ``BLOCK_PRODUCTS`` products in mxm.  Shapes are drawn on both sides of
+# merge for a full eWise / GrB_ALL assign operand, row blocks of
+# ``BLOCK_PRODUCTS`` products in mxm, and a masked mxm's slot table or
+# ``searchsorted`` (``SLOT_SPACE``).  Shapes are drawn on both sides of
 # each rule; the block size runs at 1 and 3 (many blocks, a single row
 # over budget, blocks the mask empties) and at its default.  Each mxm
 # case also runs its blocks on a 2-worker context pool and must match
@@ -278,6 +279,12 @@ class TestKernelFastPathParity:
     @PARITY_SETTINGS
     @PARITY_CASES
     def test_mxm(self, data, ring, fmt, shape, kind):
+        """Each block size runs under three ``SLOT_SPACE``s: one slot
+        table for the whole call, two rows' worth (row cuts, so many
+        blocks share one table), and less than ``ncols`` (slots by
+        ``searchsorted``).  Integer, boolean and user-defined rings give
+        the same bits under all three; a floating ⊕ keeps the tolerance,
+        since ``ufunc.at`` folds in order and ``reduceat`` pairwise."""
         sr, t, values, add, mult, exact = PARITY_RINGS[ring]
         m, k, n = shape
         a = _mat_entries(data.draw, m, k, values)
@@ -290,14 +297,55 @@ class TestKernelFastPathParity:
         ctx = Context.new(Mode.NONBLOCKING, None, {"nthreads": 2})
         try:
             for block in (1, 3, kernels.BLOCK_PRODUCTS):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(kernels, "BLOCK_PRODUCTS", block)
-                    got = kernels.mxm(*args)
-                    threaded = kernels.mxm(*args, ctx=ctx)
-                _assert_parity(got, expected, exact)
-                _assert_identical(threaded, got)
+                outs = []
+                for slot_space in (kernels.SLOT_SPACE, 2 * n, n - 1):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(kernels, "BLOCK_PRODUCTS", block)
+                        mp.setattr(kernels, "SLOT_SPACE", slot_space)
+                        got = kernels.mxm(*args)
+                        threaded = kernels.mxm(*args, ctx=ctx)
+                    _assert_parity(got, expected, exact)
+                    _assert_identical(threaded, got)
+                    outs.append(got)
+                if t is not T.FP64:
+                    for got in outs[1:]:
+                        _assert_identical(got, outs[0])
         finally:
             ctx.free()
+
+    @pytest.mark.parametrize("ring, kind, by_slot", [
+        ("plus_times_int64", "structural", True),
+        ("lor_land_bool", "valued", True),
+        ("plus_times_int64", "comp_structural", False),
+        ("user_monoid_int64", "structural", False),
+        ("user_defined", "valued", False),
+    ])
+    def test_mxm_fold_path(self, monkeypatch, ring, kind, by_slot):
+        """A masked product folds by slot only when the mask is not
+        complemented and ⊕ is a ufunc over non-object values; a
+        complemented mask, a user-defined monoid and a user-defined type
+        still fold through ``fold_keys``."""
+        sr, t, values, add, mult, exact = PARITY_RINGS[ring]
+        rng = np.random.default_rng(3)
+
+        def draw(nrows, ncols, make):
+            return {(i, j): make(rng) for i in range(nrows)
+                    for j in range(ncols) if rng.random() < 0.4}
+
+        make = bool if t is T.BOOL else int
+        a = draw(12, 9, lambda r: make(r.integers(0, 3)))
+        b = draw(9, 10, lambda r: make(r.integers(0, 3)))
+        mask = draw(12, 10, lambda r: bool(r.integers(0, 2)))
+        mask_keys, comp = _mask_args(mask, kind, (12, 10))
+        folds = []
+        fold_keys = kernels.fold_keys
+        monkeypatch.setattr(kernels, "fold_keys",
+                            lambda *args: folds.append(1) or fold_keys(*args))
+        got = kernels.mxm(_carrier(a, 12, 9, t, "csr"),
+                          _carrier(b, 9, 10, t, "csr"), sr, mask_keys, comp)
+        _assert_parity(got, _masked(ref_mxm(a, b, add, mult, None), mask,
+                                    kind), exact)
+        assert (not folds) == by_slot
 
     @PARITY_SETTINGS
     @PARITY_CASES

@@ -69,7 +69,7 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §III "optimize" freedom: cross-call reuse | a re-submitted computation over unchanged inputs may republish its committed result | `engine/memo.py` per-Context memo keyed on `dag.memo_key` (uid+version inputs); consulted in `engine/passes/cse.py`, republished via `engine/txn.py` |
 | §III optimization arbitration | conflicting rewrites decided by a fixed pass order | `engine/fusion.py::_gate` runs `cse → pushdown → fuse`: a producer both pushdown and fusion qualify for goes to pushdown |
 | §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py` memoized building blocks (`("algo", kind, (uid, version), params)` keys) in the per-Context `engine/memo.py` cache with cost-weighted eviction; republished via `engine/txn.py` |
-| §VIII masked-kernel fast paths | complemented/structural mask filters at kernel entry | `internals/mxm.py` (`in_sorted` membership, empty-complement keep-all) + `internals/maskaccum.py` memoized mask keys |
+| §VIII masked-kernel fast paths | complemented/structural mask filters at kernel entry | `internals/mxm.py` (masked `mxm`: per-call slot table or `searchsorted` slots, fold by slot; `mxv`/`vxm`: `in_sorted` membership; empty-complement keep-all) + `internals/maskaccum.py` memoized mask keys |
 | §III "sequence of methods that define an object" | per-object defining sequence | sequence edges (`Node.prev`) threaded through `engine/dag.py` |
 | §V forcing call | a read/`wait` completes exactly the pending subgraph it observes | `engine/scheduler.py::force` (topological; `mxm`'s row blocks are the only threaded unit) |
 | §V `GrB_wait(COMPLETE)` | errors surfaced; execution may stay deferred | `engine/scheduler.py::chain_complete_safe` |
