@@ -1,6 +1,6 @@
-"""S3 — the hypersparse tier: DCSR mxv at 2^30 rows + small-op batching.
+"""S3 — the hypersparse tier: DCSR mxv at 2^30 rows.
 
-Two workloads, both written to ``BENCH_hypersparse.json`` and gated by
+One workload, written to ``BENCH_hypersparse.json`` and gated by
 ``tools/bench_gate.py`` against the committed baseline:
 
 * ``hypersparse_mxv`` — time-to-first-answer on a 1000-edge graph at
@@ -15,12 +15,6 @@ Two workloads, both written to ``BENCH_hypersparse.json`` and gated by
   ``format_dcsr_commits`` > 0 (the policy engaged) and
   ``format_densify_fallbacks`` == 0 during the DCSR run (nothing on
   the hot path ever materialized an O(nrows) pointer).
-
-* ``op_batching`` — many tiny independent ``mxv`` queries over one
-  committed matrix, the serving-layer shape.  One-at-a-time with the
-  knob off (``blocking_ms``) vs coalesced by the scheduler into
-  blocked ``mxv_multi`` kernels (``nb_batched_ms``), with value parity
-  asserted.  Proof counter: ``engine_batched_ops`` ≥ the query count.
 
 Run from the repository root:
 
@@ -49,7 +43,6 @@ HUGE_ROWS = 1 << 30     # the DCSR dimension (no CSR form exists)
 CSR_ROWS = 1 << 24      # the forced-CSR handicap dimension (64x smaller)
 NNZ = 1_000
 SPEEDUP_FLOOR = 10.0    # acceptance: DCSR at 2^30 vs CSR at 2^24
-N_QUERIES = 48
 REPS = 3
 
 _RESULTS: dict = {}
@@ -156,71 +149,3 @@ class TestHypersparseMxv:
             f"DCSR mxv at 2^30 rows is only {speedup:.1f}x the forced-CSR "
             f"run at 2^24 rows (need >= {SPEEDUP_FLOOR:.0f}x)"
         )
-
-
-@pytest.mark.benchmark(group="S3-hypersparse")
-class TestOpBatching:
-    def _run_queries(self, m: Matrix, seeds: list[Vector]) -> tuple[float, list]:
-        t0 = time.perf_counter()
-        outs = []
-        for u in seeds:
-            w = Vector.new(T.FP64, m.nrows)
-            mxv(w, None, None, PLUS_TIMES_SEMIRING[T.FP64], m, u)
-            outs.append(w)
-        values = [w.to_dict() for w in outs]   # forces everything
-        return (time.perf_counter() - t0) * 1e3, values
-
-    def test_batched_vs_one_at_a_time(self):
-        rng = np.random.default_rng(99)
-        n = 4096
-        rows = rng.integers(0, n, 20_000, dtype=np.int64)
-        cols = rng.integers(0, n, 20_000, dtype=np.int64)
-        keep = np.unique(rows * n + cols)
-        rows, cols = keep // n, keep % n
-        m = Matrix.new(T.FP64, n, n)
-        m.build(rows, cols, rng.random(len(rows)))
-        m.wait()
-        seeds = []
-        for i in range(N_QUERIES):
-            u = Vector.new(T.FP64, n)
-            for j in rng.integers(0, n, 4):
-                u.set_element(1.0, int(j))
-            u.wait()
-            seeds.append(u)
-
-        serial_ms = batched_ms = None
-        want = got = None
-        # Result memoization would serve every repeat query from cache
-        # (and memoized nodes are ineligible for batching), so switch
-        # it off: each rep must run — and time — real kernels.
-        with config.option("ENGINE_MEMO", 0):
-            for _ in range(REPS):
-                with config.option("ENGINE_OP_BATCH", 0):
-                    wall, want = self._run_queries(m, seeds)
-                if serial_ms is None or wall < serial_ms:
-                    serial_ms = wall
-                before = STATS.snapshot()
-                wall, got = self._run_queries(m, seeds)
-                batched = STATS.snapshot().get("engine_batched_ops", 0) - \
-                    before.get("engine_batched_ops", 0)
-                if batched_ms is None or wall < batched_ms:
-                    batched_ms = wall
-                assert got == want, "batched results diverged from serial"
-        assert batched >= 2, "the scheduler never coalesced a batch"
-
-        _RESULTS["op_batching"] = {
-            "blocking_ms": serial_ms,
-            "nb_batched_ms": batched_ms,
-            "queries": N_QUERIES,
-            "engine_batched_ops": batched,
-        }
-        print_table(
-            f"S3  {N_QUERIES} independent mxv queries over one graph",
-            ["path", "wall ms", "proof"],
-            [["one-at-a-time", f"{serial_ms:.1f}", ""],
-             ["coalesced", f"{batched_ms:.1f}",
-              f"batched_ops={batched} "
-              f"({serial_ms / batched_ms:.2f}x)"]],
-        )
-        assert batched_ms < serial_ms * 1.05, \
-            "coalescing lost to one-at-a-time dispatch"

@@ -1,17 +1,11 @@
-"""E3 — planner mask pushdown and CSE on BFS-shaped workloads.
+"""E3 — the planner's CSE and memos on BFS-shaped workloads.
 
-PR-3's planner pushes a masked consumer's key filter down into the
-producing mxm-family kernel, so off-mask products die *before* the
-SpGEMM sort/compress phase, and hash-conses textually repeated
-subexpressions so the duplicate publishes the shared result instead of
-recomputing it.  This bench measures both on the shape that motivates
-them — BFS over a scale-free graph, where the complemented "visited"
-mask kills the vast majority of products by the middle levels:
+The planner hash-conses textually repeated subexpressions so the
+duplicate publishes the shared result instead of recomputing it, and
+the cross-forcing memos republish committed results.  This bench
+measures them on the shape that motivates them — BFS over a scale-free
+graph:
 
-* **masked mxm** — ``C = A ⊕.⊗ A`` then ``C⟨¬V, s, r⟩ = C`` in place,
-  with a dense visited set V.  Three ways: blocking, nonblocking with
-  ``ENGINE_PUSHDOWN`` off (write-back filtering only), and the full
-  planner.  The pushed run must beat both.
 * **masked vxm sweep** — an actual BFS frontier expansion loop
   (``DESC_RSC``), exercising the complemented-mask fast path inside
   the kernel (sorted-key ``searchsorted`` membership, empty-complement
@@ -21,19 +15,16 @@ mask kills the vast majority of products by the middle levels:
 * **repeated forcing** (PR-4) — the same ``C = A ⊕.⊗ A`` submitted and
   forced over and over: the cross-forcing result memo runs the kernel
   once and republishes the committed carrier thereafter.
-* **masked eWiseMult over mxm** (PR-4) — ``C = A ⊕.⊗ A`` then
-  ``C⟨¬V, s, r⟩ = C .* B`` in place: the planner pushes the mask filter
-  through the compute-form eWise consumer into the SpGEMM kernel.
 * **repeated algorithm** (PR-5) — ``local_clustering_coefficient``
   called over and over on the unchanged graph: the algo-block memo
   serves the masked SpGEMM (closed wedges) and the degree vector from
   the context cache, so a warm call submits only the cheap vector
   arithmetic.
 
-The pre-existing workloads pin ``ENGINE_MEMO`` off around their
-nonblocking runs: they assert exact kernel counts per repetition, which
-the memo deliberately breaks (that is its whole point) — the memo has
-its own workload instead.
+The CSE workload pins ``ENGINE_MEMO`` off around its nonblocking runs:
+it asserts exact kernel counts per repetition, which the memo
+deliberately breaks (that is its whole point) — the memo has its own
+workload instead.
 
 Results land in ``BENCH_planner.json`` (CI's perf-smoke artifact;
 ``tools/bench_gate.py`` compares it against the committed baseline) and
@@ -44,7 +35,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table, rmat_graph
@@ -54,18 +44,15 @@ from repro.core.context import Context, Mode, WaitMode
 from repro.core.descriptor import DESC_RSC
 from repro.core.matrix import Matrix
 from repro.core.semiring import LOR_LAND_SEMIRING_BOOL, PLUS_TIMES_SEMIRING
-from repro.core.unaryop import IDENTITY
 from repro.core.vector import Vector
 from repro.engine.stats import STATS
 from repro.internals import config
-from repro.ops.apply import apply
 from repro.ops.assign import assign
-from repro.ops.ewise import ewise_add, ewise_mult
+from repro.ops.ewise import ewise_add
 from repro.ops.mxm import mxm, vxm
 
 SCALE = 10
 EDGE_FACTOR = 8
-VISITED_DENSITY = 0.9   # mid-BFS: most vertices already visited
 REPS = 5
 
 _RESULTS: dict = {}
@@ -90,16 +77,6 @@ def _ctx_graph(ctx, scale=SCALE, edge_factor=EDGE_FACTOR):
     return m
 
 
-def _visited_mask(ctx, n, density=VISITED_DENSITY, seed=7):
-    rng = np.random.default_rng(seed)
-    d = rng.random((n, n)) < density
-    r, c = np.nonzero(d)
-    m = Matrix.new(T.BOOL, n, n, ctx)
-    m.build(r, c, np.ones(len(r), bool))
-    m.wait(WaitMode.MATERIALIZE)
-    return m
-
-
 def _best(fn, *args):
     best = float("inf")
     out = None
@@ -108,16 +85,6 @@ def _best(fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def _masked_product(ctx, a, visited):
-    """C = A ⊕.⊗ A, then keep only the *unvisited* positions, in place —
-    the planner's pushdown shape."""
-    c = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(c, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    apply(c, visited, None, IDENTITY[T.FP64], c, DESC_RSC)
-    c.wait(WaitMode.MATERIALIZE)
-    return c
 
 
 def _dup_sum(ctx, a):
@@ -136,16 +103,6 @@ def _forced_product(ctx, a):
     cross-forcing memo's hit shape when repeated."""
     c = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
     mxm(c, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    c.wait(WaitMode.MATERIALIZE)
-    return c
-
-
-def _masked_ewise_product(ctx, a, visited):
-    """C = A ⊕.⊗ A, then C⟨¬V, s, r⟩ = C .* A in place — the eWise
-    consumer pushdown shape (PR-4)."""
-    c = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(c, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    ewise_mult(c, visited, None, B.TIMES[T.FP64], c, a, DESC_RSC)
     c.wait(WaitMode.MATERIALIZE)
     return c
 
@@ -179,43 +136,6 @@ def contexts():
 
 @pytest.mark.benchmark(group="E3-planner")
 class TestMaskedMxm:
-    def test_masked_mxm_pushdown(self, contexts):
-        bl, nb = contexts
-        a_bl, a_nb = _ctx_graph(bl), _ctx_graph(nb)
-        v_bl = _visited_mask(bl, a_bl.nrows)
-        v_nb = _visited_mask(nb, a_nb.nrows)
-
-        t_blocking, r0 = _best(_masked_product, bl, a_bl, v_bl)
-        with config.option("ENGINE_MEMO", False):
-            with config.option("ENGINE_PUSHDOWN", False):
-                t_unpushed, r1 = _best(_masked_product, nb, a_nb, v_nb)
-            STATS.reset()
-            t_pushed, r2 = _best(_masked_product, nb, a_nb, v_nb)
-            snap = STATS.snapshot()
-
-        assert sorted(r0.to_dict()) == sorted(r1.to_dict()) \
-            == sorted(r2.to_dict())
-        assert snap["masks_pushed"] >= 1, "pushdown never fired"
-
-        _RESULTS["masked_mxm"] = {
-            "blocking_ms": t_blocking * 1e3,
-            "nb_unpushed_ms": t_unpushed * 1e3,
-            "nb_pushed_ms": t_pushed * 1e3,
-            "masks_pushed": snap["masks_pushed"],
-        }
-        print_table(
-            "E3a  C⟨¬visited, s, r⟩ = A ⊕.⊗ A, in place",
-            ["variant", "best ms"],
-            [["blocking", f"{t_blocking * 1e3:.2f}"],
-             ["nb-unpushed", f"{t_unpushed * 1e3:.2f}"],
-             ["nb-pushed", f"{t_pushed * 1e3:.2f}"],
-             ["masks_pushed", snap["masks_pushed"]]],
-        )
-        # The perf contract: filtering before sort/compress must beat
-        # filtering at write-back, in either execution mode.
-        assert t_pushed < t_blocking, "pushdown lost to blocking"
-        assert t_pushed < t_unpushed, "pushdown lost to unpushed nonblocking"
-
     def test_bfs_vxm_complemented_mask(self, contexts):
         bl, nb = contexts
         a_bl, a_nb = _ctx_graph(bl), _ctx_graph(nb)
@@ -302,37 +222,6 @@ class TestMaskedMxm:
         # A republish is one commit, not one SpGEMM.
         assert t_memo < t_blocking, "memo lost to blocking"
         assert t_memo < t_nomemo, "memo lost to memo-less nonblocking"
-
-    def test_masked_ewise_over_mxm_pushdown(self, contexts):
-        bl, nb = contexts
-        a_bl, a_nb = _ctx_graph(bl), _ctx_graph(nb)
-        v_bl = _visited_mask(bl, a_bl.nrows)
-        v_nb = _visited_mask(nb, a_nb.nrows)
-        t_blocking, r0 = _best(_masked_ewise_product, bl, a_bl, v_bl)
-        with config.option("ENGINE_MEMO", False):
-            with config.option("ENGINE_PUSHDOWN", False):
-                t_unpushed, r1 = _best(_masked_ewise_product, nb, a_nb, v_nb)
-            STATS.reset()
-            t_pushed, r2 = _best(_masked_ewise_product, nb, a_nb, v_nb)
-            snap = STATS.snapshot()
-        assert sorted(r0.to_dict()) == sorted(r1.to_dict()) \
-            == sorted(r2.to_dict())
-        assert snap["masks_pushed"] >= 1, "eWise pushdown never fired"
-        _RESULTS["masked_ewise"] = {
-            "blocking_ms": t_blocking * 1e3,
-            "nb_unpushed_ms": t_unpushed * 1e3,
-            "nb_pushed_ms": t_pushed * 1e3,
-            "masks_pushed": snap["masks_pushed"],
-        }
-        print_table(
-            "E3e  C⟨¬visited, s, r⟩ = (A ⊕.⊗ A) .* A, in place",
-            ["variant", "best ms"],
-            [["blocking", f"{t_blocking * 1e3:.2f}"],
-             ["nb-unpushed", f"{t_unpushed * 1e3:.2f}"],
-             ["nb-pushed", f"{t_pushed * 1e3:.2f}"],
-             ["masks_pushed", snap["masks_pushed"]]],
-        )
-        assert t_pushed < t_blocking, "eWise pushdown lost to blocking"
 
     def test_repeated_algorithm_memo(self, contexts):
         bl, nb = contexts

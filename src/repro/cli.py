@@ -13,7 +13,7 @@ and poking at data files without writing a script:
   the asyncio front door, and print per-tenant stats on shutdown.
 
 ``--engine-stats`` (global flag) dumps the lazy-engine counters — nodes
-built/forced/fused, CSE hits, pushed masks, per-kernel wall time —
+built/forced/fused, CSE hits, memo reuses, per-kernel wall time —
 after the command runs, answering "did nonblocking mode actually
 optimize anything?".  ``--trace-out PATH`` writes the engine's planner
 and kernel spans as Chrome trace JSON for chrome://tracing / Perfetto.

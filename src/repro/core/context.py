@@ -388,7 +388,7 @@ class Context:
         """Snapshot of the lazy-engine counters and per-kernel timings.
 
         The engine keeps process-wide statistics (nodes built/forced,
-        fusions, CSE hits/reuses, pushed masks, deferred completes, ...);
+        fusions, CSE hits/reuses, memo reuses, deferred completes, ...);
         contexts expose them so tools need not import the engine package
         directly.  Fault plane counters ride along under ``fault_sites``
         (with the planner-pass subset repeated under ``planner_faults``),

@@ -52,7 +52,7 @@ import itertools
 import threading
 from typing import Any, Callable, Sequence
 
-from ..engine import opbatch, scheduler
+from ..engine import scheduler
 from ..engine.dag import DONE, FAILED, Node, Source
 from ..engine.memo import (
     invalidate_handle,
@@ -248,10 +248,6 @@ class OpaqueObject:
         opkey: tuple | None = None,
         cse_safe: bool = False,
         mask_info: Any = None,
-        pushable: bool = False,
-        push_targets: tuple | None = None,
-        batch_key: tuple | None = None,
-        batch_compute: Callable | None = None,
     ) -> None:
         """Submit an operations-layer method (the fusable node shape).
 
@@ -261,9 +257,9 @@ class OpaqueObject:
         applies mask/accumulator/replace against the previous state.
         ``pure`` asserts the write-back ignores ``prev`` entirely (no
         mask, no complement, no accumulator) — the property fusion needs.
-        ``opkey``/``cse_safe``/``mask_info``/``pushable`` are planner
-        metadata (structural identity for hash-consing, write-back shape
-        for mask pushdown); blocking mode ignores them.
+        ``opkey``/``cse_safe``/``mask_info`` are planner metadata
+        (structural identity for hash-consing, write-back shape for
+        fusion); blocking mode ignores them.
         """
         if self._mode == Mode.BLOCKING:
             # Inputs are concrete in blocking mode (captures force).
@@ -300,15 +296,9 @@ class OpaqueObject:
                 opkey=opkey,
                 cse_safe=cse_safe,
                 mask_info=mask_info,
-                pushable=pushable,
-                push_targets=push_targets,
-                batch_key=batch_key,
-                batch_compute=batch_compute,
             )
             self._materialized = False
             self._advance()
-            if batch_key is not None:
-                opbatch.register(self._tail)
 
     def _run_now(self, label: str, fn: Callable[[], Any]) -> Any:
         """Blocking-mode execution with the §V error wrapping.

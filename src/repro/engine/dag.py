@@ -112,27 +112,14 @@ class Source:
 class MaskInfo:
     """Write-back metadata an op submits for the planner's benefit.
 
-    The write-back closure itself is opaque to the engine; this record
-    is what lets the pushdown pass reason about it: which mask source
-    filters the output, whether it is complemented/structural, whether
-    REPLACE clears unwritten positions, and whether an accumulator
-    reads the previous state.
+    The write-back closure is opaque to the engine; this record is what
+    lets the fuse pass reason about it: whether REPLACE clears unwritten
+    positions, and whether an accumulator reads the previous state.
     """
 
-    __slots__ = ("source", "complement", "structure", "replace", "has_accum")
+    __slots__ = ("replace", "has_accum")
 
-    def __init__(
-        self,
-        source: "Source | None",
-        *,
-        complement: bool = False,
-        structure: bool = False,
-        replace: bool = False,
-        has_accum: bool = False,
-    ):
-        self.source = source
-        self.complement = complement
-        self.structure = structure
+    def __init__(self, *, replace: bool = False, has_accum: bool = False):
         self.replace = replace
         self.has_accum = has_accum
 
@@ -141,14 +128,12 @@ class Node:
     """One deferred method invocation in the expression DAG."""
 
     __slots__ = (
-        "__weakref__",  # the small-op batch registry tracks nodes weakly
         "kind", "label", "owner", "prev", "inputs",
         "thunk", "compute", "writeback", "stages", "pipe_input",
         "out_type", "pure", "complete_safe",
-        "opkey", "cse_safe", "mask_info", "pushable", "push_targets",
-        "batch_key", "batch_compute", "writes", "sealed",
+        "opkey", "cse_safe", "mask_info", "writes", "sealed",
         "state", "result", "exc", "exc_raised", "nrefs",
-        "plan", "alias_of", "pushed_mask", "pushed_into",
+        "plan", "alias_of",
         "memo_result", "memo_entry",
     )
 
@@ -171,10 +156,6 @@ class Node:
         opkey: tuple | None = None,
         cse_safe: bool = False,
         mask_info: MaskInfo | None = None,
-        pushable: bool = False,
-        push_targets: tuple | None = None,
-        batch_key: tuple | None = None,
-        batch_compute: Callable | None = None,
         writes: list | None = None,
     ):
         self.kind = kind
@@ -193,14 +174,6 @@ class Node:
         self.opkey = opkey
         self.cse_safe = cse_safe
         self.mask_info = mask_info
-        self.pushable = pushable
-        self.push_targets = push_targets
-        # Small-op batching (scheduler): nodes sharing an equal
-        # ``batch_key`` compute independent single-vector products over
-        # the *same* committed matrix; ``batch_compute(carrier, us)``
-        # is the blocked multi-vector kernel that runs them together.
-        self.batch_key = batch_key
-        self.batch_compute = batch_compute
         # Pending tuples: the ``(coordinate, value | REMOVED)`` writes
         # this node's thunk folds in (``None`` for every other node).
         self.writes = writes
@@ -212,8 +185,6 @@ class Node:
         self.nrefs = 0
         self.plan = None       # FusionPlan (fuse pass) for absorbing consumers
         self.alias_of = None   # representative Node (CSE pass)
-        self.pushed_mask = None  # (mask Source, complement, structure)
-        self.pushed_into = None  # producer Node our mask was pushed into
         self.memo_result = None  # cached carrier to republish (memo hit)
         self.memo_entry = None   # (memo key, dep uids) for post-run store
         STATS.bump("nodes_built")

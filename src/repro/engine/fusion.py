@@ -8,8 +8,6 @@ each rewrite pass for its precondition:
 
 * ``cse`` — two pending hash-consable nodes share a signature
   (:func:`repro.engine.passes.cse.signature`);
-* ``pushdown`` — a masked consumer sits over a pending, pure, pushable
-  producer (:func:`repro.engine.passes.pushdown.can_fire`);
 * ``fuse`` — a stage-form consumer could absorb its pipe source
   (:func:`repro.engine.passes.fuse.can_fire`);
 
@@ -28,11 +26,11 @@ only the passes whose precondition held, bracketed by ``normalize``
 (commit all decisions onto the nodes):
 
 ``normalize`` → ``cse`` (hash-cons identical pending subtrees so a
-repeated subexpression runs its kernel once) → ``pushdown`` (absorb a
-masked consumer's filter into the producing mxm/mxv/vxm/eWiseMult
-kernel) → ``fuse`` (absorb producer chains into single-pass pipelines)
-→ ``schedule``.  The order is fixed: where a producer qualifies for
-both, pushdown claims it first.
+repeated subexpression runs its kernel once) → ``fuse`` (absorb
+producer chains into single-pass pipelines) → ``schedule``.  The order
+is fixed: a node CSE claims is left alone by fuse.  A masked product
+needs no pass of its own: ``mxm``/``mxv``/``vxm`` hand their *own* mask
+to the kernel (``MASK_PUSHDOWN``), which skips off-mask products.
 
 Each pass is a pure function over one shared immutable
 :class:`~repro.engine.passes.ir.PlanIR`; the driver runs the sequence
@@ -59,7 +57,7 @@ from ..faults.plane import armed, maybe_inject
 from ..internals import config
 from . import cancel
 from .dag import GRAPH_LOCK, PENDING, Node, Source
-from .passes import cse, fuse, normalize, pushdown, schedule
+from .passes import cse, fuse, normalize, schedule
 from .passes.ir import PlanIR
 from .stats import STATS
 
@@ -173,10 +171,9 @@ def _gate(nodes: list) -> tuple[list, list, list]:
     when nothing can be rewritten, else the pipeline to run.
     """
     cse_on = config.ENGINE_CSE
-    push_on = config.ENGINE_PUSHDOWN and config.MASK_PUSHDOWN
     fuse_on = config.ENGINE_FUSION
     memo_on = config.ENGINE_MEMO
-    can_cse = can_push = can_fuse = False
+    can_cse = can_fuse = False
     signatures: set = set()
     hits: list = []
     entries: list = []
@@ -190,17 +187,13 @@ def _gate(nodes: list) -> tuple[list, list, list]:
             if cse_on and not can_cse:
                 can_cse = sig in signatures
                 signatures.add(sig)
-        if push_on and not can_push:
-            can_push = pushdown.can_fire(node)
         if fuse_on and not can_fuse:
             can_fuse = fuse.can_fire(node)
-    if not (can_cse or can_push or can_fuse):
+    if not (can_cse or can_fuse):
         return [], hits, entries
     passes = [("normalize", normalize.run)]
     if can_cse:
         passes.append(("cse", cse.run))
-    if can_push:
-        passes.append(("pushdown", pushdown.run))
     if can_fuse:
         passes.append(("fuse", fuse.run))
     passes.append(("schedule", schedule.run))
@@ -212,10 +205,9 @@ def plan_subgraph(nodes: list) -> None:
 
     On return the nodes carry whatever decisions survived:
     ``memo_result``/``memo_entry`` from the result-memo consult,
-    ``alias_of`` on CSE duplicates, ``pushed_mask``/``pushed_into`` on
-    pushdown pairs, ``plan`` on fusion consumers and ELIDED on their
-    absorbed producers.  Planner faults never fail the forcing — the
-    affected pass is skipped.
+    ``alias_of`` on CSE duplicates, ``plan`` on fusion consumers and
+    ELIDED on their absorbed producers.  Planner faults never fail the
+    forcing — the affected pass is skipped.
     """
     with GRAPH_LOCK:
         passes, hits, entries = _gate(nodes)
@@ -238,5 +230,5 @@ def plan_subgraph(nodes: list) -> None:
             STATS.span(
                 f"planner.{name}", "planner", t0, time.perf_counter() - t0,
                 {"nodes": len(ir.nodes), "aliases": len(ir.aliases),
-                 "pushdowns": len(ir.pushdowns), "fusions": len(ir.fusions)},
+                 "fusions": len(ir.fusions)},
             )

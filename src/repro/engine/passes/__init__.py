@@ -3,7 +3,7 @@
 Each module here is one pass over the shared immutable :class:`~repro.
 engine.passes.ir.PlanIR`:
 
-``normalize`` → ``cse`` → ``pushdown`` → ``fuse`` → ``schedule``
+``normalize`` → ``cse`` → ``fuse`` → ``schedule``
 
 Passes are pure functions ``PlanIR -> PlanIR`` (schedule excepted — it
 is the single point that commits the accumulated decisions onto the DAG

@@ -18,8 +18,7 @@ pass runs.  A node whose key matches a carrier committed by an
 cached carrier through the commit gate and the kernel never runs.
 Misses record the key so the scheduler can store the committed result
 for later forcings.  Memo hits are locked exactly like CSE endpoints: a
-fused-away or mask-filtered node would no longer publish the cached
-(unfiltered) value.
+fused-away node would no longer publish the cached value.
 
 **Precondition** (:func:`signature`): the pass can only alias two
 pending nodes that agree on kind, operation and output domain, so the
@@ -29,8 +28,8 @@ signature.
 Eligibility is deliberately narrow: pure nodes built from *built-in*
 operators only (user-defined functions carry no determinism guarantee),
 and never a node another pass has claimed.  Aliases and representatives
-are locked against pushdown and fusion — an elided or mask-filtered
-representative would no longer hold the unfiltered shared value.
+are locked against fusion — an elided representative would no longer
+hold the shared value.
 
 §V transparency: if the representative fails, each alias falls back to
 running its own kernel under its own label (the scheduler's

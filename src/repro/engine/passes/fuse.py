@@ -1,4 +1,4 @@
-"""Pass 4 — fusion grouping: absorb producer chains into pipelines.
+"""Pass 3 — fusion grouping: absorb producer chains into pipelines.
 
 Walking consumers downstream-first, a stage-form consumer absorbs as
 far upstream as legality allows: ``apply``/``select`` chains collapse
@@ -10,15 +10,13 @@ upstream maps.
 
 Legality: the producer's write-back is pure, every reference to it
 comes from the absorbing consumer, and it is no longer its owner's
-sequence tail.  Nodes claimed by CSE, the result memo, or pushdown are
-skipped — an aliased or mask-filtered node must run (or publish)
-exactly its own value.  A consumer whose sequence edge *is* the
-producer (the in-place ``mxm(c); apply(c⟨m⟩, …, c)`` pattern) may
-absorb it only when its write-back never reads the previous value:
-either the write-back is pure, or it masks with REPLACE and no
-accumulator (the funnel then only needs ``prev``'s shape).  That last
-shape is exactly the one mask pushdown also wants — pushdown runs
-first and claims the producer.
+sequence tail.  Nodes claimed by CSE or the result memo are skipped —
+an aliased node must run (or publish) exactly its own value.  A
+consumer whose sequence edge *is* the producer (the in-place
+``mxm(c); apply(c⟨m⟩, …, c)`` pattern) may absorb it only when its
+write-back never reads the previous value: either the write-back is
+pure, or it masks with REPLACE and no accumulator (the funnel then
+only needs ``prev``'s shape).
 
 **Precondition** (:func:`can_fire`): a stage-form consumer whose pipe
 source is a producer it could absorb right now.  The gate runs this

@@ -7,15 +7,15 @@ invariants that make the pipeline safe to interrupt anywhere:
 * ``nodes`` is the subgraph in topological (deps-first) order and is
   never reordered or filtered by a pass.
 * Passes never mutate :class:`~repro.engine.dag.Node` objects.  All
-  decisions live in the IR (``aliases``, ``pushdowns``, ``fusions``,
-  ``elided``) until the terminal *schedule* pass commits them onto the
-  nodes in one shot, under ``GRAPH_LOCK``.
+  decisions live in the IR (``aliases``, ``fusions``, ``elided``)
+  until the terminal *schedule* pass commits them onto the nodes in
+  one shot, under ``GRAPH_LOCK``.
 * ``replace`` returns a new IR; the input IR stays valid.  A faulting
   pass therefore loses only its own rewrites — the driver keeps the
   previous IR and moves on (§V resilience at the planner layer).
 * ``locked`` is the claim set: once a pass claims a node for one
-  optimization (a CSE alias or representative, a pushdown endpoint),
-  later passes must leave it alone.  Claims only grow.
+  optimization (a CSE alias or representative, a memo hit), later
+  passes must leave it alone.  Claims only grow.
 """
 
 from __future__ import annotations
@@ -36,26 +36,19 @@ class NodeInfo:
     ``None`` for non-stage nodes.
     """
 
-    __slots__ = ("key", "stages", "has_transpose")
+    __slots__ = ("key", "stages")
 
-    def __init__(
-        self,
-        key: tuple | None,
-        stages: list | None,
-        has_transpose: bool,
-    ):
+    def __init__(self, key: tuple | None, stages: list | None):
         self.key = key
         self.stages = stages
-        self.has_transpose = has_transpose
 
 
 class PlanIR:
     """Immutable carrier of one forcing's planning state."""
 
     __slots__ = (
-        "nodes", "info", "aliases", "pushdowns",
-        "fusions", "elided", "locked", "stage_counts",
-        "memo_hits", "memo_entries",
+        "nodes", "info", "aliases", "fusions", "elided", "locked",
+        "stage_counts", "memo_hits", "memo_entries",
     )
 
     def __init__(
@@ -63,7 +56,6 @@ class PlanIR:
         nodes: tuple[Node, ...],
         info: Mapping[int, NodeInfo] = (),
         aliases: Mapping[int, Node] = (),
-        pushdowns: tuple = (),
         fusions: tuple = (),
         elided: frozenset[int] = frozenset(),
         locked: frozenset[int] = frozenset(),
@@ -75,8 +67,6 @@ class PlanIR:
         self.info = dict(info)
         #: id(duplicate node) -> representative Node
         self.aliases = dict(aliases)
-        #: (producer, consumer, (mask Source, complement, structure))
-        self.pushdowns = tuple(pushdowns)
         #: (consumer Node, FusionPlan)
         self.fusions = tuple(fusions)
         #: ids of producers absorbed into some fusion plan
@@ -107,7 +97,7 @@ class PlanIR:
         moves between passes)."""
         fields = {
             "nodes": self.nodes, "info": self.info, "aliases": self.aliases,
-            "pushdowns": self.pushdowns, "fusions": self.fusions,
+            "fusions": self.fusions,
             "elided": self.elided, "locked": self.locked,
             "stage_counts": self.stage_counts,
             "memo_hits": self.memo_hits,

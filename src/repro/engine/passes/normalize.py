@@ -3,9 +3,7 @@
 Rewrites each stage-form node's pipeline into canonical shape
 (transpose pairs cancelled, value-independent selects hoisted ahead of
 maps — both per-node-local and semantics-preserving) and records the
-analysis facts later passes consume: the structural hash-consing key
-and whether the pipeline still contains a transpose (which would move
-the mask's coordinate space and so blocks pushdown).
+analysis fact later passes consume: the structural hash-consing key.
 """
 
 from __future__ import annotations
@@ -24,13 +22,7 @@ def run(ir: PlanIR) -> PlanIR:
         if node.state != PENDING:
             continue
         stages = None
-        has_transpose = False
         if node.stages is not None:
             stages, _, _ = optimize_stages(node.stages)
-            has_transpose = any(st[0] == "transpose" for st in stages)
-        info[id(node)] = NodeInfo(
-            key=structural_key(node),
-            stages=stages,
-            has_transpose=has_transpose,
-        )
+        info[id(node)] = NodeInfo(key=structural_key(node), stages=stages)
     return ir.replace(info=info)

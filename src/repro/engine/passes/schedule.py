@@ -1,4 +1,4 @@
-"""Pass 5 — schedule: commit the accumulated decisions onto the DAG.
+"""Pass 4 — schedule: commit the accumulated decisions onto the DAG.
 
 The terminal pass is the single point where planning state leaves the
 immutable IR and lands on the nodes the scheduler executes:
@@ -7,8 +7,6 @@ immutable IR and lands on the nodes the scheduler executes:
   to republish) and each miss gets ``memo_entry`` (the key the
   scheduler stores the committed carrier under),
 * each CSE duplicate gets ``alias_of`` → its representative,
-* each pushdown producer gets ``pushed_mask`` (and its consumer
-  ``pushed_into``, for the failure fallback),
 * each fusion consumer gets its ``plan`` and the absorbed producers
   flip to ELIDED,
 * the optimizer counters and per-decision trace instants are emitted —
@@ -55,15 +53,6 @@ def run(ir: PlanIR) -> PlanIR:
         STATS.instant(
             f"cse:{node.label}", "planner",
             {"node": node.label, "rep": rep.label},
-        )
-    for x, y, pushed in ir.pushdowns:
-        x.pushed_mask = pushed
-        y.pushed_into = x
-        STATS.bump("masks_pushed")
-        STATS.instant(
-            f"pushdown:{x.label}", "planner",
-            {"producer": x.label, "consumer": y.label,
-             "complement": pushed[1], "structure": pushed[2]},
         )
     for y, plan in ir.fusions:
         y.plan = plan

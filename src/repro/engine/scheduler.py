@@ -30,9 +30,7 @@ from ..core.errors import ExecutionError, GraphBLASError, PanicError
 from ..faults.retry import with_retry
 from ..internals import config
 from ..internals.applyselect import run_stages
-from ..internals.containers import VecData
-from ..internals.maskaccum import mat_mask_keys, vec_mask_keys
-from . import cancel, opbatch
+from . import cancel
 from .dag import DONE, ELIDED, FAILED, PENDING, Node
 from .fusion import plan_subgraph
 from .memo import entry_savings_ms
@@ -100,7 +98,6 @@ def _release(node: Node) -> None:
     node.inputs = ()
     node.thunk = node.compute = node.writeback = node.writes = None
     node.stages = node.mask_info = node.plan = None
-    node.pushed_mask = node.pushed_into = None
 
 
 def chain_complete_safe(tail: Node) -> bool:
@@ -175,8 +172,6 @@ def _run_node(node: Node) -> None:
     raises ``GrB_TIMEOUT`` *before* any kernel or commit runs, so the
     node stays PENDING (deferred) and every carrier keeps its
     last-committed value."""
-    if node.state == DONE:
-        return  # completed early by a small-op batch (another leader)
     cancel.checkpoint(node.label)
     for dep in node.dep_nodes():
         if dep.state == FAILED:
@@ -238,13 +233,11 @@ def _run_node(node: Node) -> None:
             except Exception:
                 pass
         STATS.bump("cse_fallbacks")
-    if node.plan is not None or node.pushed_mask is not None \
-            or node.pushed_into is not None:
+    if node.plan is not None:
         try:
             node.result = _checked_evaluate(node)
             node.state = DONE
-            kind = f"fused:{node.kind}" if node.plan is not None \
-                else node.kind
+            kind = f"fused:{node.kind}"
             elapsed = time.perf_counter() - t0
             STATS.kernel(kind, elapsed)
             local = _node_stats(node)
@@ -256,17 +249,14 @@ def _run_node(node: Node) -> None:
             )
             _memo_store(node)
         except Exception:
-            # An optimized (fused and/or mask-pushed) evaluation failed.
-            # Optimization must be transparent even on failure: unfused,
-            # unpushed execution would have preserved every intermediate
-            # state before the op that actually raises, so re-run the
-            # chain node by node without the optimizations (they are
-            # pure — re-running is safe) and let the normal §V machinery
-            # attribute the error to the node that actually fails.
+            # A fused evaluation failed.  Optimization must be
+            # transparent even on failure: unfused execution would have
+            # preserved every intermediate state before the op that
+            # actually raises, so re-run the chain node by node (the
+            # absorbed producers are pure — re-running is safe) and let
+            # the normal §V machinery attribute the error to the node
+            # that actually fails.
             _run_deoptimized_fallback(node)
-        return
-    if node.batch_key is not None and node.batch_compute is not None \
-            and _run_batch(node, t0):
         return
     try:
         result = _checked_evaluate(node)
@@ -303,74 +293,13 @@ def _run_node(node: Node) -> None:
     _memo_store(node)
 
 
-def _run_batch(node: Node, t0: float) -> bool:
-    """Coalesce *node* with its pending small-op batch peers.
-
-    ``node`` is the group leader the scheduler happened to reach first.
-    Its peers — other plain pending nodes sharing its ``batch_key``,
-    i.e. independent single-vector products over the very same
-    committed matrix — are claimed from the registry and run through
-    one blocked multi-vector kernel, then each result passes the usual
-    transactional commit gate.  Running a peer ahead of its own forcing
-    is exactly the reordering freedom §III grants deferred sequences:
-    the nodes are pure, their inputs are settled snapshots, and their
-    owners observe only a completed result.  Returns ``False`` (and
-    surrenders the peers) when there is nothing to coalesce or any part
-    of the batch fails — every node then runs singly through the
-    normal §V path, so batching is failure-transparent.
-    """
-    if not config.ENGINE_OP_BATCH:
-        return False
-    peers = opbatch.claim_peers(node)
-    if not peers:
-        return False
-    group = [node] + peers
-    try:
-        carrier = node.inputs[0].resolve()
-        us = [n.inputs[1].resolve() for n in group]
-        ts = node.batch_compute(carrier, us)
-        committed = [
-            with_retry(
-                lambda n=n, t=t: _txn_commit(n.label, n.writeback(None, t)),
-                n.label,
-            )
-            for n, t in zip(group, ts)
-        ]
-    except Exception:
-        for p in peers:
-            opbatch.surrender(p)
-        return False
-    elapsed = time.perf_counter() - t0
-    STATS.bump("batch_groups")
-    STATS.bump("engine_batched_ops", len(group))
-    STATS.kernel("mxv_batch", elapsed)
-    STATS.span(
-        "mxv_batch", "kernel", t0, elapsed,
-        {"node": node.label, "batched": len(group)},
-    )
-    share = elapsed / len(group)
-    for n, res in zip(group, committed):
-        n.result = res
-        n.state = DONE
-        local = _node_stats(n)
-        if local is not None:
-            local.kernel(share)
-        _memo_store(n)
-    for p in peers:  # ran ahead of their own forcing, which will not see them
-        _release(p)
-    return True
-
-
 def _memo_store(node: Node) -> None:
     """Record a freshly committed carrier in the owning context's
     cross-forcing memo (the planner attached the key at plan time).
-
-    Mask-filtered producers are never stored: a pushed result holds a
-    subset of the true value and must not be served to an unmasked
-    resubmission.  The store is best-effort — a failure here can't be
-    allowed to fail a forcing that already committed."""
+    The store is best-effort — a failure here can't be allowed to fail
+    a forcing that already committed."""
     entry, node.memo_entry = node.memo_entry, None
-    if entry is None or node.pushed_mask is not None:
+    if entry is None:
         return
     if not config.ENGINE_MEMO:
         return
@@ -390,35 +319,18 @@ def _memo_store(node: Node) -> None:
 
 
 def _run_deoptimized_fallback(node: Node) -> None:
-    """Re-execute a failed optimized chain without its optimizations.
+    """Re-execute a failed fused chain unfused.
 
-    The absorbed/filtered producers flip back to PENDING and run
-    standalone in dependency order; dependent-failure propagation then
-    reproduces the exact unoptimized outcome — every node before the
-    failing one leaves its result for the pre-failure carrier walk, and
-    the failing node gets the error recorded under its own label.  For a
-    pushed chain this also restores the §V pre-failure state: blocking
-    mode would have left the producer's *unfiltered* result behind, so
-    the producer re-runs with the mask filter stripped.
+    The absorbed producers flip back to PENDING and run standalone in
+    dependency order; dependent-failure propagation then reproduces the
+    exact unfused outcome — every node before the failing one leaves its
+    result for the pre-failure carrier walk, and the failing node gets
+    the error recorded under its own label.
     """
     plan, node.plan = node.plan, None
-    chain: list[Node] = list(plan.chain) if plan is not None else []
-    producer, node.pushed_into = node.pushed_into, None
-    if producer is not None and producer.pushed_mask is not None:
-        # The consumer of a pushed mask failed: the producer's committed
-        # result is mask-filtered, which blocking mode would never have
-        # produced.  Strip the filter and recompute it clean.
-        producer.pushed_mask = None
-        if producer not in chain:
-            chain.insert(0, producer)
-        STATS.bump("pushdown_fallbacks")
-    if node.pushed_mask is not None:
-        # This node *is* a pushed producer whose filtered run failed.
-        node.pushed_mask = None
-        STATS.bump("pushdown_fallbacks")
-    for x in chain:
+    for x in plan.chain:
         x.state = PENDING
-    for x in chain:
+    for x in plan.chain:
         _run_node(x)
     _run_node(node)
 
@@ -456,36 +368,19 @@ def _checked_evaluate(node: Node):
     )
 
 
-def _run_compute(node: Node, datas: list):
-    """Invoke a compute-form node's kernel closure, threading through a
-    planner-pushed mask filter when one was attached (the kernel then
-    discards off-mask products before its sort/compress phase)."""
-    if node.pushed_mask is not None:
-        mask_src, complement, structure = node.pushed_mask
-        mask_data = mask_src.resolve()
-        if isinstance(mask_data, VecData):
-            keys = vec_mask_keys(mask_data, structure)
-        else:
-            keys = mat_mask_keys(mask_data, structure)
-        return node.compute(datas, pushed_keys=keys, pushed_comp=complement)
-    return node.compute(datas)
-
-
 def _evaluate(node: Node):
     if node.thunk is not None:
         return node.thunk(_resolve_prev(node))
     plan = node.plan
     if plan is not None:
         if plan.head is not None:
-            t = _run_compute(
-                plan.head, [s.resolve() for s in plan.head.inputs]
-            )
+            t = plan.head.compute([s.resolve() for s in plan.head.inputs])
         else:
             t = plan.start.resolve()
         t = run_stages(t, plan.stages)
     elif node.stages is not None:
         t = run_stages(node.inputs[node.pipe_input].resolve(), node.stages)
     else:
-        t = _run_compute(node, [s.resolve() for s in node.inputs])
+        t = node.compute([s.resolve() for s in node.inputs])
     prev = None if node.pure else _resolve_prev(node)
     return node.writeback(prev, t)

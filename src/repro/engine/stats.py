@@ -28,7 +28,7 @@ Trace spans
 
 Every planner pass and every executed kernel records a span (name,
 category, start, duration, thread); planner *decisions* (a CSE alias, a
-pushed mask, a fused chain) record instant events.  The buffer is a
+fused chain) record instant events.  The buffer is a
 ring of the newest ``SPAN_CAP`` events, one plain tuple each (about
 60 % of the memory of the dict it stands for), so a long-running
 process keeps its recent history at a fixed cost.  It renders on read
@@ -77,10 +77,8 @@ COUNTERS: dict[str, str] = {
         "aliases whose representative failed or whose commit was rejected "
         "and that re-ran their own kernel",
     "masks_pushed":
-        "masked consumers whose filter was pushed into the producing "
-        "mxm/mxv/vxm/eWiseMult kernel",
-    "pushdown_fallbacks":
-        "pushed chains that failed and re-ran unpushed for exact §V state",
+        "no longer bumped; declared only because the end-to-end benchmark "
+        "reads it from every snapshot",
     "memo_hits":
         "result-memo lookups by the planner gate that found a committed "
         "carrier for a re-submitted expression",
@@ -221,11 +219,9 @@ COUNTERS: dict[str, str] = {
     "serve_views_patched":
         "stale cached tenant views advanced to the current graph generation "
         "by replaying recorded deltas in place",
-    "batch_groups":
-        "small-op batches the scheduler coalesced into one multi-vector "
-        "kernel",
     "engine_batched_ops":
-        "pending ops that rode in those batches",
+        "no longer bumped; declared only because the end-to-end benchmark "
+        "reads it from every snapshot",
     "spans_dropped":
         "oldest trace spans pushed out of the full in-memory ring by newer "
         "ones (the ring keeps the last `SPAN_CAP`; counters are never "

@@ -11,8 +11,7 @@ fail, so this module provides a process-wide :class:`FaultPlane` with
 site                      where it fires
 ========================  ====================================================
 ``kernel.mxm`` / ``mxv``  SpGEMM / SpMV kernel entry (`internals/mxm.py`)
-/ ``vxm`` /
-``mxv_multi``
+/ ``vxm``
 ``kernel.build``          tuple-assembly kernels (`internals/build.py`)
 ``kernel.apply`` /        §VIII map / filter kernels and the fused stage
 ``kernel.select`` /       pipelines (`internals/applyselect.py`)

@@ -14,7 +14,6 @@ SITES: dict[str, tuple[str, str]] = {
     # -- kernel boundaries (internals/*) -----------------------------------
     "kernel.mxm": ("kernel", "SpGEMM entry (internals/mxm.mxm)"),
     "kernel.mxv": ("kernel", "SpMV entry (internals/mxm.mxv)"),
-    "kernel.mxv_multi": ("kernel", "blocked multi-vector SpMV (internals/mxm.mxv_multi)"),
     "kernel.vxm": ("kernel", "vector-matrix entry (internals/mxm.vxm)"),
     "kernel.build": ("kernel", "tuple assembly (internals/build)"),
     "kernel.apply": ("kernel", "unary map kernels (internals/applyselect)"),
@@ -28,7 +27,6 @@ SITES: dict[str, tuple[str, str]] = {
     # -- planner pass boundaries (engine/passes/*) --------------------------
     "planner.normalize": ("planner", "stage canonicalization pass (engine/passes/normalize)"),
     "planner.cse": ("planner", "hash-cons CSE pass (engine/passes/cse)"),
-    "planner.pushdown": ("planner", "mask pushdown pass (engine/passes/pushdown)"),
     "planner.fuse": ("planner", "fusion grouping pass (engine/passes/fuse)"),
     "planner.schedule": ("planner", "decision-commit pass (engine/passes/schedule)"),
     # -- engine (engine/*) --------------------------------------------------

@@ -37,12 +37,6 @@ OPTIONS: dict[str, tuple] = {
         "planner CSE pass: hash-cons identical pending nodes so a "
         "repeated subexpression runs its kernel once",
     ),
-    "ENGINE_PUSHDOWN": (
-        True,
-        "planner pushdown pass: absorb a masked consumer's filter into "
-        "the producing mxm/mxv/vxm/eWiseMult kernel (needs "
-        "`MASK_PUSHDOWN`)",
-    ),
     "ENGINE_MEMO": (
         True,
         "cross-forcing result memo per Context: a re-submitted "
@@ -78,11 +72,6 @@ OPTIONS: dict[str, tuple] = {
         16,
         "at or above the row floor a matrix goes DCSR when `nnz * "
         "FACTOR < nrows`",
-    ),
-    "ENGINE_OP_BATCH": (
-        True,
-        "scheduler coalesces pending single-vector products over one "
-        "committed matrix into one multi-vector kernel",
     ),
     "ENGINE_DELTA": (
         True,

@@ -19,19 +19,11 @@ and assembles its output through the format policy.
 
 **Full vector operands.**  A ``VecData`` with ``nvals == size`` stores
 index i at position i (its indices are sorted, unique and in
-``[0, size)``), so when either side of a vector union or (unmasked)
-intersection is full, the other side's indices *are* positions in it:
-no merge, just a gather and the operator, in ``(a, b)`` order for the
-non-commutative ops.  Pagerank's and components' sweeps run on such
+``[0, size)``), so when either side of a vector union or intersection
+is full, the other side's indices *are* positions in it: no merge, just
+a gather and the operator, in ``(a, b)`` order for the non-commutative
+ops.  Pagerank's and components' sweeps run on such
 vectors.
-
-The *intersection* kernels accept an optional planner-pushed mask
-filter (``mask_keys`` — sorted keys in the output coordinate space,
-``mask_complement``): surviving keys are membership-tested right after
-the merge, before the operator runs, so off-mask entries never have
-values computed — the eWise analogue of the masked-SpGEMM push-down.
-The mxm convention applies: ``mask_keys=None`` means no filter, and an
-*empty* key set with ``complement=True`` keeps everything.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from .containers import (
     DcsrData,
     MatData,
     VecData,
-    in_sorted,
     mat_from_coo,
     merge_column,
     merge_slots,
@@ -104,15 +95,6 @@ def _union_values(
     return out
 
 
-def _filter_common(a_keys, ia, ib, mask_keys, mask_complement, space):
-    """Drop common keys the pushed mask filter rules out (pre-values)."""
-    if mask_keys is None or (len(mask_keys) == 0 and mask_complement):
-        return ia, ib
-    keep = in_sorted(
-        a_keys[ia], mask_keys, invert=mask_complement, space=space)
-    return ia[keep], ib[keep]
-
-
 def _full(v: VecData) -> bool:
     """Whether *v* stores every index: its indices are sorted, unique
     and in ``[0, size)``, so index i then sits at position i."""
@@ -124,12 +106,10 @@ def vec_intersect(
     b: VecData,
     op: BinaryOp,
     out_type: Type,
-    mask_keys: np.ndarray | None = None,
-    mask_complement: bool = False,
 ) -> VecData:
     """w = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
-    if mask_keys is None and (_full(a) or _full(b)):
+    if _full(a) or _full(b):
         # The other side's indices are the positions in the full one.
         if _full(b):
             idx, av, bv = a.indices, a.values, b.values[a.indices]
@@ -137,10 +117,7 @@ def vec_intersect(
             idx, av, bv = b.indices, a.values[b.indices], b.values
         return VecData(a.size, out_type, idx,
                        _merged_values(op, out_type, av, bv))
-    ia, ib = _filter_common(
-        a.indices, *_intersect_sorted(a.indices, b.indices),
-        mask_keys, mask_complement, a.size,
-    )
+    ia, ib = _intersect_sorted(a.indices, b.indices)
     vals = _merged_values(op, out_type, a.values[ia], b.values[ib])
     return VecData(a.size, out_type, a.indices[ia], vals)
 
@@ -187,18 +164,13 @@ def mat_intersect(
     b: "MatData | DcsrData",
     op: BinaryOp,
     out_type: Type,
-    mask_keys: np.ndarray | None = None,
-    mask_complement: bool = False,
 ) -> "MatData | DcsrData":
     """C = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
     a_rows = a.row_indices()
     a_keys = pair_keys(a_rows, a.col_indices, a.ncols)
     b_keys = pair_keys(b.row_indices(), b.col_indices, b.ncols)
-    ia, ib = _filter_common(
-        a_keys, *_intersect_sorted(a_keys, b_keys),
-        mask_keys, mask_complement, a.nrows * a.ncols,
-    )
+    ia, ib = _intersect_sorted(a_keys, b_keys)
     vals = _merged_values(op, out_type, a.values[ia], b.values[ib])
     return mat_from_coo(a.nrows, a.ncols, out_type,
                         a_rows[ia], a.col_indices[ia], vals,

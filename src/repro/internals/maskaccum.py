@@ -49,9 +49,8 @@ def _memo(carrier, structure: bool, compute):
     """Cache a mask's key set on its (immutable) carrier.
 
     The same mask carrier is typically consulted repeatedly — every BFS
-    level re-filters through the visited set, and a planner-pushed mask
-    is keyed once for the producing kernel and once at the consumer's
-    write-back.  Carriers are frozen, so the keys can never go stale;
+    level re-filters through the visited set, and a masked product's
+    mask is keyed once for its kernel and once at its write-back.  Carriers are frozen, so the keys can never go stale;
     ``object.__setattr__`` sidesteps the frozen-dataclass guard.
 
     Storing the cache *on* the carrier (rather than in a side table

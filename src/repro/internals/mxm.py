@@ -65,9 +65,7 @@ from ``carrier.row_indices()`` and row-window gathers from
 :func:`~.containers.row_gather` (binary search over the nonempty-row
 list for DCSR — O(nnz log nrr), never O(nrows)), and outputs assemble
 through :func:`~.containers.mat_from_coo`, which picks the output
-format by the committed density policy.  ``mxv_multi`` is the blocked
-multi-vector kernel the scheduler's small-op batcher targets: one
-shared pass over A's structure amortized across many right-hand sides.
+format by the committed density policy.
 """
 
 from __future__ import annotations
@@ -97,8 +95,8 @@ from .containers import (
 )
 from .dispatch import register
 
-__all__ = ["mxm", "mxv", "vxm", "mxv_multi", "segment_reduce_sorted",
-           "fold_keys", "rows_of_keys"]
+__all__ = ["mxm", "mxv", "vxm", "segment_reduce_sorted", "fold_keys",
+           "rows_of_keys"]
 
 _INT = np.int64
 
@@ -449,20 +447,13 @@ def mxv(
     semiring: Semiring,
     mask_keys: np.ndarray | None = None,
     mask_complement: bool = False,
-    *,
-    a_rows: np.ndarray | None = None,
 ) -> VecData:
-    """w = A ⊕.⊗ u (optional row-index mask push-down).
-
-    ``a_rows`` optionally supplies A's precomputed COO row stream —
-    the multi-vector batch kernel shares it across right-hand sides.
-    """
+    """w = A ⊕.⊗ u (optional row-index mask push-down)."""
     maybe_inject("kernel.mxv")
     out_type = semiring.out_type
     if a.nvals == 0 or u.nvals == 0:
         return empty_vec(a.nrows, out_type)
-    if a_rows is None:
-        a_rows = a.row_indices()
+    a_rows = a.row_indices()
     # Keep A entries whose column is stored in u; pos is its slot in u.
     if u.nvals * 8 >= u.size:
         slot = np.full(u.size, -1, dtype=_INT)
@@ -487,23 +478,6 @@ def mxv(
         rows, semiring.add.type.coerce_array(prod), semiring.add, out_type
     )
     return VecData(a.nrows, out_type, uniq, folded)
-
-
-def mxv_multi(
-    a: "MatData | DcsrData",
-    us: "list[VecData]",
-    semiring: Semiring,
-) -> "list[VecData]":
-    """Blocked multi-vector product: w_k = A ⊕.⊗ u_k for every u_k.
-
-    The scheduler's small-op batcher funnels many pending unmasked
-    ``mxv`` nodes over the *same* committed A into one call, so A's
-    row-stream expansion (O(nrows + nnz) for CSR) and kernel entry
-    bookkeeping are paid once instead of once per vector.
-    """
-    maybe_inject("kernel.mxv_multi")
-    a_rows = a.row_indices() if a.nvals else None
-    return [mxv(a, u, semiring, a_rows=a_rows) for u in us]
 
 
 def vxm(
@@ -557,5 +531,4 @@ def vxm(
 # goes through the polymorphic row stream / row-window gather above.
 register("mxm", "csr", "dcsr")(mxm)
 register("mxv", "csr", "dcsr")(mxv)
-register("mxv_multi", "csr", "dcsr")(mxv_multi)
 register("vxm", "csr", "dcsr")(vxm)

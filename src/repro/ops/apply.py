@@ -88,13 +88,11 @@ def _submit_stages(out, mask, accum, u, d, stages, label, *, op, kind="apply"):
         # carriers: they cannot raise an execution error, so a COMPLETE
         # wait may leave the node deferred.
         complete_safe=pure and op.is_builtin,
-        # Planner metadata: the write-back shape lets the pushdown pass
-        # absorb this node's mask into a producing mxm-family kernel.
+        # Planner metadata: the write-back shape tells the fuse pass
+        # whether this node may absorb its in-place producer.
         mask_info=mask_metadata(
             mask_src, accum,
-            complement=d.mask_complement,
-            structure=d.mask_structure,
-            replace=d.replace,
+            complement=d.mask_complement, replace=d.replace,
         ),
     )
     return out

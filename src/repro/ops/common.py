@@ -163,23 +163,19 @@ def mask_metadata(
     accum: BinaryOp | None,
     *,
     complement: bool = False,
-    structure: bool = False,
     replace: bool = False,
 ):
     """Describe a write-back for the planner (``None`` when pure).
 
     The write-back closure is opaque to the engine; this record is what
-    the mask-pushdown pass reasons about.  It must describe the same
-    funnel :func:`writeback_closure` builds from the same arguments.
+    the fuse pass reasons about.  It must describe the same funnel
+    :func:`writeback_closure` builds from the same arguments.
     """
     if mask_src is None and not complement and accum is None:
         return None
     from ..engine.dag import MaskInfo
 
-    return MaskInfo(
-        mask_src, complement=complement, structure=structure,
-        replace=replace, has_accum=accum is not None,
-    )
+    return MaskInfo(replace=replace, has_accum=accum is not None)
 
 
 def check_output_cast(result_type, out_type) -> None:

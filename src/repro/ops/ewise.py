@@ -76,26 +76,10 @@ def _ewise_mat(
             b = datas[1].transpose() if tran1 else datas[1]
             return _k.mat_union(a, b, binop, binop.out_type)
     else:
-        def compute(datas, pushed_keys=None, pushed_comp=False):
+        def compute(datas):
             a = datas[0].transpose() if tran0 else datas[0]
             b = datas[1].transpose() if tran1 else datas[1]
-            return _k.mat_intersect(
-                a, b, binop, binop.out_type,
-                mask_keys=pushed_keys, mask_complement=pushed_comp,
-            )
-
-    # Which inputs a mask filter may be pushed *through* (producer-side
-    # pushdown): a transposed input lives in the wrong coordinate space;
-    # a union only behaves like an intersection when both inputs are the
-    # same untransposed source (then filtering it filters the union).
-    if union:
-        push_targets = (
-            (0,) if b_src is a_src and not (tran0 or tran1) else None
-        )
-    else:
-        push_targets = tuple(
-            i for i, t in ((0, tran0), (1, tran1)) if not t
-        ) or None
+            return _k.mat_intersect(a, b, binop, binop.out_type)
 
     writeback, pure = writeback_closure(
         False, C.type, mask_src, accum,
@@ -115,12 +99,8 @@ def _ewise_mat(
         cse_safe=binop.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum,
-            complement=d.mask_complement,
-            structure=d.mask_structure,
-            replace=d.replace,
+            complement=d.mask_complement, replace=d.replace,
         ),
-        pushable=not union,
-        push_targets=push_targets,
     )
     return C
 
@@ -148,16 +128,9 @@ def _ewise_vec(
     if union:
         def compute(datas):
             return _k.vec_union(datas[0], datas[1], binop, binop.out_type)
-
-        push_targets = (0,) if v_src is u_src else None
     else:
-        def compute(datas, pushed_keys=None, pushed_comp=False):
-            return _k.vec_intersect(
-                datas[0], datas[1], binop, binop.out_type,
-                mask_keys=pushed_keys, mask_complement=pushed_comp,
-            )
-
-        push_targets = (0, 1)
+        def compute(datas):
+            return _k.vec_intersect(datas[0], datas[1], binop, binop.out_type)
 
     writeback, pure = writeback_closure(
         True, w.type, mask_src, accum,
@@ -176,12 +149,8 @@ def _ewise_vec(
         cse_safe=binop.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum,
-            complement=d.mask_complement,
-            structure=d.mask_structure,
-            replace=d.replace,
+            complement=d.mask_complement, replace=d.replace,
         ),
-        pushable=not union,
-        push_targets=push_targets,
     )
     return w
 

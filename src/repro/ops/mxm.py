@@ -77,25 +77,20 @@ def mxm(
     tran0, tran1 = d.transpose0, d.transpose1
     comp, struct = d.mask_complement, d.mask_structure
 
-    def compute(datas, pushed_keys=None, pushed_comp=False):
+    def compute(datas):
         a = datas[0].transpose() if tran0 else datas[0]
         b = datas[1].transpose() if tran1 else datas[1]
-        # Masked-SpGEMM push-down: no product the mask excludes can
-        # reach the output, so filter inside the kernel before the
-        # sort/compress phase (complemented masks filter inverted —
-        # the visited-set pattern of BFS).  The filter is either this
-        # op's own mask or one the planner pushed down from a masked
-        # consumer (``pushed_keys``; never both — the pushdown pass
-        # only targets unmasked pure producers).
-        mask_keys, mask_comp = pushed_keys, pushed_comp
+        # Masked-SpGEMM push-down: no product this op's mask excludes
+        # can reach the output, so the kernel skips it (complemented
+        # masks filter inverted — the visited-set pattern of BFS).
+        mask_keys = None
         if mask_src is not None and config.MASK_PUSHDOWN:
             mask_keys = mat_mask_keys(mask_src.resolve(), struct)
-            mask_comp = comp
         # Resolved at execution time (not submit time): a context that
         # degraded to serial while this node was deferred must not
         # re-enter its worker pool.
         threaded = ctx.nthreads > 1 and not ctx.is_degraded
-        return _k.mxm(a, b, semiring, mask_keys, mask_comp,
+        return _k.mxm(a, b, semiring, mask_keys, comp,
                       ctx if threaded else None)
 
     writeback, pure = writeback_closure(
@@ -110,10 +105,8 @@ def mxm(
         opkey=("mxm", id(semiring), tran0, tran1),
         cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
-            mask_src, accum,
-            complement=comp, structure=struct, replace=d.replace,
+            mask_src, accum, complement=comp, replace=d.replace,
         ),
-        pushable=True,
     )
     return C
 
@@ -149,31 +142,17 @@ def mxv(
     tran0 = d.transpose0
     comp, struct = d.mask_complement, d.mask_structure
 
-    def compute(datas, pushed_keys=None, pushed_comp=False):
+    def compute(datas):
         a = datas[0].transpose() if tran0 else datas[0]
-        mask_keys, mask_comp = pushed_keys, pushed_comp
+        mask_keys = None
         if mask_src is not None and config.MASK_PUSHDOWN:
             mask_keys = vec_mask_keys(mask_src.resolve(), struct)
-            mask_comp = comp
-        return _k.mxv(a, datas[1], semiring, mask_keys, mask_comp)
+        return _k.mxv(a, datas[1], semiring, mask_keys, comp)
 
     writeback, pure = writeback_closure(
         True, w.type, mask_src, accum,
         complement=comp, structure=struct, replace=d.replace,
     )
-
-    # Small-op batching eligibility: a pure (unmasked, unaccumulated),
-    # untransposed builtin-semiring product over a *committed* matrix
-    # capture.  Equal keys ⇒ the very same committed carrier (versioned
-    # handle identity) and semiring, so many such nodes coalesce into
-    # one blocked multi-vector kernel at scheduling time.
-    batch_key = batch_compute = None
-    if (pure and not tran0 and semiring.is_builtin
-            and a_src.node is None and a_src.vkey is not None):
-        batch_key = ("mxv", a_src.vkey, id(semiring))
-
-        def batch_compute(a, us):
-            return _k.mxv_multi(a, us, semiring)
 
     inputs = [a_src, u_src] if mask_src is None else [a_src, u_src, mask_src]
     w._submit_op(
@@ -183,12 +162,8 @@ def mxv(
         opkey=("mxv", id(semiring), tran0),
         cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
-            mask_src, accum,
-            complement=comp, structure=struct, replace=d.replace,
+            mask_src, accum, complement=comp, replace=d.replace,
         ),
-        pushable=True,
-        batch_key=batch_key,
-        batch_compute=batch_compute,
     )
     return w
 
@@ -227,13 +202,12 @@ def vxm(
     tran1 = d.transpose1
     comp, struct = d.mask_complement, d.mask_structure
 
-    def compute(datas, pushed_keys=None, pushed_comp=False):
+    def compute(datas):
         a = datas[0].transpose() if tran1 else datas[0]
-        mask_keys, mask_comp = pushed_keys, pushed_comp
+        mask_keys = None
         if mask_src is not None and config.MASK_PUSHDOWN:
             mask_keys = vec_mask_keys(mask_src.resolve(), struct)
-            mask_comp = comp
-        return _k.vxm(datas[1], a, semiring, mask_keys, mask_comp)
+        return _k.vxm(datas[1], a, semiring, mask_keys, comp)
 
     writeback, pure = writeback_closure(
         True, w.type, mask_src, accum,
@@ -247,9 +221,7 @@ def vxm(
         opkey=("vxm", id(semiring), tran1),
         cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
-            mask_src, accum,
-            complement=comp, structure=struct, replace=d.replace,
+            mask_src, accum, complement=comp, replace=d.replace,
         ),
-        pushable=True,
     )
     return w

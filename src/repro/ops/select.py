@@ -76,8 +76,7 @@ def select(
 
     sval = scalar_value(s, what="select scalar")
     # _submit_stages attaches the planner metadata (mask/accum shape)
-    # that lets a masked select's filter be pushed into a producing
-    # mxm-family kernel by the planner's pushdown pass.
+    # the fuse pass reads before absorbing an in-place producer.
     return _submit_stages(
         out, mask, accum, a, d,
         [("select", op, sval)], "select", op=op, kind="select",

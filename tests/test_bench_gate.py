@@ -21,15 +21,11 @@ bench_gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_gate)
 
 
-def _results(mm=0.5, cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5,
-             hyp=0.01, batch=0.6, warm=0.2, ingest=0.3, store=0.3, vxm=1.2):
+def _results(cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5, hyp=0.01,
+             warm=0.2, ingest=0.3, store=0.3, vxm=1.2):
     """A full fresh/baseline results dict with the given gated ratios
     (blocking_ms pinned to 100 so ratio == optimized ms / 100)."""
     return {
-        "masked_mxm": {
-            "blocking_ms": 100.0, "nb_pushed_ms": mm * 100.0,
-            "masks_pushed": 5,
-        },
         "dup_subexpression": {
             "blocking_ms": 100.0, "nb_cse_ms": cse * 100.0,
             "cse_reused": 5,
@@ -58,10 +54,6 @@ def _results(mm=0.5, cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5,
         "hypersparse_mxv": {
             "blocking_ms": 100.0, "nb_dcsr_ms": hyp * 100.0,
             "format_dcsr_commits": 3,
-        },
-        "op_batching": {
-            "blocking_ms": 100.0, "nb_batched_ms": batch * 100.0,
-            "engine_batched_ops": 48,
         },
         "streaming_pagerank": {
             "blocking_ms": 100.0, "nb_warm_ms": warm * 100.0,
@@ -161,7 +153,7 @@ class TestCliHistory:
         ))
         hyper = tmp_path / "hypersparse.json"
         hyper.write_text(json.dumps(
-            {k: _results()[k] for k in ("hypersparse_mxv", "op_batching")}
+            {"hypersparse_mxv": _results()["hypersparse_mxv"]}
         ))
         streaming = tmp_path / "streaming.json"
         streaming.write_text(json.dumps(

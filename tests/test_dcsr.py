@@ -204,7 +204,7 @@ class TestRoundTrips:
 
 class TestDispatchCoverage:
     NATIVE_BOTH = (
-        "mxm", "mxv", "mxv_multi", "vxm",
+        "mxm", "mxv", "vxm",
         "ewise_intersect", "ewise_union",
         "apply", "apply_index", "select", "pipeline",
         "reduce_rows", "build", "mask_write_back",

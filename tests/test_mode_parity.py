@@ -216,12 +216,12 @@ def _apply_op(name, p, c, a, ctx):
     elif name == "mxm":
         mxm(c, None, None, S.PLUS_TIMES_SEMIRING[T.FP64], c, a)
     elif name == "mxm_masked_rsc":
-        # Masked in-place product: the planner's mask-pushdown shape.
+        # Masked in-place product: its own mask reaches the kernel.
         mxm(c, a, None, S.PLUS_TIMES_SEMIRING[T.FP64], c, a, desc=DESC_RSC)
     elif name == "apply_masked_rsc":
         # Masked in-place map right after whatever produced c — when the
-        # producer is an unreferenced mxm this pushes; otherwise the
-        # legality guards must refuse without changing the result.
+        # producer is an unreferenced mxm the map fuses it; otherwise
+        # the legality guards must refuse without changing the result.
         apply(c, a, None, AINV[T.FP64], c, DESC_RSC)
     elif name == "dup_mxm_sum":
         # Textually repeated subexpression: hash-cons CSE shares one

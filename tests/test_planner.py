@@ -1,14 +1,14 @@
-"""The multi-pass planner: CSE, mask pushdown, pass faults, tracing.
+"""The multi-pass planner: CSE, masked consumers, pass faults, tracing.
 
-PR-3 rebuilt the lazy engine's planner as a pipeline of passes
-(``normalize → cse → pushdown → fuse → schedule``) over one immutable
-plan IR.  This battery checks each pass's *observable* contract:
+The lazy engine's planner is a pipeline of passes (``normalize → cse →
+fuse → schedule``) over one immutable plan IR.  This battery checks
+each pass's *observable* contract:
 
 * hash-cons CSE publishes one kernel result through every duplicate
   node (``kernel_count`` stays honest — reuse is not a kernel);
-* mask pushdown filters inside the producing mxm-family kernel only
-  when provably legal, and falls back to the unfiltered §V outcome
-  when the optimized chain fails;
+* a masked consumer of a pending product stays exact: the in-place
+  REPLACE shape fuses, every other shape runs node by node, and a
+  failing fused chain re-runs unfused to the exact §V outcome;
 * a fault at any pass boundary skips that pass (the previous IR stays
   valid) and the forcing still completes with exact results;
 * every pass and kernel records a span that round-trips through the
@@ -46,14 +46,14 @@ N = 24
 
 @pytest.fixture(autouse=True)
 def clean_plane_and_stats():
-    # This module asserts the CSE / pushdown pass counters, so pin those
-    # passes and the kernel mask filter they feed on: the CI ablation
-    # matrix runs the whole suite with each knob exported off, and these
-    # contracts are knob-on behaviour (the explicit knob tests below
-    # override with their own inner option()).
+    # This module asserts the CSE / fuse pass counters, so pin those
+    # passes and the kernel mask filter: the CI ablation matrix runs the
+    # whole suite with each knob exported off, and these contracts are
+    # knob-on behaviour (the explicit knob tests below override with
+    # their own inner option()).
     STATS.reset()
     with config.option("ENGINE_CSE", True), \
-            config.option("ENGINE_PUSHDOWN", True), \
+            config.option("ENGINE_FUSION", True), \
             config.option("MASK_PUSHDOWN", True):
         yield
     PLANE.disable()
@@ -217,11 +217,11 @@ class TestCSE:
 
 
 # ---------------------------------------------------------------------------
-# Mask pushdown
+# Masked consumers of a pending product
 # ---------------------------------------------------------------------------
 
 
-def _pushdown_pipeline(desc):
+def _masked_consumer_pipeline(desc):
     def pipeline(ctx):
         a = _graph(ctx, seed=7)
         m = _graph(ctx, seed=8, density=0.4)
@@ -234,30 +234,42 @@ def _pushdown_pipeline(desc):
     return pipeline
 
 
-class TestMaskPushdown:
-    def test_inplace_masked_consumer_pushes(self):
-        pipeline = _pushdown_pipeline(DESC_RSC)
+def _pending_masked_consumer(ctx):
+    """The in-place REPLACE shape, left pending for a fault to hit."""
+    a = _graph(ctx, seed=7)
+    m = _graph(ctx, seed=8, density=0.4)
+    c = Matrix.new(T.FP64, N, N, ctx)
+    mxm(c, None, None, _sr(), a, a)
+    apply(c, m, None, U.IDENTITY[T.FP64], c, DESC_RSC)
+    return c
+
+
+class TestMaskedConsumer:
+    """A masked consumer over a pending product.  The planner has no
+    pass that moves the consumer's mask into the producer: the in-place
+    REPLACE shape fuses, every other shape runs node by node, and all
+    of them stay exact — also when a kernel in the chain fails."""
+
+    def test_inplace_masked_consumer_fuses(self):
+        pipeline = _masked_consumer_pipeline(DESC_RSC)
         oracle = _blocking_oracle(pipeline)
         assert _nonblocking(pipeline) == oracle
         snap = default_context().engine_stats()
-        assert snap["masks_pushed"] == 1
-        assert snap["pushdown_fallbacks"] == 0
-        # The consumer keeps its full write-back.
-        assert snap["kernel_count"].get("apply") == 1
+        assert snap["chains_fused"] == 1 and snap["nodes_fused"] == 1
+        assert snap["masks_pushed"] == 0
 
-    def test_no_push_without_replace(self):
-        """In-place consumer without REPLACE: write-back merges old C —
-        the producer's own unfiltered value — at mask-false positions,
-        so filtering the producer would be wrong.  The pass must refuse
-        (and the result must still be exact)."""
-        pipeline = _pushdown_pipeline(DESC_SC)
+    def test_inplace_masked_consumer_without_replace_runs_unfused(self):
+        """In-place consumer without REPLACE: the write-back merges old
+        C — the producer's own value — at mask-false positions, so the
+        consumer may not absorb its producer."""
+        pipeline = _masked_consumer_pipeline(DESC_SC)
         oracle = _blocking_oracle(pipeline)
         assert _nonblocking(pipeline) == oracle
-        assert default_context().engine_stats()["masks_pushed"] == 0
+        assert default_context().engine_stats()["chains_fused"] == 0
 
-    def test_no_push_when_producer_is_live_tail(self):
-        """The producer's unfiltered value stays observable through its
-        own handle, so the mask must not leak into it."""
+    def test_masked_consumer_of_a_live_tail_runs_unfused(self):
+        """The producer's value stays observable through its own
+        handle, so the consumer may not absorb it."""
 
         def pipeline(ctx):
             a = _graph(ctx, seed=9)
@@ -271,9 +283,9 @@ class TestMaskPushdown:
 
         oracle = _blocking_oracle(pipeline)
         assert _nonblocking(pipeline) == oracle
-        assert default_context().engine_stats()["masks_pushed"] == 0
+        assert default_context().engine_stats()["chains_fused"] == 0
 
-    def test_vector_pushdown_bfs_shape(self):
+    def test_vector_masked_consumer_bfs_shape(self):
         """vxm producer + complemented structural vector mask — the BFS
         'unvisited frontier expansion' shape."""
 
@@ -294,47 +306,32 @@ class TestMaskPushdown:
 
         oracle = _blocking_oracle(pipeline)
         assert _nonblocking(pipeline) == oracle
-        assert default_context().engine_stats()["masks_pushed"] == 1
+        assert default_context().engine_stats()["chains_fused"] == 1
 
-    def test_pushed_producer_failure_reruns_unfiltered(self):
-        """A pushed kernel that faults re-runs with the filter stripped;
-        the chain's outcome is exactly the unoptimized one."""
-        pipeline = _pushdown_pipeline(DESC_RSC)
-        oracle = _blocking_oracle(pipeline)
-        ctx = Context.new(Mode.NONBLOCKING, None, None)
-        a = _graph(ctx, seed=7)
-        m = _graph(ctx, seed=8, density=0.4)
-        c = Matrix.new(T.FP64, N, N, ctx)
-        mxm(c, None, None, _sr(), a, a)
-        apply(c, m, None, U.IDENTITY[T.FP64], c, DESC_RSC)
+    def test_fused_producer_failure_reruns_unfused(self):
+        """The product faults inside the fused evaluation: the chain
+        re-runs node by node and its outcome is exactly the unfused
+        one."""
+        oracle = _blocking_oracle(_masked_consumer_pipeline(DESC_RSC))
+        c = _pending_masked_consumer(Context.new(Mode.NONBLOCKING, None, None))
         STATS.reset()
         PLANE.configure(1, [FaultSpec(site="kernel.mxm", max_hits=1)])
         c.wait(WaitMode.MATERIALIZE)
         PLANE.disable()
-        snap = default_context().engine_stats()
-        assert snap["masks_pushed"] == 1
-        assert snap["pushdown_fallbacks"] >= 1
+        assert default_context().engine_stats()["chains_fused"] == 1
         assert mat_to_dict(c) == oracle
 
-    def test_pushed_consumer_failure_restores_producer(self):
-        """The *consumer* of a pushed mask faults after the producer
-        committed a filtered carrier: the fallback must recompute the
-        producer clean before re-running the consumer, or the §V
-        pre-failure walk would observe a filtered intermediate."""
-        pipeline = _pushdown_pipeline(DESC_RSC)
-        oracle = _blocking_oracle(pipeline)
-        ctx = Context.new(Mode.NONBLOCKING, None, None)
-        a = _graph(ctx, seed=7)
-        m = _graph(ctx, seed=8, density=0.4)
-        c = Matrix.new(T.FP64, N, N, ctx)
-        mxm(c, None, None, _sr(), a, a)
-        apply(c, m, None, U.IDENTITY[T.FP64], c, DESC_RSC)
+    def test_fused_consumer_failure_reruns_unfused(self):
+        """The consumer's stage faults after the product ran inside the
+        fused evaluation: the fallback recomputes the product on its own
+        before re-running the consumer."""
+        oracle = _blocking_oracle(_masked_consumer_pipeline(DESC_RSC))
+        c = _pending_masked_consumer(Context.new(Mode.NONBLOCKING, None, None))
         STATS.reset()
         PLANE.configure(1, [FaultSpec(site="kernel.pipeline", max_hits=1)])
         c.wait(WaitMode.MATERIALIZE)
         PLANE.disable()
-        snap = default_context().engine_stats()
-        assert snap["pushdown_fallbacks"] >= 1
+        assert default_context().engine_stats()["chains_fused"] == 1
         assert mat_to_dict(c) == oracle
 
 
@@ -362,16 +359,15 @@ class TestPlannerPassFaults:
     def test_every_pass_faulted_still_exact(self):
         """With the whole planner on fire, forcing degrades to plain
         topological execution — and stays exact."""
-        pipeline = _pushdown_pipeline(DESC_RSC)
+        pipeline = _masked_consumer_pipeline(DESC_RSC)
         oracle = _blocking_oracle(pipeline)
         PLANE.configure(4, [FaultSpec(site="planner.*", rate=1.0)])
         got = _nonblocking(pipeline)
         PLANE.disable()
         assert got == oracle
         snap = default_context().engine_stats()
-        # normalize, pushdown, fuse, schedule
-        assert snap["planner_pass_failures"] >= 4
-        assert snap["masks_pushed"] == 0
+        # normalize, fuse, schedule
+        assert snap["planner_pass_failures"] >= 3
         assert snap["chains_fused"] == 0
 
     def test_pass_fault_counters_per_site(self):
@@ -397,7 +393,7 @@ class TestTracing:
     def _workload(self):
         ctx = Context.new(Mode.NONBLOCKING, None, None)
         _dup_mxm_pipeline(ctx)
-        pipeline = _pushdown_pipeline(DESC_RSC)
+        pipeline = _masked_consumer_pipeline(DESC_RSC)
         pipeline(ctx)
 
     def test_spans_cover_passes_kernels_and_forces(self):
@@ -407,7 +403,7 @@ class TestTracing:
         cats = {e.get("cat") for e in events if e.get("ph") == "X"}
         assert {"planner", "kernel", "force"} <= cats
         names = {e["name"] for e in events}
-        for p in ("normalize", "cse", "pushdown", "fuse", "schedule"):
+        for p in ("normalize", "cse", "fuse", "schedule"):
             assert f"planner.{p}" in names
         # Decision instants ride along.
         assert any(e.get("ph") == "i" for e in events)
@@ -563,7 +559,7 @@ def _planner_spans():
 
 
 _REWRITE_COUNTERS = (
-    "cse_hits", "cse_reused", "masks_pushed", "chains_fused", "nodes_fused",
+    "cse_hits", "cse_reused", "chains_fused", "nodes_fused",
     "planner_pass_failures",
 )
 
@@ -615,21 +611,19 @@ class TestApplicabilityGate:
         _assert_no_planning()
         assert STATS.snapshot()["kernel_count"].get("mxm") == 2
 
-    # -- pushdown -------------------------------------------------------------
+    # -- a masked consumer ------------------------------------------------------
 
-    def test_pushdown_fires_on_masked_consumer_of_a_pushable_producer(self):
-        """With fusion ablated the pushdown precondition alone holds,
-        and only that pass runs."""
+    def test_masked_consumer_plans_nothing_with_fusion_off(self):
+        """The in-place masked consumer is a fuse candidate and nothing
+        else: with fusion ablated no precondition holds."""
         with config.option("ENGINE_FUSION", False):
-            pipeline = _pushdown_pipeline(DESC_RSC)
+            pipeline = _masked_consumer_pipeline(DESC_RSC)
             assert _nonblocking(pipeline) == _blocking_oracle(pipeline)
-        assert _planner_spans() == [
-            "planner.normalize", "planner.pushdown", "planner.schedule"]
-        assert STATS.snapshot()["masks_pushed"] == 1
+        _assert_no_planning()
 
-    def test_pushdown_near_miss_materialized_producer(self):
+    def test_fuse_near_miss_materialized_producer(self):
         """The same masked consumer over an already-forced product: no
-        pending producer to push into."""
+        pending producer to absorb."""
         def pipeline(ctx):
             a = _graph(ctx, seed=7)
             m = _graph(ctx, seed=8, density=0.4)
@@ -648,7 +642,6 @@ class TestApplicabilityGate:
     # -- fuse -----------------------------------------------------------------
 
     def test_fuse_fires_on_stage_consumer_of_a_pure_producer(self):
-        """Nothing here is masked, so pushdown cannot fire."""
         def pipeline(ctx):
             a = _graph(ctx, seed=12)
             c = Matrix.new(T.FP64, N, N, ctx)

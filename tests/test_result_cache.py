@@ -15,8 +15,7 @@ difference except in the counters.  This battery checks:
   the memo holds strong references only while the owner is alive;
 * §V under chaos: with the memo on and transient faults injected, a
   program still produces exactly the fault-free blocking result;
-* Hypothesis mode parity for the masked eWiseMult-over-mxm chains the
-  eWise pushdown rewrites.
+* Hypothesis mode parity for masked eWiseMult-over-mxm chains.
 """
 
 import gc

@@ -9,7 +9,6 @@ same file — a machine-independent measure of what the planner buys —
 against the committed baseline ratios in
 ``benchmarks/BENCH_planner.json``:
 
-* ``masked_mxm.nb_pushed_ms / blocking_ms``   — mask pushdown
 * ``dup_subexpression.nb_cse_ms / blocking_ms`` — hash-consing (CSE)
 * ``repeated_algorithm.nb_warm_ms / blocking_ms`` — algo-block memo
 * ``bfs_vxm.nonblocking_ms / blocking_ms`` — deferral's fixed cost on a
@@ -37,12 +36,10 @@ against the committed ``benchmarks/BENCH_recovery.json``:
 
 ``benchmarks/bench_hypersparse.py`` writes ``BENCH_hypersparse.json``
 (time-to-first-answer on a 2^30-row graph, DCSR vs a forced-CSR
-handicap at 2^24 rows, plus small-op batching of independent mxv
-queries); when present two more ratios are gated against the committed
-``benchmarks/BENCH_hypersparse.json``:
+handicap at 2^24 rows); when present one more ratio is gated against
+the committed ``benchmarks/BENCH_hypersparse.json``:
 
 * ``hypersparse_mxv.nb_dcsr_ms / blocking_ms`` — hypersparse carrier
-* ``op_batching.nb_batched_ms / blocking_ms``  — small-op coalescing
 
 ``benchmarks/bench_streaming.py`` writes ``BENCH_streaming.json``
 (pagerank after a small edge delta, warm delta-patched restart vs
@@ -92,7 +89,6 @@ from pathlib import Path
 #: ``None`` where the workload has nothing to rewrite and the ratio is
 #: plain engine overhead)
 GATED = (
-    ("masked_mxm", "nb_pushed_ms", "masks_pushed"),
     ("dup_subexpression", "nb_cse_ms", "cse_reused"),
     ("repeated_algorithm", "nb_warm_ms", "algo_memo_hits"),
     ("bfs_vxm", "nonblocking_ms", None),
@@ -100,7 +96,6 @@ GATED = (
     ("serving_p99", "nb_batched_ms", "serve_batches"),
     ("recovery", "nb_warm_ms", "restored_graphs"),
     ("hypersparse_mxv", "nb_dcsr_ms", "format_dcsr_commits"),
-    ("op_batching", "nb_batched_ms", "engine_batched_ops"),
     ("streaming_pagerank", "nb_warm_ms", "memo_delta_patches"),
     ("streaming_ingest", "nb_batched_ms", "ingest_batches"),
     ("store", "nb_warm_ms", "store_hits"),
@@ -116,7 +111,7 @@ RECOVERY_WORKLOADS = ("recovery",)
 
 #: workloads sourced from the hypersparse bench
 #: (BENCH_hypersparse.json) — gated only when its results are present
-HYPERSPARSE_WORKLOADS = ("hypersparse_mxv", "op_batching")
+HYPERSPARSE_WORKLOADS = ("hypersparse_mxv",)
 
 #: workloads sourced from the streaming bench (BENCH_streaming.json) —
 #: gated only when its results are present

@@ -63,11 +63,10 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §III blocking mode | every method executes before it returns | `core/sequence.py` (submit + immediate force) |
 | §III nonblocking mode | methods may be delayed, reordered, optimized | `engine/dag.py` nodes + `engine/fusion.py::plan_subgraph` planner |
 | §III "optimize" freedom: common subexpressions | a repeated pending subexpression may execute once | `engine/passes/cse.py` hash-cons over `dag.structural_key`; shared result republished via `engine/txn.py` |
-| §III "optimize" freedom: masked products | `C⟨M⟩ = A ⊕.⊗ B` may skip off-mask products entirely | `engine/passes/pushdown.py` → `internals/mxm.py` `mask_keys` filter (§VIII `GrB_STRUCTURE`/`GrB_COMP` honoured in-kernel) |
-| §III "optimize" freedom: masked eWise consumers | a masked `eWiseMult` (or intersect-shaped `eWiseAdd`) over a pending product filters inside the producer | `ops/ewise.py` push targets → `engine/passes/pushdown.py` → `internals/ewise.py` intersect `mask_keys` filter |
+| §III "optimize" freedom: masked products | `C⟨M⟩ = A ⊕.⊗ B` may skip off-mask products entirely | `ops/mxm.py::mxm` hands the op's own mask to the kernel (`MASK_PUSHDOWN`) → `internals/mxm.py::_fold_slots` slot fold over `internals/mxm.py::_slot_table` (§VIII `GrB_STRUCTURE`/`GrB_COMP` honoured in-kernel) |
 | §III "optimize" freedom: chain fusion | producer chains may run as one pass | `engine/passes/fuse.py` + `internals/applyselect.py` pipelines |
 | §III "optimize" freedom: cross-call reuse | a re-submitted computation over unchanged inputs may republish its committed result | `engine/memo.py` per-Context memo keyed on `dag.memo_key` (uid+version inputs); consulted in `engine/passes/cse.py`, republished via `engine/txn.py` |
-| §III optimization arbitration | conflicting rewrites decided by a fixed pass order | `engine/fusion.py::_gate` runs `cse → pushdown → fuse`: a producer both pushdown and fusion qualify for goes to pushdown |
+| §III optimization arbitration | conflicting rewrites decided by a fixed pass order | `engine/fusion.py::_gate` runs `cse → fuse`: a node CSE or the result memo claims joins the claim set (`locked` in `engine/passes/ir.py`) and is left alone by fuse |
 | §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py` memoized building blocks (`("algo", kind, (uid, version), params)` keys) in the per-Context `engine/memo.py` cache with cost-weighted eviction; republished via `engine/txn.py` |
 | §VIII masked-kernel fast paths | complemented/structural mask filters at kernel entry | `internals/mxm.py` (masked `mxm`: per-call slot table or `searchsorted` slots, fold by slot; `mxv`/`vxm`: `in_sorted` membership; empty-complement keep-all) + `internals/maskaccum.py` memoized mask keys |
 | §III "sequence of methods that define an object" | per-object defining sequence | sequence edges (`Node.prev`) threaded through `engine/dag.py` |
@@ -80,12 +79,11 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §V transient execution errors | `GrB_OUT_OF_MEMORY` / `GrB_INSUFFICIENT_SPACE` may succeed on re-invocation | `faults/retry.py::with_retry` (bounded retry, exponential backoff) around every node evaluation |
 | §V persistent faults | exhaust the ladder, then defer like any execution error | mxm block-ladder/cluster degradation: serial re-run of `mxm`'s blocks, `Context.record_worker_fault` → `Context.is_degraded`, `Cluster.run_resilient` |
 | §V fault observability | error handling must be testable deterministically | `faults/plane.py` seeded site injection (incl. `planner.*` pass-boundary sites) + `Context.engine_stats()` fault counters |
-| §V optimization transparency on failure | an optimized chain that fails re-runs unoptimized with exact deferred-error state | `engine/scheduler.py::_run_deoptimized_fallback` (unfuse, strip pushed masks, recompute filtered producers clean) |
+| §V optimization transparency on failure | an optimized chain that fails re-runs unoptimized with exact deferred-error state | `engine/scheduler.py::_run_deoptimized_fallback` (unfuse: the producers an `engine/fusion.py::FusionPlan` absorbed re-run standalone) |
 | §IV multi-tenant serving on hierarchical contexts | N resident graphs served to sessions on child contexts, each with its own worker share, memo quota, and fault domain | `serve/` (`GraphService`/`Session` zero-copy per-tenant views, `AdmissionController` typed `GrB_INSUFFICIENT_SPACE` load shedding, `serve/batch.py` msbfs/dedup window coalescing, `serve/server.py` asyncio front door); per-tenant rollups in `engine/stats.py::ContextStats`, domain-scoped chaos in `faults/plane.py` |
 | §V query deadlines | an expired query stops cooperatively, surfaces a transient `GrB_TIMEOUT`, and leaves outputs last-materialized | `engine/cancel.py` `CancelToken` checked at every kernel/pass boundary (`engine/scheduler.py`, `engine/fusion.py`); `core/errors.py::TimeoutExpiredError` (`Info.TIMEOUT`), admission slot freed in `serve/server.py` |
 | §V per-tenant circuit breakers | a failure-streaking tenant is shed typed/transient, probed half-open, and auto-restored on recovery | `serve/health.py` (`CircuitBreaker`, `HealthMonitor`, `TenantBreakerOpenError`); outcome recording in `serve/service.py::_record_outcome`, `Context.restore()` on recovery |
 | §II opaque objects: format freedom | the implementation may carry a matrix in any internal format; hypersparse graphs stored O(nnz) | `internals/containers.py` (`DcsrData` doubly-compressed carrier, `choose_mat_format` policy, `FORMAT_AUTO`/`FORMAT_DCSR_*` knobs); `internals/dispatch.py` (kernel family, format) registry with counted `as_csr` densify fallback; `engine/txn.py::commit_format` migration at the `engine/txn.py` commit gate; format-tagged memo keys + `algorithms/_blocks.py` policy fingerprint; `formats/serialize.py` v3 kind-3 DCSR blobs (v2 still read) |
-| §III "optimize" freedom: small-op batching | many independent pending `mxv` over one committed matrix may run as one kernel | `engine/opbatch.py` batch-key registry → `engine/scheduler.py::_run_batch` → `internals/mxm.py` `mxv_multi` (one pass over A for k vectors, failure-transparent surrender); `ENGINE_OP_BATCH` ablation knob |
 | §VII checkpoint/journal durability | resident graphs snapshot as opaque versioned blobs; acknowledged mutations journaled before publish; warm restart replays journal-over-snapshot | `serve/recovery.py` (`CheckpointStore`, CRC-framed WAL, digest-keyed §VII blobs via `formats/serialize.py::carrier_serialize`, atomic `MANIFEST.json`); `GraphService.checkpoint()/restore()` with warm algo-memo blocks |
 | §III "optimize" freedom: incremental recomputation | a small write may update derived results from the write set instead of recomputing | `internals/stream.py` `WriteDelta` positional merge (`Matrix.update_batch`, journal-replay parity via `serve/recovery.py::apply_edges`); `engine/memo.py::patch` delta-patched blocks under `algorithms/delta.py` rules with `algorithms/delta.py::should_delta_patch` arbitration; warm-fixpoint pagerank/components/triangles (`algorithms/_blocks.py` `"warm:"` blocks); `GraphService.ingest_edges` buffered batch commit + `Session.view` in-place forward patching; `ENGINE_DELTA` ablation knob |
 | §VII cross-process warm start | serialized state is process-independent: a fresh process (replica, CI run) may serve another process's committed algorithm blocks instead of recomputing them | `store/` content-addressed on-disk tier (`store/store.py` CRC-framed §VII blobs, LRU-by-atime eviction under `STORE_MAX_BYTES`, corrupt-entry quarantine-as-miss; `store/tier.py` `blake2b(graph digest, kind, params, format fingerprint, serialization version)` keys); second-tier probe + store-behind in `engine/memo.py`; attached via `REPRO_STORE_DIR` / `GraphService(store_dir=)` / CLI `--store-dir`; `STORE_ENABLE` ablation knob, `store.read`/`store.write` fault sites |
