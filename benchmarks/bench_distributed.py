@@ -1,10 +1,12 @@
 """D1 — the distributed future (§IV / Conclusion), simulated.
 
 Series over rank counts p ∈ {1, 2, 4, 8}: distributed mxv and BFS on a
-row-block layout, reporting wall clock *and* the hardware-independent
-metric — communication volume.  Expected shapes: per-rank local work
-drops ~1/p, allgather volume grows with p (the 1-D SpMV trade), and
-results stay bit-identical to single-node execution.
+row-block layout, reporting the hardware-independent metric —
+communication volume — beside wall clock.  Expected shapes: allgather
+volume grows with p (the 1-D SpMV trade), and results stay identical to
+single-node execution.  For the dense u of the mxv the volume is
+analytic: every rank sends its n/p (int64 index, fp64 value) pairs to
+the p - 1 others, 16·n·(p − 1) bytes in p messages.
 """
 
 import time
@@ -14,13 +16,12 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.core import types as T
-from repro.core.context import default_context
+from repro.core.binaryop import LOR, MAX
 from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.distributed import (
     Cluster,
     DistMatrix,
     DistVector,
-    RankHome,
     dist_bfs_levels,
     dist_mxv,
 )
@@ -37,45 +38,23 @@ def triples():
     return n, rows[keep], cols[keep], vals[keep]
 
 
-def _dup():
-    from repro.core.binaryop import MAX
-    return MAX[T.FP64]
-
-
 def run_dist_mxv(triples, p: int):
     n, rows, cols, vals = triples
-    x = np.ones(n)
     cluster = Cluster(p)
-    top = default_context()
-
-    def prog(comm):
-        home = RankHome.create(comm.rank, top)
-        a = DistMatrix.from_triples(home, n, n, comm.size, T.FP64,
-                                    rows, cols, vals, _dup())
-        u = DistVector.from_global_dense(home, x, comm.size, T.FP64)
-        w = dist_mxv(comm, a, u, PLUS_TIMES_SEMIRING[T.FP64])
-        return w.local.nvals()
-
-    results = cluster.run(prog)
-    return sum(results), cluster.stats.snapshot()
+    a = DistMatrix.from_triples(cluster, n, n, T.FP64, rows, cols, vals,
+                                MAX[T.FP64])
+    u = DistVector.from_global_dense(cluster, np.ones(n), T.FP64)
+    w = dist_mxv(cluster, a, u, PLUS_TIMES_SEMIRING[T.FP64])
+    return sum(b.nvals() for b in w.blocks), cluster.stats.snapshot()
 
 
 def run_dist_bfs(triples, p: int):
     n, rows, cols, _ = triples
     cluster = Cluster(p)
-    top = default_context()
-    from repro.core.binaryop import LOR
-
-    def prog(comm):
-        home = RankHome.create(comm.rank, top)
-        a = DistMatrix.from_triples(home, n, n, comm.size, T.BOOL,
-                                    rows, cols, np.ones(len(rows), bool),
-                                    LOR[T.BOOL])
-        lv = dist_bfs_levels(comm, a, 0)
-        return lv.local.nvals()
-
-    results = cluster.run(prog)
-    return sum(results), cluster.stats.snapshot()
+    a = DistMatrix.from_triples(cluster, n, n, T.BOOL, rows, cols,
+                                np.ones(len(rows), bool), LOR[T.BOOL])
+    lv = dist_bfs_levels(cluster, a, 0)
+    return sum(b.nvals() for b in lv.blocks), cluster.stats.snapshot()
 
 
 @pytest.mark.benchmark(group="D1-mxv")
@@ -94,23 +73,33 @@ class TestDistBfs:
 
 def test_distributed_report(benchmark, capsys, triples):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    n = triples[0]
     rows_out = []
-    base_nvals = None
+    base = None
     for p in RANKS:
         t0 = time.perf_counter()
         nvals, stats = run_dist_mxv(triples, p)
-        wall = (time.perf_counter() - t0) * 1e3
-        if base_nvals is None:
-            base_nvals = nvals
-        assert nvals == base_nvals, "distributed result diverged"
+        mxv_ms = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        bfs_nvals, bfs_stats = run_dist_bfs(triples, p)
+        bfs_ms = (time.perf_counter() - t0) * 1e3
+        if base is None:
+            base = (nvals, bfs_nvals)
+        assert (nvals, bfs_nvals) == base, "distributed result diverged"
+        assert stats == {"messages": p, "collectives": p,
+                         "bytes": 16 * n * (p - 1)}
+        assert bfs_stats["messages"] == bfs_stats["collectives"]
         rows_out.append([
-            f"p={p}", f"{wall:8.1f} ms", f"{stats['bytes'] / 1e6:8.3f} MB",
-            f"{stats['collectives']:4d}",
+            f"p={p}", f"{mxv_ms:8.1f} ms", f"{stats['bytes'] / 1e6:8.3f} MB",
+            f"{stats['collectives']:4d}", f"{bfs_ms:8.1f} ms",
+            f"{bfs_stats['bytes'] / 1e6:8.3f} MB",
+            f"{bfs_stats['collectives']:4d}",
         ])
     with capsys.disabled():
         print_table(
-            f"Distributed mxv (simulated ranks, RMAT scale {SCALE}; "
-            f"result nvals={base_nvals} at every p)",
-            ["ranks", "wall clock", "comm volume", "collectives"],
+            f"Distributed mxv and BFS (simulated ranks, RMAT scale {SCALE}; "
+            f"result nvals={base[0]} / {base[1]} at every p)",
+            ["ranks", "mxv wall", "mxv comm", "mxv coll.", "BFS wall",
+             "BFS comm", "BFS coll."],
             rows_out,
         )

@@ -3,12 +3,13 @@
 
 The paper's conclusion points the GraphBLAS at distributed systems,
 with ``GrB_Context`` as the resource-scoping mechanism.  This script
-runs an SPMD program on a simulated 4-rank cluster (ranks are threads;
-the communicator counts every byte): the adjacency matrix is scattered
-into row blocks, each block lives in a *nested per-rank context* under
-the top-level context — exactly the MPI-outer/threads-inner hierarchy
-§IV describes — and a level-synchronous BFS runs with one allgather per
-level.  The result is checked against the single-node BFS.
+runs a simulated 4-rank cluster: the adjacency matrix is scattered into
+row blocks, each block lives in a *nested per-rank context* under the
+top-level context — exactly the MPI-outer/threads-inner hierarchy §IV
+describes — and a level-synchronous BFS runs with one allgather per
+level.  The ranks take turns on one thread; the cluster counts every
+message and byte its collectives would move.  The result is checked
+against the single-node BFS.
 
 Run:  python examples/distributed_bfs.py
 """
@@ -23,7 +24,6 @@ from repro.distributed import (
     Cluster,
     DistMatrix,
     DistVector,
-    RankHome,
     dist_bfs_levels,
     dist_mxv,
 )
@@ -41,37 +41,25 @@ def main() -> None:
     print(f"RMAT scale {SCALE}: {n} vertices, {len(rows)} edges, "
           f"{RANKS} simulated ranks")
 
-    cluster = Cluster(RANKS)
-    top = default_context()
+    # Each rank nests its own context under the top-level one (§IV):
+    # two local threads per rank — the hierarchy the paper sketches.
+    cluster = Cluster(RANKS, default_context(), nthreads=2)
+    a = DistMatrix.from_triples(
+        cluster, n, n, grb.BOOL, rows, cols, np.ones(len(rows), dtype=bool),
+        grb.LOR[grb.BOOL],
+    )
+    levels = dist_bfs_levels(cluster, a, 0)
+    # Also one distributed SpMV to exercise the numeric path.
+    af = DistMatrix.from_triples(
+        cluster, n, n, grb.FP64, rows, cols, np.ones(len(rows)),
+        grb.MAX[grb.FP64],
+    )
+    ones = DistVector.from_global_dense(cluster, np.ones(n), grb.FP64)
+    dist_mxv(cluster, af, ones, PLUS_TIMES_SEMIRING[grb.FP64])
 
-    def spmd_program(comm):
-        # Each rank nests its own context under the cluster's (§IV):
-        # two local threads per rank — the hierarchy the paper sketches.
-        home = RankHome.create(comm.rank, top, nthreads=2)
-        a = DistMatrix.from_triples(
-            home, n, n, comm.size, grb.BOOL,
-            rows, cols, np.ones(len(rows), dtype=bool),
-            grb.LOR[grb.BOOL],
-        )
-        comm.barrier()
-        levels = dist_bfs_levels(comm, a, 0)
-        # Also one distributed SpMV to exercise the numeric path.
-        af = DistMatrix.from_triples(
-            home, n, n, comm.size, grb.FP64,
-            rows, cols, np.ones(len(rows)), grb.MAX[grb.FP64],
-        )
-        ones = DistVector.from_global_dense(home, np.ones(n), comm.size,
-                                            grb.FP64)
-        deg = dist_mxv(comm, af, ones, PLUS_TIMES_SEMIRING[grb.FP64])
-        return levels.local_tuples(), deg.local.nvals(), a.local_nvals()
-
-    results = cluster.run(spmd_program)
-
-    got = {}
-    for (idx, vals), _, local_nnz in results:
-        got.update({int(i): int(v) for i, v in zip(idx, vals)})
+    got = {int(i): int(v) for i, v in levels.to_dict().items()}
     stats = cluster.stats.snapshot()
-    print(f"per-rank edge blocks: {[r[2] for r in results]}")
+    print(f"per-rank edge blocks: {[b.nvals() for b in a.blocks]}")
     print(f"communication: {stats['messages']} messages, "
           f"{stats['bytes'] / 1e3:.1f} KB, {stats['collectives']} collectives")
 

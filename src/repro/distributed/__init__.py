@@ -1,32 +1,14 @@
-"""Distributed-execution simulation (the paper's stated next step).
-
-§IV designs ``GrB_Context`` "to prepare for a future version of the
-GraphBLAS that supports distributed computing" and the conclusion
-commits to it.  This package simulates that future on one machine —
-ranks as threads, an MPI-shaped :class:`~.comm.Communicator` with
-byte/message accounting, row-block-distributed containers whose local
-blocks live in per-rank nested contexts, and the canonical 1-D
-distributed operations (mxv / vxm / mxm / BFS).
-
-See DESIGN.md's substitution table: real MPI hardware → in-process
-ranks; wall-clock is not the reproduction target here, communication
-*volume* and semantic equivalence with single-node execution are.
+"""Distributed-execution simulation (§IV, Conclusion: the paper's stated
+next step) as a bulk-synchronous, global-view model: ranks with nested
+contexts, row-block containers, and the 1-D distributed operations, with
+every collective counted.  Communication volume and equality with
+single-node results are the reproduction targets, not wall clock.
 """
 
-from .comm import Cluster, Communicator, CommStats
-from .dist import DistMatrix, DistVector, RankHome, block_bounds
+from .cluster import (Cluster, CommStats, DistMatrix, DistVector,
+                      block_bounds)
 from .ops import dist_bfs_levels, dist_mxm, dist_mxv, dist_vxm
 
-__all__ = [
-    "Cluster",
-    "Communicator",
-    "CommStats",
-    "DistMatrix",
-    "DistVector",
-    "RankHome",
-    "block_bounds",
-    "dist_bfs_levels",
-    "dist_mxm",
-    "dist_mxv",
-    "dist_vxm",
-]
+__all__ = ["Cluster", "CommStats", "DistMatrix", "DistVector",
+           "block_bounds", "dist_bfs_levels", "dist_mxm", "dist_mxv",
+           "dist_vxm"]

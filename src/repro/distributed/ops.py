@@ -1,19 +1,15 @@
-"""Distributed operations over row-block matrices (simulated cluster).
+"""Distributed operations over row-block matrices, one allgather a step.
 
-The communication patterns are the textbook ones a future
-MPI-backed GraphBLAS would use on a 1-D layout:
+The textbook 1-D patterns a future MPI-backed GraphBLAS would use:
 
-* ``dist_mxv`` — allgather the input vector, multiply locally
-  (communication O(n) per rank, the classic SpMV trade).
-* ``dist_vxm`` — multiply locally against the local row block,
-  allreduce the partial output vectors with the semiring's ⊕.
-* ``dist_mxm`` — broadcast B (replicated-B SUMMA degenerate case for a
-  1-D layout), multiply locally; each rank keeps its C row block.
-* ``dist_bfs_levels`` — level-synchronous BFS with an allgathered
-  frontier per step.
-
-Each takes the rank's :class:`~repro.distributed.comm.Communicator`
-explicitly, SPMD style.
+* ``dist_mxv`` — allgather u, multiply locally (O(n) per rank, the
+  classic SpMV trade).
+* ``dist_vxm`` — multiply each u block against its row block, allgather
+  the partial outputs, ⊕-merge each rank's block of w.
+* ``dist_mxm`` — allgather B (replicated B on a 1-D layout), multiply
+  locally; each rank keeps its C row block.
+* ``dist_bfs_levels`` — level-synchronous BFS, one allgathered frontier
+  per level.
 """
 
 from __future__ import annotations
@@ -24,152 +20,97 @@ from ..core import types as T
 from ..core.matrix import Matrix
 from ..core.semiring import LOR_LAND_SEMIRING_BOOL, Semiring
 from ..core.vector import Vector
-from ..ops.mxm import mxm, mxv
-from .comm import Communicator
-from .dist import DistMatrix, DistVector
+from ..ops.mxm import mxm, mxv, vxm
+from .cluster import Cluster, DistMatrix, DistVector
 
 __all__ = ["dist_mxv", "dist_vxm", "dist_mxm", "dist_bfs_levels"]
 
 
-def _gather_vector(comm: Communicator, u: DistVector) -> Vector:
-    """Allgather a distributed vector into a full local copy."""
-    idx, vals = u.local_tuples()
-    parts = comm.allgather((idx, vals))
-    all_idx = np.concatenate([p[0] for p in parts])
-    all_vals = np.concatenate([p[1] for p in parts])
-    full = Vector.new(u.type, u.size, u.home.context)
-    if len(all_idx):
-        full.build(all_idx, all_vals)
-    full.wait()
-    return full
+def _concat(parts: list[tuple], k: int) -> np.ndarray:
+    return np.concatenate([p[k] for p in parts])
 
 
-def dist_mxv(
-    comm: Communicator,
-    a: DistMatrix,
-    u: DistVector,
-    semiring: Semiring,
-) -> DistVector:
+def dist_mxv(cluster: Cluster, a: DistMatrix, u: DistVector,
+             semiring: Semiring) -> DistVector:
     """w = A ⊕.⊗ u with w distributed like A's rows."""
-    full_u = _gather_vector(comm, u)
-    lo, hi = a.row_range
-    w_local = Vector.new(semiring.out_type, hi - lo, a.home.context)
-    mxv(w_local, None, None, semiring, a.local, full_u)
-    w_local.wait()
-    return DistVector(a.home, a.nrows, a.nranks, semiring.out_type, w_local)
+    parts = cluster.allgather(
+        [u.local_tuples(r) for r in range(cluster.size)])
+    idx, vals = _concat(parts, 0), _concat(parts, 1)
+    blocks = []
+    for r, ctx in enumerate(cluster.contexts):
+        full_u = Vector.new(u.type, u.size, ctx)
+        full_u.build(idx, vals)
+        lo, hi = a.range(r)
+        w = Vector.new(semiring.out_type, hi - lo, ctx)
+        mxv(w, None, None, semiring, a.blocks[r], full_u)
+        w.wait()
+        blocks.append(w)
+    return DistVector(cluster, a.nrows, semiring.out_type, blocks)
 
 
-def dist_vxm(
-    comm: Communicator,
-    u: DistVector,
-    a: DistMatrix,
-    semiring: Semiring,
-) -> DistVector:
-    """w' = u' ⊕.⊗ A; partials allreduced with the semiring's ⊕."""
-    from ..ops.mxm import vxm as _vxm
-
-    # Local contribution: my u block against my row block.
-    partial = Vector.new(semiring.out_type, a.ncols, a.home.context)
-    lo, hi = a.row_range
-    u_idx, u_vals = u.local.extract_tuples()
-    u_as_rows = Vector.new(u.type, a.local.nrows, a.home.context)
-    if len(u_idx):
-        u_as_rows.build(u_idx, u_vals)
-    u_as_rows.wait()
-    _vxm(partial, None, None, semiring, u_as_rows, a.local)
-    partial.wait()
-
-    idx, vals = partial.extract_tuples()
-    parts = comm.allgather((idx, vals))
-    merged: dict[int, object] = {}
-    add = semiring.add.op.scalar
-    for p_idx, p_vals in parts:
-        for i, v in zip(p_idx, p_vals):
-            i = int(i)
-            merged[i] = add(merged[i], v) if i in merged else v
-    # Keep my conformal block of the result.
-    out = DistVector(u.home, a.ncols, a.nranks, semiring.out_type)
-    blo, bhi = out.range
-    keys = sorted(k for k in merged if blo <= k < bhi)
-    local = Vector.new(semiring.out_type, bhi - blo, u.home.context)
-    if keys:
-        local.build([k - blo for k in keys], [merged[k] for k in keys])
-    local.wait()
-    return DistVector(u.home, a.ncols, a.nranks, semiring.out_type, local)
+def dist_vxm(cluster: Cluster, u: DistVector, a: DistMatrix,
+             semiring: Semiring) -> DistVector:
+    """w' = u' ⊕.⊗ A; the partial outputs are merged with the ⊕ of
+    ``semiring``, each rank keeping its conformal block of w."""
+    partials = []
+    for r, ctx in enumerate(cluster.contexts):
+        partial = Vector.new(semiring.out_type, a.ncols, ctx)
+        vxm(partial, None, None, semiring, u.blocks[r], a.blocks[r])
+        partials.append(partial.extract_tuples())
+    parts = cluster.allgather(partials)
+    return DistVector.from_tuples(cluster, a.ncols, semiring.out_type,
+                                  _concat(parts, 0), _concat(parts, 1),
+                                  semiring.add.op)
 
 
-def dist_mxm(
-    comm: Communicator,
-    a: DistMatrix,
-    b: DistMatrix,
-    semiring: Semiring,
-) -> DistMatrix:
+def dist_mxm(cluster: Cluster, a: DistMatrix, b: DistMatrix,
+             semiring: Semiring) -> DistMatrix:
     """C = A ⊕.⊗ B with C row-distributed like A (B gathered)."""
-    rows, cols, vals = b.local.extract_tuples()
-    lo_b, _ = b.row_range
-    parts = comm.allgather((rows + lo_b, cols, vals))
-    full_b = Matrix.new(b.type, b.nrows, b.ncols, a.home.context)
-    all_rows = np.concatenate([p[0] for p in parts])
-    all_cols = np.concatenate([p[1] for p in parts])
-    all_vals = np.concatenate([p[2] for p in parts])
-    if len(all_rows):
-        full_b.build(all_rows, all_cols, all_vals)
-    full_b.wait()
+    local_b = []
+    for r, block in enumerate(b.blocks):
+        rows, cols, vals = block.extract_tuples()
+        local_b.append((rows + b.range(r)[0], cols, vals))
+    parts = cluster.allgather(local_b)
+    rows, cols, vals = (_concat(parts, k) for k in range(3))
+    blocks = []
+    for r, ctx in enumerate(cluster.contexts):
+        full_b = Matrix.new(b.type, b.nrows, b.ncols, ctx)
+        full_b.build(rows, cols, vals)
+        lo, hi = a.range(r)
+        c = Matrix.new(semiring.out_type, hi - lo, b.ncols, ctx)
+        mxm(c, None, None, semiring, a.blocks[r], full_b)
+        c.wait()
+        blocks.append(c)
+    return DistMatrix(cluster, a.nrows, b.ncols, semiring.out_type, blocks)
 
-    lo, hi = a.row_range
-    c_local = Matrix.new(semiring.out_type, hi - lo, b.ncols, a.home.context)
-    mxm(c_local, None, None, semiring, a.local, full_b)
-    c_local.wait()
-    return DistMatrix(a.home, a.nrows, b.ncols, a.nranks,
-                      semiring.out_type, c_local)
 
-
-def dist_bfs_levels(
-    comm: Communicator,
-    a: DistMatrix,
-    source: int,
-) -> DistVector:
+def dist_bfs_levels(cluster: Cluster, a: DistMatrix,
+                    source: int) -> DistVector:
     """Level-synchronous distributed BFS over the boolean semiring.
 
-    Each step: allgather the frontier, expand against the local row
-    block of Aᵀ (i.e. mxv on the local rows), mask out visited, next.
-    Communication per step is O(frontier), the 1-D BFS pattern.
+    Each level: every rank expands the frontier vertices of its row
+    block (f' ⊕.⊗ A_local, global columns) and offers the unvisited
+    successors; one allgather of those makes the next frontier.
+    Communication per level is O(frontier), the 1-D BFS pattern.
     """
-    from ..ops.mxm import vxm as _vxm
-
-    lo, hi = a.row_range
-    frontier_global: np.ndarray = np.array([source], dtype=np.int64)
-    visited = np.zeros(a.nrows, dtype=bool)
-    visited[source] = True
+    levels = np.full(a.nrows, -1, dtype=np.int64)
+    levels[source] = 0
+    frontier = np.array([source], dtype=np.int64)
     depth = 0
-    level_entries: dict[int, int] = {source: 0} if lo <= source < hi else {}
-    while True:
-        # Successors of the frontier vertices that live in my row block:
-        # w' = f'_local ⊕.⊗ A_local  (columns are global).
-        mine = frontier_global[(frontier_global >= lo) & (frontier_global < hi)]
-        f_local = Vector.new(T.BOOL, hi - lo, a.home.context)
-        if len(mine):
-            f_local.build(mine - lo, np.ones(len(mine), bool))
-        f_local.wait()
-        succ_local = Vector.new(T.BOOL, a.ncols, a.home.context)
-        _vxm(succ_local, None, None, LOR_LAND_SEMIRING_BOOL, f_local, a.local)
-        idx, _ = succ_local.extract_tuples()
-        fresh = idx[~visited[idx]] if len(idx) else idx
-        parts = comm.allgather(fresh)
-        next_frontier = np.unique(np.concatenate(parts)) if parts else \
-            np.empty(0, dtype=np.int64)
+    while len(frontier):
+        fresh = []
+        for r, ctx in enumerate(cluster.contexts):
+            lo, hi = a.range(r)
+            mine = frontier[(frontier >= lo) & (frontier < hi)]
+            f = Vector.new(T.BOOL, hi - lo, ctx)
+            f.build(mine - lo, np.ones(len(mine), bool))
+            succ = Vector.new(T.BOOL, a.ncols, ctx)
+            vxm(succ, None, None, LOR_LAND_SEMIRING_BOOL, f, a.blocks[r])
+            idx, _ = succ.extract_tuples()
+            fresh.append(idx[levels[idx] < 0])
+        frontier = np.unique(np.concatenate(cluster.allgather(fresh)))
         depth += 1
-        if len(next_frontier) == 0:
-            break
-        visited[next_frontier] = True
-        for v in next_frontier:
-            if lo <= v < hi:
-                level_entries[int(v)] = depth
-        frontier_global = next_frontier
-
-    local = Vector.new(T.INT64, hi - lo, a.home.context)
-    if level_entries:
-        keys = sorted(level_entries)
-        local.build([k - lo for k in keys], [level_entries[k] for k in keys])
-    local.wait()
-    return DistVector(a.home, a.nrows, a.nranks, T.INT64, local)
+        levels[frontier] = depth
+    reached = np.flatnonzero(levels >= 0)
+    return DistVector.from_tuples(cluster, a.nrows, T.INT64, reached,
+                                  levels[reached])

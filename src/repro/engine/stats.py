@@ -133,12 +133,6 @@ COUNTERS: dict[str, str] = {
     "degraded_serial":
         "`mxm` block batches re-run serially after a persistent worker "
         "fault or a freed worker pool",
-    "degraded_local":
-        "distributed ops that fell back to single-process execution on an "
-        "unhealthy cluster",
-    "comm_timeouts":
-        "communicator receives/collectives that timed out (dead-rank "
-        "detection)",
     "serve_submitted":
         "serving-layer queries admitted",
     "serve_completed":

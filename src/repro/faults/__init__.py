@@ -15,10 +15,9 @@ from .plane import (
     enable_chaos,
     is_transient,
     maybe_inject,
-    should_drop,
     suspended,
 )
-from .retry import guard, with_retry
+from .retry import with_retry
 from .sites import SITES
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "armed",
     "configure_from_env",
     "enable_chaos",
-    "guard",
     "is_transient",
     "maybe_inject",
-    "should_drop",
     "suspended",
     "with_retry",
 ]

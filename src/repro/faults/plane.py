@@ -24,10 +24,6 @@ site                      where it fires
                           after compute, before the result is published
 ``parallel.worker``       a pool worker about to run one of ``mxm``'s row
                           blocks (`internals/mxm.py`)
-``comm.send`` /           the simulated-MPI layer (`distributed/comm.py`)
-``comm.recv`` /
-``comm.collective``
-``comm.drop``             ``kind="drop"`` — the message silently vanishes
 ========================  ====================================================
 
 Determinism: every injection decision is a pure function of
@@ -38,18 +34,16 @@ failures and the CI chaos job pin a seed matrix.
 
 Transient vs persistent: an injected error carries ``transient=True``
 when its spec says so, and the resilience machinery
-(:mod:`repro.faults.retry`, the scheduler, the communicator) retries
-transient failures with exponential backoff while letting persistent
-ones surface through the normal §V deferral machinery.  ``max_hits``
-bounds how often a spec fires, so "fails once, then recovers" schedules
-are expressible.
+(:mod:`repro.faults.retry`, the scheduler) retries transient failures
+with exponential backoff while letting persistent ones surface through
+the normal §V deferral machinery.  ``max_hits`` bounds how often a spec
+fires, so "fails once, then recovers" schedules are expressible.
 
 Armed-only gating: when ``armed_only`` is set (the default for the
 whole-suite chaos mode), error faults fire only *inside* a resilience
-envelope — a retry loop, a degradable ``mxm`` block batch, a guarded
-communicator call — never at bare kernel invocations that have no
-recovery machinery above them.  That is exactly the claim under test:
-every armed site is survivable.
+envelope — a retry loop, a degradable ``mxm`` block batch — never at
+bare kernel invocations that have no recovery machinery above them.
+That is exactly the claim under test: every armed site is survivable.
 """
 
 from __future__ import annotations
@@ -58,7 +52,6 @@ import fnmatch
 import hashlib
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -78,7 +71,6 @@ __all__ = [
     "SimulatedCrash",
     "is_transient",
     "maybe_inject",
-    "should_drop",
     "armed",
     "suspended",
     "enable_chaos",
@@ -130,16 +122,15 @@ class FaultSpec:
     site: str                      # fnmatch pattern over site names
     rate: float = 1.0              # injection probability per visit
     error: type[ExecutionError] = OutOfMemoryError   # for kind="error"
-    kind: str = "error"            # "error" | "slow" | "drop" | "crash"
+    kind: str = "error"            # "error" | "crash"
     transient: bool = False        # retryable (recovers on re-execution)?
     max_hits: int | None = None    # stop firing after this many injections
-    delay: float = 0.002           # sleep duration for kind="slow"
     where: dict = field(default_factory=dict)   # fire() kwargs that must match
     skip: int = 0                  # let this many matching visits pass first
     hits: int = 0                  # injections so far (owned by the plane)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("error", "slow", "drop", "crash"):
+        if self.kind not in ("error", "crash"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
@@ -176,7 +167,6 @@ class FaultPlane:
         self._visits: dict[str, int] = {}
         self.injected: dict[str, int] = {}   # site -> injection count
         self.by_domain: dict[str, int] = {}  # fault domain -> injections
-        self.dropped = 0
         self.active = False
         self.armed_only = False
 
@@ -198,7 +188,6 @@ class FaultPlane:
             self._visits.clear()
             self.injected.clear()
             self.by_domain.clear()
-            self.dropped = 0
             self.armed_only = armed_only
             self.active = True
 
@@ -216,7 +205,6 @@ class FaultPlane:
                 "injected": dict(self.injected),
                 "injected_total": sum(self.injected.values()),
                 "by_domain": dict(self.by_domain),
-                "dropped": self.dropped,
             }
 
     def format(self) -> str:
@@ -224,8 +212,7 @@ class FaultPlane:
         snap = self.snapshot()
         lines = [f"fault plane: seed={snap['seed']} "
                  f"active={snap['active']} "
-                 f"injected={snap['injected_total']} "
-                 f"dropped={snap['dropped']}"]
+                 f"injected={snap['injected_total']}"]
         for site in sorted(snap["injected"]):
             lines.append(f"  {site:<20} {snap['injected'][site]}")
         return "\n".join(lines)
@@ -244,15 +231,15 @@ class FaultPlane:
         draw = int.from_bytes(h, "big") / 2**64
         return draw < spec.rate
 
-    def fire(self, site: str, **ctx: Any) -> str | None:
-        """Visit *site*; maybe inject.  Returns ``"drop"`` when a drop
-        fault fired, ``None`` otherwise; error faults raise."""
+    def fire(self, site: str, **ctx: Any) -> None:
+        """Visit *site*; maybe inject.  An error fault raises its error,
+        a crash fault :class:`SimulatedCrash`."""
         if not self.active:
-            return None
+            return
         todo: FaultSpec | None = None
         with self._lock:
             if not self.active:
-                return None
+                return
             visit = self._visits.get(site, 0)
             self._visits[site] = visit + 1
             for spec in self._specs:
@@ -287,20 +274,13 @@ class FaultPlane:
                     # owning context's fault domain roll up here, so a
                     # serving test can prove where faults landed.
                     self.by_domain[domain] = self.by_domain.get(domain, 0) + 1
-                if spec.kind == "drop":
-                    self.dropped += 1
                 todo = spec
                 break
         if todo is None:
-            return None
+            return
         STATS.bump("faults_injected")
         if todo.kind == "crash":
             raise SimulatedCrash(site)
-        if todo.kind == "slow":
-            time.sleep(todo.delay)
-            return None
-        if todo.kind == "drop":
-            return "drop"
         detail = "".join(f" {k}={v!r}" for k, v in sorted(ctx.items()))
         exc = todo.error(
             f"injected {'transient' if todo.transient else 'persistent'} "
@@ -319,18 +299,10 @@ def maybe_inject(site: str, **ctx: Any) -> None:
     """Visit *site* on the active plane (no-op when the plane is off).
 
     Raises the scheduled :class:`ExecutionError` when an error fault
-    fires; sleeps for slow faults; drop faults are ignored here (use
-    :func:`should_drop` at sites with drop semantics).
+    fires.
     """
     if PLANE.active:
         PLANE.fire(site, **ctx)
-
-
-def should_drop(site: str, **ctx: Any) -> bool:
-    """Visit *site*; True when a drop fault consumed the action."""
-    if not PLANE.active:
-        return False
-    return PLANE.fire(site, **ctx) == "drop"
 
 
 class suspended:

@@ -5,7 +5,7 @@ they allocate fresh outputs and never mutate their inputs — so
 re-running one after a transient failure (simulated resource pressure,
 a flaky worker) is always safe.  :func:`with_retry` is the single
 retry loop used by both execution funnels (blocking ``_run_now`` and
-the nonblocking scheduler) and by the communicator guards.
+the nonblocking scheduler).
 
 Policy (configurable via :mod:`repro.internals.config`):
 
@@ -30,7 +30,7 @@ from ..engine.stats import STATS
 from ..internals import config
 from .plane import armed, is_transient
 
-__all__ = ["with_retry", "guard"]
+__all__ = ["with_retry"]
 
 T = TypeVar("T")
 
@@ -63,12 +63,3 @@ def with_retry(fn: Callable[[], T], label: str = "") -> T:
         if attempt:
             STATS.bump("retries_recovered")
         return result
-
-
-def guard(site: str, **ctx) -> None:
-    """Visit an injection site inside the retry envelope: transient
-    faults are absorbed (retried until the budget runs out), persistent
-    ones propagate.  The communicator's per-call protection."""
-    from .plane import maybe_inject
-
-    with_retry(lambda: maybe_inject(site, **ctx), site)

@@ -4,7 +4,7 @@ Purely documentary — :func:`repro.faults.plane.maybe_inject` accepts
 any string — but keeping the canonical list in one place lets tests
 assert coverage and lets the CLI/docs enumerate what a fault schedule
 can target.  Site names are hierarchical (``layer.point``) so fnmatch
-patterns like ``kernel.*`` or ``comm.*`` select a whole layer.
+patterns like ``kernel.*`` or ``store.*`` select a whole layer.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ SITES: dict[str, tuple[str, str]] = {
     # store-behind (the entry is simply not persisted).
     "store.read": ("store", "warm-start store entry probe (store/store)"),
     "store.write": ("store", "warm-start store entry persist (store/store)"),
-    # -- distributed (distributed/comm.py) ----------------------------------
-    "comm.send": ("comm", "point-to-point send"),
-    "comm.recv": ("comm", "point-to-point receive"),
-    "comm.drop": ("comm", "message silently dropped (kind='drop')"),
-    "comm.collective": ("comm", "collective entry (bcast/allgather/allreduce)"),
-    "comm.barrier": ("comm", "barrier entry"),
 }
 
 

@@ -110,11 +110,6 @@ OPTIONS: dict[str, tuple] = {
         "base of the exponential retry backoff, seconds "
         "(`RETRY_BASE_DELAY * 2**attempt`)",
     ),
-    "COMM_TIMEOUT": (
-        10.0,
-        "seconds a `Communicator` receive/collective waits before "
-        "declaring the peer dead (`GrB_PANIC`)",
-    ),
     "CHECKPOINT_DIR": (
         "",
         "root of the checkpoint + write-ahead journal every "

@@ -41,7 +41,7 @@ class TestSetOption:
 
     @pytest.mark.parametrize("name, raw", [
         ("MEMO_CAPACITY", "many"), ("MEMO_CAPACITY", "3.5"),
-        ("COMM_TIMEOUT", "soon"),
+        ("RETRY_BASE_DELAY", "soon"),
     ])
     def test_non_numeric_string_raises(self, name, raw):
         before = config.get_option(name)

@@ -122,7 +122,7 @@ class TestFaultSiteRegistry:
         text = "\n".join(p.read_text()
                          for p in sorted((ROOT / "src").rglob("*.py")))
         used = set(re.findall(
-            r'(?:maybe_inject|guard|should_drop)\(\s*"([\w.]+)"', text))
+            r'maybe_inject\(\s*"([\w.]+)"', text))
         # The planner visits ``planner.<pass>`` for each pass it runs.
         fusion = (ROOT / "src/repro/engine/fusion.py").read_text()
         assert 'maybe_inject(f"planner.{name}"' in fusion

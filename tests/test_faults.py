@@ -30,7 +30,6 @@ from repro.faults import (
     enable_chaos,
     is_transient,
     maybe_inject,
-    should_drop,
     suspended,
     with_retry,
 )
@@ -71,7 +70,7 @@ D1 = {(0, 1): 2.0, (1, 2): 3.0, (2, 0): 4.0, (3, 3): 1.0}
 class TestFaultPlane:
     def test_inactive_is_noop(self):
         maybe_inject("kernel.mxm")  # must not raise
-        assert not should_drop("comm.drop")
+        assert PLANE.fire("kernel.ewise") is None
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -92,12 +91,12 @@ class TestFaultPlane:
 
     def test_pattern_and_where_matching(self):
         p = FaultPlane()
-        p.configure(1, [FaultSpec(site="comm.*", where={"rank": 1},
+        p.configure(1, [FaultSpec(site="kernel.*", where={"domain": "t1"},
                                   error=PanicError)])
-        p.fire("comm.send", rank=0)          # wrong rank: no injection
-        p.fire("kernel.mxm", rank=1)         # wrong site: no injection
+        p.fire("kernel.mxm", domain="t0")    # wrong domain: no injection
+        p.fire("txn.commit", domain="t1")    # wrong site: no injection
         with pytest.raises(PanicError):
-            p.fire("comm.send", rank=1)
+            p.fire("kernel.mxm", domain="t1")
 
     def test_max_hits_bounds_injections(self):
         p = FaultPlane()
@@ -125,18 +124,6 @@ class TestFaultPlane:
         assert pattern(7) == pattern(7)
         assert pattern(7) != pattern(8)  # and the seed matters
         assert 0 < sum(pattern(7)) < 40  # rate actually thins
-
-    def test_drop_kind(self):
-        p = FaultPlane()
-        p.configure(1, [FaultSpec(site="comm.drop", kind="drop")])
-        assert p.fire("comm.drop") == "drop"
-        assert p.dropped == 1
-
-    def test_slow_kind_sleeps_and_counts(self):
-        p = FaultPlane()
-        p.configure(1, [FaultSpec(site="s", kind="slow", delay=0.0)])
-        assert p.fire("s") is None
-        assert p.snapshot()["injected"] == {"s": 1}
 
     def test_armed_only_gates_bare_calls(self):
         enable_chaos(3, rate=1.0)  # armed_only=True
@@ -507,8 +494,8 @@ class TestObservability:
         PLANE.configure(1, [FaultSpec(site="nowhere.real")])
         snap = ctx.engine_stats()
         for key in ("faults_injected", "retries", "retries_recovered",
-                    "worker_faults", "degraded_serial", "degraded_local",
-                    "comm_timeouts", "fault_sites", "context_degraded"):
+                    "worker_faults", "degraded_serial", "fault_sites",
+                    "context_degraded"):
             assert key in snap
         assert snap["context_degraded"] is False
 

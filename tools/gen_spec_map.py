@@ -77,7 +77,7 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §V error string | thread-safe `GrB_error` text survives the deferral | owner `_err` set by `engine/scheduler.py::_record_failure` |
 | §V failed-op output state | output keeps its last-materialized value | transactional commit gate `engine/txn.py::commit` (validate, then one reference store) |
 | §V transient execution errors | `GrB_OUT_OF_MEMORY` / `GrB_INSUFFICIENT_SPACE` may succeed on re-invocation | `faults/retry.py::with_retry` (bounded retry, exponential backoff) around every node evaluation |
-| §V persistent faults | exhaust the ladder, then defer like any execution error | mxm block-ladder/cluster degradation: serial re-run of `mxm`'s blocks, `Context.record_worker_fault` → `Context.is_degraded`, `Cluster.run_resilient` |
+| §V persistent faults | exhaust the ladder, then defer like any execution error | mxm block-ladder degradation: serial re-run of `mxm`'s blocks, `Context.record_worker_fault` → `Context.is_degraded` |
 | §V fault observability | error handling must be testable deterministically | `faults/plane.py` seeded site injection (incl. `planner.*` pass-boundary sites) + `Context.engine_stats()` fault counters |
 | §V optimization transparency on failure | an optimized chain that fails re-runs unoptimized with exact deferred-error state | `engine/scheduler.py::_run_deoptimized_fallback` (unfuse: the producers an `engine/fusion.py::FusionPlan` absorbed re-run standalone) |
 | §IV multi-tenant serving on hierarchical contexts | N resident graphs served to sessions on child contexts, each with its own worker share, memo quota, and fault domain | `serve/` (`GraphService`/`Session` zero-copy per-tenant views, `AdmissionController` typed `GrB_INSUFFICIENT_SPACE` load shedding, `serve/batch.py` msbfs/dedup window coalescing, `serve/server.py` asyncio front door); per-tenant rollups in `engine/stats.py::ContextStats`, domain-scoped chaos in `faults/plane.py` |
