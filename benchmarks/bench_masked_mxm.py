@@ -1,30 +1,17 @@
-"""E3 — the planner's CSE and memos on BFS-shaped workloads.
+"""E3 — the planner and the algo-block memo on BFS-shaped workloads.
 
-The planner hash-conses textually repeated subexpressions so the
-duplicate publishes the shared result instead of recomputing it, and
-the cross-forcing memos republish committed results.  This bench
-measures them on the shape that motivates them — BFS over a scale-free
-graph:
+This bench measures the nonblocking engine on the shape that motivates
+it — BFS over a scale-free graph — and the algorithm-block memo on a
+repeated analytic:
 
 * **masked vxm sweep** — an actual BFS frontier expansion loop
   (``DESC_RSC``), exercising the complemented-mask fast path inside
   the kernel (sorted-key ``searchsorted`` membership, empty-complement
   keep-all skip).
-* **repeated subexpression** — ``(A ⊕.⊗ A) + (A ⊕.⊗ A)``: CSE runs the
-  product once; the duplicate costs one commit.
-* **repeated forcing** (PR-4) — the same ``C = A ⊕.⊗ A`` submitted and
-  forced over and over: the cross-forcing result memo runs the kernel
-  once and republishes the committed carrier thereafter.
-* **repeated algorithm** (PR-5) — ``local_clustering_coefficient``
-  called over and over on the unchanged graph: the algo-block memo
-  serves the masked SpGEMM (closed wedges) and the degree vector from
-  the context cache, so a warm call submits only the cheap vector
-  arithmetic.
-
-The CSE workload pins ``ENGINE_MEMO`` off around its nonblocking runs:
-it asserts exact kernel counts per repetition, which the memo
-deliberately breaks (that is its whole point) — the memo has its own
-workload instead.
+* **repeated algorithm** — ``local_clustering_coefficient`` called
+  over and over on the unchanged graph: the algo-block memo serves the
+  masked SpGEMM (closed wedges) and the degree vector from the context
+  cache, so a warm call submits only the cheap vector arithmetic.
 
 Results land in ``BENCH_planner.json`` (CI's perf-smoke artifact;
 ``tools/bench_gate.py`` compares it against the committed baseline) and
@@ -38,18 +25,16 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_table, rmat_graph
-from repro.core import binaryop as B
 from repro.core import types as T
 from repro.core.context import Context, Mode, WaitMode
 from repro.core.descriptor import DESC_RSC
 from repro.core.matrix import Matrix
-from repro.core.semiring import LOR_LAND_SEMIRING_BOOL, PLUS_TIMES_SEMIRING
+from repro.core.semiring import LOR_LAND_SEMIRING_BOOL
 from repro.core.vector import Vector
 from repro.engine.stats import STATS
 from repro.internals import config
 from repro.ops.assign import assign
-from repro.ops.ewise import ewise_add
-from repro.ops.mxm import mxm, vxm
+from repro.ops.mxm import vxm
 
 SCALE = 10
 EDGE_FACTOR = 8
@@ -85,26 +70,6 @@ def _best(fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def _dup_sum(ctx, a):
-    x1 = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(x1, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    x2 = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(x2, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    s = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    ewise_add(s, None, None, B.PLUS[T.FP64], x1, x2)
-    s.wait(WaitMode.MATERIALIZE)
-    return s
-
-
-def _forced_product(ctx, a):
-    """One submit + force of ``C = A ⊕.⊗ A`` into a fresh output — the
-    cross-forcing memo's hit shape when repeated."""
-    c = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(c, None, None, PLUS_TIMES_SEMIRING[T.FP64], a, a)
-    c.wait(WaitMode.MATERIALIZE)
-    return c
 
 
 def _lcc_once(ctx, a):
@@ -159,69 +124,6 @@ class TestMaskedMxm:
         # in tens of microseconds), so the ratio is noisy on fast
         # machines; guard against an egregious tax only.
         assert t_nb < t_blocking * 1.5
-
-    def test_repeated_subexpression_cse(self, contexts):
-        bl, nb = contexts
-        a_bl, a_nb = _ctx_graph(bl), _ctx_graph(nb)
-        t_blocking, r0 = _best(_dup_sum, bl, a_bl)
-        with config.option("ENGINE_MEMO", False):
-            with config.option("ENGINE_CSE", False):
-                t_nocse, r1 = _best(_dup_sum, nb, a_nb)
-            STATS.reset()
-            t_cse, r2 = _best(_dup_sum, nb, a_nb)
-            snap = STATS.snapshot()
-        assert sorted(r0.to_dict()) == sorted(r1.to_dict()) \
-            == sorted(r2.to_dict())
-        assert snap["cse_reused"] >= 1, "CSE never fired"
-        assert snap["kernel_count"].get("mxm") == REPS, \
-            "duplicate product was recomputed"
-        _RESULTS["dup_subexpression"] = {
-            "blocking_ms": t_blocking * 1e3,
-            "nb_no_cse_ms": t_nocse * 1e3,
-            "nb_cse_ms": t_cse * 1e3,
-            "cse_reused": snap["cse_reused"],
-        }
-        print_table(
-            "E3c  (A ⊕.⊗ A) + (A ⊕.⊗ A): shared subexpression",
-            ["variant", "best ms"],
-            [["blocking", f"{t_blocking * 1e3:.2f}"],
-             ["nb-no-cse", f"{t_nocse * 1e3:.2f}"],
-             ["nb-cse", f"{t_cse * 1e3:.2f}"],
-             ["cse_reused", snap["cse_reused"]]],
-        )
-        assert t_cse < t_blocking, "CSE lost to blocking"
-
-    def test_repeated_forcing_memo(self, contexts):
-        bl, nb = contexts
-        a_bl, a_nb = _ctx_graph(bl), _ctx_graph(nb)
-        t_blocking, r0 = _best(_forced_product, bl, a_bl)
-        with config.option("ENGINE_MEMO", False):
-            t_nomemo, r1 = _best(_forced_product, nb, a_nb)
-        STATS.reset()
-        t_memo, r2 = _best(_forced_product, nb, a_nb)
-        snap = STATS.snapshot()
-        assert sorted(r0.to_dict()) == sorted(r1.to_dict()) \
-            == sorted(r2.to_dict())
-        assert snap["memo_reused"] >= REPS - 1, "memo never republished"
-        assert snap["kernel_count"].get("mxm", 0) <= 1, \
-            "memo hit still re-ran the kernel"
-        _RESULTS["repeated_forcing"] = {
-            "blocking_ms": t_blocking * 1e3,
-            "nb_no_memo_ms": t_nomemo * 1e3,
-            "nb_memo_ms": t_memo * 1e3,
-            "memo_reused": snap["memo_reused"],
-        }
-        print_table(
-            "E3d  C = A ⊕.⊗ A re-submitted ×5: cross-forcing memo",
-            ["variant", "best ms"],
-            [["blocking", f"{t_blocking * 1e3:.2f}"],
-             ["nb-no-memo", f"{t_nomemo * 1e3:.2f}"],
-             ["nb-memo", f"{t_memo * 1e3:.2f}"],
-             ["memo_reused", snap["memo_reused"]]],
-        )
-        # A republish is one commit, not one SpGEMM.
-        assert t_memo < t_blocking, "memo lost to blocking"
-        assert t_memo < t_nomemo, "memo lost to memo-less nonblocking"
 
     def test_repeated_algorithm_memo(self, contexts):
         bl, nb = contexts

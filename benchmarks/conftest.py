@@ -31,13 +31,12 @@ def grb_lifecycle():
 
 @pytest.fixture
 def no_result_memo():
-    """Pin the cross-forcing result memo off: a paper-artefact bench
-    repeats one expression over unchanged inputs, so with the memo on
-    every round after the first times a republish, not the kernel.
-    Every T / F / M / A / AB module opts in with ``pytestmark``
-    (``tests/test_docs.py`` checks); the engine-era benches pin their
-    own."""
-    with config.option("ENGINE_MEMO", False):
+    """Pin the algorithm-block memo off: a paper-artefact bench repeats
+    one algorithm over an unchanged graph, so with the memo on every
+    round after the first skips its setup kernels.  Every T / F / M /
+    A / AB module opts in with ``pytestmark`` (``tests/test_docs.py``
+    checks); the engine-era benches pin their own."""
+    with config.option("ENGINE_ALGO_MEMO", False):
         yield
 
 

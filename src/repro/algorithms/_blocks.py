@@ -5,9 +5,9 @@ pure values from its input graph — a pattern (weights-erased) copy of
 the adjacency matrix, its degree vector, a normalized flow matrix, the
 closed-wedge matrix of triangle counting — and until now re-ran those
 kernels on *every* call.  The per-Context result memo
-(:mod:`repro.engine.memo`) already
-knows how to cache committed carriers keyed on versioned handle
-identity, so this module routes the building blocks through it: the
+(:mod:`repro.engine.memo`) caches committed carriers keyed on
+versioned handle identity, and this module routes the building blocks
+through it: the
 first ``pagerank(a)`` materializes and stores each block, the second
 call on an unchanged ``a`` wraps the cached carriers in fresh handles
 and submits **zero setup kernels**.
@@ -17,7 +17,7 @@ Soundness is inherited from the memo's machinery:
 * keys embed ``(a._uid, a._version)``, so any write to the graph makes
   every cached block unreachable (and the eager ``invalidate_handle``
   path drops the entries outright);
-* ``GrB_free(a)`` releases the entries via ``release_handle``;
+* ``GrB_free(a)`` drops the entries via ``invalidate_handle`` too;
 * entries live in the graph's own context memo, so a hit can never
   cross a context/mode boundary;
 * a hit republishes through the transactional commit gate
@@ -34,9 +34,8 @@ Cost-weighted eviction keeps the expensive blocks around: each store
 records the measured build time, so a wedge-count matrix does not get
 evicted to make room for a degree vector.
 
-``ENGINE_ALGO_MEMO=0`` (or ``ENGINE_MEMO=0``) disables the plumbing
-entirely — every block builds fresh, byte-identical to the pre-memo
-behavior.
+``ENGINE_ALGO_MEMO=0`` disables the plumbing entirely — every block
+builds fresh, byte-identical to the pre-memo behavior.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ __all__ = [
 def _memo_for(a):
     """The graph's context memo, or ``None`` when the algo-memo plumbing
     is off (knobs, freed context, no versioned identity)."""
-    if not (config.ENGINE_ALGO_MEMO and config.ENGINE_MEMO):
+    if not config.ENGINE_ALGO_MEMO:
         return None
     ctx = a.context
     if ctx is None or ctx.is_freed:
@@ -101,8 +100,6 @@ def _ensure_store_digest(a) -> None:
 
 
 def _key(a, kind: str, params: tuple) -> tuple:
-    # The "algo" discriminator keeps these keys disjoint from the
-    # expression keys (dag.memo_key tuples start with "op"/"stages").
     with a._lock:
         vkey = (a._uid, a._version)
     return ("algo", kind, vkey, params, _format_fingerprint())
@@ -127,9 +124,13 @@ def _cached(a, kind: str, params: tuple, build: Callable, wrap: Callable):
             committed = with_retry(
                 lambda: txn.commit(f"algo:{kind}", cached), f"algo:{kind}"
             )
-            STATS.bump("memo_hits")
             STATS.bump("memo_reused")
             STATS.bump("algo_memo_hits")
+            # The tenant rollup, if the graph's context has one; never
+            # created here (the scheduler's ``_node_stats`` rule).
+            local = getattr(a.context, "_local_stats", None)
+            if local is not None:
+                local.bump("algo_memo_hits")
             STATS.instant(
                 f"algo-memo:{kind}", "memo",
                 {"kind": kind, "graph_uid": key[2][0],
@@ -148,7 +149,7 @@ def _cached(a, kind: str, params: tuple, build: Callable, wrap: Callable):
     with a._lock:
         deps = (a._uid,)
     try:
-        memo.store(key, out._data, deps, owner_uid=None, cost_ms=built_ms)
+        memo.store(key, out._data, deps, cost_ms=built_ms)
         STATS.bump("algo_memo_stores")
     except Exception:
         pass  # best-effort: a failed store must not fail the algorithm
@@ -220,7 +221,7 @@ def store_warm(
         memo.store(
             _key(a, "warm:" + kind, params),
             (payload, dict(meta or {})),
-            deps, owner_uid=None, cost_ms=max(0.0, float(cost_ms)),
+            deps, cost_ms=max(0.0, float(cost_ms)),
         )
         STATS.bump("algo_warm_stores")
     except Exception:

@@ -13,7 +13,7 @@ and poking at data files without writing a script:
   the asyncio front door, and print per-tenant stats on shutdown.
 
 ``--engine-stats`` (global flag) dumps the lazy-engine counters — nodes
-built/forced/fused, CSE hits, memo reuses, per-kernel wall time —
+built/forced/fused, memo reuses, per-kernel wall time —
 after the command runs, answering "did nonblocking mode actually
 optimize anything?".  ``--trace-out PATH`` writes the engine's planner
 and kernel spans as Chrome trace JSON for chrome://tracing / Perfetto.
@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-result-cache", action="store_true",
-        help="disable the cross-forcing result memo (ablation; same as "
-             "REPRO_ENGINE_MEMO=0)",
+        help="disable the algorithm-block result memo (ablation; same "
+             "as REPRO_ENGINE_ALGO_MEMO=0)",
     )
     p.add_argument(
         "--store-dir", metavar="DIR", default=None,
@@ -330,8 +330,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     if args.no_result_cache:
         from repro.internals import config
 
-        memo_was = config.get_option("ENGINE_MEMO")
-        config.set_option("ENGINE_MEMO", False)
+        memo_was = config.get_option("ENGINE_ALGO_MEMO")
+        config.set_option("ENGINE_ALGO_MEMO", False)
     store_was = None
     if args.store_dir:
         from repro.internals import config
@@ -375,7 +375,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if memo_was is not None:
             from repro.internals import config
 
-            config.set_option("ENGINE_MEMO", memo_was)
+            config.set_option("ENGINE_ALGO_MEMO", memo_was)
         if store_was is not None:
             from repro.internals import config
 

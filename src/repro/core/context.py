@@ -171,7 +171,7 @@ class Context:
         self._lock = threading.RLock()
         self._degraded = False
         self._worker_faults = 0
-        self._result_memo = None  # lazy ResultMemo (nonblocking planner)
+        self._result_memo = None  # lazy ResultMemo (algorithm blocks)
         self._pool = None         # lazy ThreadPoolExecutor (mxm blocks)
         self._pool_nthreads = 0
         self._local_stats = None  # lazy ContextStats (tenant rollup)
@@ -267,12 +267,12 @@ class Context:
     # -- scoped engine resources ----------------------------------------------
 
     def result_memo(self, create: bool = True):
-        """This context's cross-forcing result memo (lazily created).
+        """This context's algorithm-block result memo (lazily created).
 
         Scoping the memo to the context is what makes "never serve
-        across mode or context boundaries" structural: a lookup made
-        while planning an object's forcing can only see entries stored
-        by sequences in the very same context.  The spec's
+        across mode or context boundaries" structural: a block lookup
+        for a graph can only see entries stored by calls on graphs in
+        the very same context.  The spec's
         ``memo_capacity`` (resolved through the ancestor chain) bounds
         it — a serving tenant's cache quota.
         """
@@ -286,8 +286,9 @@ class Context:
     def local_stats(self, create: bool = True):
         """This context's tenant-local stats rollup (lazily created).
 
-        The scheduler attributes kernel time and reuse/fault events to
-        the context owning each forced node; the serving layer reads
+        The scheduler attributes kernel time and fault events to the
+        context owning each forced node, the algorithm layer its
+        block-memo hits to the graph's context; the serving layer reads
         the rollup back per tenant (``engine_stats()["tenant"]``).
         """
         with self._lock:
@@ -388,7 +389,7 @@ class Context:
         """Snapshot of the lazy-engine counters and per-kernel timings.
 
         The engine keeps process-wide statistics (nodes built/forced,
-        fusions, CSE hits/reuses, memo reuses, deferred completes, ...);
+        fusions, memo reuses, deferred completes, ...);
         contexts expose them so tools need not import the engine package
         directly.  Fault plane counters ride along under ``fault_sites``
         (with the planner-pass subset repeated under ``planner_faults``),
@@ -396,9 +397,9 @@ class Context:
         ``trace_events`` (what the CLI's ``--trace-out`` writes).
 
         The ``tenant`` key carries this context's *local* rollup —
-        kernels, kernel wall time, reuse events, worker faults, serving
-        counters — attributed by the scheduler to the context owning
-        each forced node.  Process-wide counters answer "did the
+        kernels, kernel wall time, block-memo hits, worker faults,
+        serving counters — attributed to the context owning each forced
+        node (a block hit: the graph's context).  Process-wide counters answer "did the
         optimizer do anything?"; the tenant rollup answers "who
         consumed it?".
         """

@@ -54,11 +54,7 @@ from typing import Any, Callable, Sequence
 
 from ..engine import scheduler
 from ..engine.dag import DONE, FAILED, Node, Source
-from ..engine.memo import (
-    invalidate_handle,
-    patch_handle_blocks,
-    release_handle,
-)
+from ..engine.memo import invalidate_handle, patch_handle_blocks
 from ..engine.stats import STATS
 from ..engine.txn import commit as _txn_commit
 from ..faults.retry import with_retry
@@ -122,15 +118,10 @@ class OpaqueObject:
     # -- sequence machinery ---------------------------------------------------
 
     def _prev_source(self) -> Source:
-        """Sequence edge to this object's current state (lock held).
-
-        A materialized capture carries the handle's versioned identity
-        (``vkey``) so the cross-forcing result memo can recognise the
-        same committed carrier in a later sequence.
-        """
+        """Sequence edge to this object's current state (lock held)."""
         if self._tail is not None:
             return Source.of_node(self._tail)
-        return Source.of_data(self._data, vkey=(self._uid, self._version))
+        return Source.of_data(self._data)
 
     def _advance(self, delta=None) -> None:
         """A write happened: bump the handle version and drop memo
@@ -245,8 +236,6 @@ class OpaqueObject:
         out_type: Any = None,
         pure: bool = False,
         complete_safe: bool = False,
-        opkey: tuple | None = None,
-        cse_safe: bool = False,
         mask_info: Any = None,
     ) -> None:
         """Submit an operations-layer method (the fusable node shape).
@@ -257,9 +246,8 @@ class OpaqueObject:
         applies mask/accumulator/replace against the previous state.
         ``pure`` asserts the write-back ignores ``prev`` entirely (no
         mask, no complement, no accumulator) — the property fusion needs.
-        ``opkey``/``cse_safe``/``mask_info`` are planner metadata
-        (structural identity for hash-consing, write-back shape for
-        fusion); blocking mode ignores them.
+        ``mask_info`` is planner metadata (the write-back shape fusion
+        reasons about); blocking mode ignores it.
         """
         if self._mode == Mode.BLOCKING:
             # Inputs are concrete in blocking mode (captures force).
@@ -293,8 +281,6 @@ class OpaqueObject:
                 out_type=out_type,
                 pure=pure,
                 complete_safe=complete_safe,
-                opkey=opkey,
-                cse_safe=cse_safe,
                 mask_info=mask_info,
             )
             self._materialized = False
@@ -424,15 +410,14 @@ class OpaqueObject:
     def free(self) -> None:
         """``GrB_free`` — release; the handle then behaves uninitialized.
 
-        Dropping the handle also drops every result-memo entry that
-        depends on it — both entries computed *from* it and entries
-        cached *for* it — so freed carriers stay collectable.
+        Dropping the handle also drops every result-memo entry computed
+        from it, so freed carriers stay collectable.
         """
         with self._lock:
             self._tail = None
             self._data = None
             self._valid = False
-        release_handle(self._uid)
+        invalidate_handle(self._uid)
 
 
 def wait(obj: OpaqueObject, mode: WaitMode = WaitMode.MATERIALIZE) -> None:

@@ -52,7 +52,6 @@ from .stats import STATS
 __all__ = [
     "PENDING", "DONE", "FAILED", "ELIDED",
     "Source", "Node", "MaskInfo", "GRAPH_LOCK",
-    "source_identity", "structural_key", "memo_key",
 ]
 
 # Node states.
@@ -67,28 +66,17 @@ GRAPH_LOCK = threading.Lock()
 
 
 class Source:
-    """A captured operation input: concrete carrier or producing node.
+    """A captured operation input: concrete carrier or producing node."""
 
-    ``vkey`` is the *versioned identity* of the captured handle at
-    capture time — ``(handle uid, handle version)`` for a data capture
-    made through ``OpaqueObject._prev_source``.  Handle uids are drawn
-    from a monotonic counter (never reused, unlike ``id()``) and the
-    version advances on every write, so equal vkeys imply the very same
-    committed carrier.  This is what the cross-forcing result memo keys
-    on; captures made without a vkey are simply memo-ineligible.
-    """
+    __slots__ = ("node", "data")
 
-    __slots__ = ("node", "data", "vkey")
-
-    def __init__(self, node: "Node | None", data: Any,
-                 vkey: tuple | None = None):
+    def __init__(self, node: "Node | None", data: Any):
         self.node = node
         self.data = data
-        self.vkey = vkey
 
     @classmethod
-    def of_data(cls, data: Any, vkey: tuple | None = None) -> "Source":
-        return cls(None, data, vkey)
+    def of_data(cls, data: Any) -> "Source":
+        return cls(None, data)
 
     @classmethod
     def of_node(cls, node: "Node") -> "Source":
@@ -131,10 +119,8 @@ class Node:
         "kind", "label", "owner", "prev", "inputs",
         "thunk", "compute", "writeback", "stages", "pipe_input",
         "out_type", "pure", "complete_safe",
-        "opkey", "cse_safe", "mask_info", "writes", "sealed",
-        "state", "result", "exc", "exc_raised", "nrefs",
-        "plan", "alias_of",
-        "memo_result", "memo_entry",
+        "mask_info", "writes", "sealed",
+        "state", "result", "exc", "exc_raised", "nrefs", "plan",
     )
 
     def __init__(
@@ -153,8 +139,6 @@ class Node:
         out_type: Any = None,
         pure: bool = False,
         complete_safe: bool = False,
-        opkey: tuple | None = None,
-        cse_safe: bool = False,
         mask_info: MaskInfo | None = None,
         writes: list | None = None,
     ):
@@ -171,8 +155,6 @@ class Node:
         self.out_type = out_type
         self.pure = pure
         self.complete_safe = complete_safe
-        self.opkey = opkey
-        self.cse_safe = cse_safe
         self.mask_info = mask_info
         # Pending tuples: the ``(coordinate, value | REMOVED)`` writes
         # this node's thunk folds in (``None`` for every other node).
@@ -183,10 +165,7 @@ class Node:
         self.exc: BaseException | None = None
         self.exc_raised = False
         self.nrefs = 0
-        self.plan = None       # FusionPlan (fuse pass) for absorbing consumers
-        self.alias_of = None   # representative Node (CSE pass)
-        self.memo_result = None  # cached carrier to republish (memo hit)
-        self.memo_entry = None   # (memo key, dep uids) for post-run store
+        self.plan = None  # FusionPlan (fuse pass) for absorbing consumers
         STATS.bump("nodes_built")
 
     # -- pending tuples ------------------------------------------------------
@@ -242,159 +221,3 @@ class Node:
         st = {PENDING: "pending", DONE: "done",
               FAILED: "failed", ELIDED: "elided"}[self.state]
         return f"Node({self.label}, {st}, refs={self.nrefs})"
-
-
-# -- structural identity (hash-consing support) -------------------------------
-#
-# Two pending nodes compute the same value when they run the same pure
-# operation over the same captured inputs.  ``structural_key`` derives a
-# stable, hashable identity for that statement: the node kind, an
-# operation key (the op layer's ``opkey``, or a key derived from the
-# stage list), the output domain, and the *identity* of each captured
-# input.  Carriers are immutable once published and node results are
-# written exactly once, so ``id()`` is a sound identity for both — equal
-# keys imply equal results.  The CSE pass hash-conses on these keys; the
-# optional ``canon`` map routes input identities through already-found
-# aliases so transitive duplicates (f(g(a)) vs f(g'(a)) with g ≡ g')
-# still collide.
-
-
-def _data_format(data: Any) -> str | None:
-    """Storage-format tag of a captured matrix carrier (``None`` for
-    vectors/scalars).  Keys that carry it distinguish the same logical
-    content held in different tiers — a format auto-switch on commit
-    then misses instead of republishing a carrier of the old shape."""
-    if getattr(data, "row_ids", None) is not None:
-        return "dcsr"
-    if getattr(data, "indptr", None) is not None:
-        return "csr"
-    return None
-
-
-def source_identity(src: Source, canon: dict[int, int] | None = None) -> tuple:
-    """Hashable identity of a captured input."""
-    if src.node is not None:
-        nid = id(src.node)
-        if canon is not None:
-            nid = canon.get(nid, nid)
-        return ("n", nid)
-    return ("d", id(src.data), _data_format(src.data))
-
-
-def _scalar_key(s: Any) -> tuple:
-    """Value-based key for bound scalars when hashable, else identity."""
-    if isinstance(s, (bool, int, float, complex, str, bytes, type(None))):
-        return (type(s).__name__, s)
-    item = getattr(s, "item", None)  # 0-d numpy scalars
-    if callable(item):
-        try:
-            return (type(s).__name__, item())
-        except Exception:
-            pass
-    return ("id", id(s))
-
-
-def _stage_key(stage: tuple) -> tuple | None:
-    """Key for one pipeline stage; ``None`` marks it non-consable."""
-    kind = stage[0]
-    if kind == "transpose":
-        return ("transpose",)
-    if kind == "cast":
-        return ("cast", id(stage[1]))
-    op = stage[1]
-    if not getattr(op, "is_builtin", False):
-        return None  # user-defined op: no determinism guarantee
-    if kind == "unary":
-        return ("unary", id(op), id(stage[2]))
-    if kind == "select":
-        return ("select", id(op), _scalar_key(stage[2]))
-    if kind in ("bind1st", "bind2nd", "index"):
-        return (kind, id(op), _scalar_key(stage[2]), id(stage[3]))
-    return None
-
-
-def structural_key(
-    node: Node, canon: dict[int, int] | None = None
-) -> tuple | None:
-    """Stable identity of the value *node* computes, or ``None`` when
-    the node must not be hash-consed (impure, thunk-form, user-defined
-    op, or an op the layer didn't describe)."""
-    if not node.pure or node.thunk is not None:
-        return None
-    if node.opkey is not None:
-        if not node.cse_safe:
-            return None
-        base: tuple = ("op", node.opkey)
-    elif node.stages is not None:
-        skeys = []
-        for stage in node.stages:
-            sk = _stage_key(stage)
-            if sk is None:
-                return None
-            skeys.append(sk)
-        base = ("stages", tuple(skeys))
-    else:
-        return None
-    return (
-        node.kind, base, id(node.out_type),
-        tuple(source_identity(s, canon) for s in node.inputs),
-    )
-
-
-# -- cross-forcing identity (result-memo support) -----------------------------
-#
-# ``structural_key`` identifies a statement *within one forcing* via
-# ``id()``-based input identities, which are only stable while the
-# captured objects are alive.  The result memo outlives a forcing, so it
-# keys on *versioned handle identities* instead: each data capture made
-# through the sequence layer carries ``(uid, version)`` (``Source.vkey``)
-# where the uid is never reused and the version advances on every write.
-# A pending input recurses into its producing node — its sources are
-# snapshots too — so whole re-submitted chains collide.  Equal memo keys
-# therefore imply the same pure computation over the same committed
-# carrier contents, across forcings and across output objects.
-
-
-def memo_key(node: Node) -> tuple[tuple, frozenset] | None:
-    """Cross-forcing identity of the value *node* computes, plus the
-    handle uids the cached entry depends on — or ``None`` when the node
-    must not be memoized (impure, thunk-form, user-defined op, any input
-    captured without a versioned identity, or any input whose producer
-    an earlier forcing settled — :func:`~repro.engine.scheduler.force`
-    releases a settled node's links, so nothing is left to key it by)."""
-    if not node.pure or node.thunk is not None:
-        return None
-    if node.opkey is not None:
-        if not node.cse_safe:
-            return None
-        base: tuple = ("op", node.opkey)
-    elif node.stages is not None:
-        skeys = []
-        for stage in node.stages:
-            sk = _stage_key(stage)
-            if sk is None:
-                return None
-            skeys.append(sk)
-        base = ("stages", tuple(skeys))
-    else:
-        return None
-    deps: set = set()
-    idents = []
-    for src in node.inputs:
-        if src.node is not None:
-            if src.node.state != PENDING:
-                return None  # settled: its links were released
-            sub = memo_key(src.node)
-            if sub is None:
-                return None
-            idents.append(("n", sub[0]))
-            deps.update(sub[1])
-        elif src.vkey is not None:
-            idents.append(("d", src.vkey, _data_format(src.data)))
-            deps.add(src.vkey[0])
-        else:
-            return None  # anonymous capture: no cross-forcing identity
-    return (
-        (node.kind, base, id(node.out_type), tuple(idents)),
-        frozenset(deps),
-    )

@@ -4,35 +4,21 @@ Nonblocking mode lets the implementation *optimize* the sequence of
 method calls, not just defer it — and deferral must cost nothing when
 there is nothing to optimize.  :func:`plan_subgraph` therefore starts
 with one O(nodes) **gate** scan over the forcing's subgraph that asks
-each rewrite pass for its precondition:
-
-* ``cse`` — two pending hash-consable nodes share a signature
-  (:func:`repro.engine.passes.cse.signature`);
-* ``fuse`` — a stage-form consumer could absorb its pipe source
-  (:func:`repro.engine.passes.fuse.can_fire`);
-
-and, in the same scan, consults the cross-forcing result memo for every
-eligible node directly — one key, one dict probe
-(:func:`repro.engine.passes.cse.consult_memo`).  When no pass can fire
-the memo outcome lands on the nodes and planning is over: no
+the one rewrite pass for its precondition: could a stage-form consumer
+absorb its pipe source (:func:`repro.engine.passes.fuse.can_fire`)?
+When none can, planning is over: no
 :class:`~repro.engine.passes.ir.PlanIR`, no fault site, no span.  That
 is every BFS level (masked, impure nodes; a pure ``apply`` over a
 materialized input), every run of pending tuples, every one-node
-re-submission.
+forcing.
 
-Otherwise the staged pipeline in :mod:`repro.engine.passes` runs —
-only the passes whose precondition held, bracketed by ``normalize``
-(canonicalize stage lists, compute structural keys) and ``schedule``
-(commit all decisions onto the nodes):
+Otherwise the staged pipeline in :mod:`repro.engine.passes` runs:
+``fuse`` (absorb producer chains into single-pass pipelines) →
+``schedule`` (commit the decisions onto the nodes).  A masked product
+needs no pass of its own: ``mxm``/``mxv``/``vxm`` hand their *own*
+mask to the kernel (``MASK_PUSHDOWN``), which skips off-mask products.
 
-``normalize`` → ``cse`` (hash-cons identical pending subtrees so a
-repeated subexpression runs its kernel once) → ``fuse`` (absorb
-producer chains into single-pass pipelines) → ``schedule``.  The order
-is fixed: a node CSE claims is left alone by fuse.  A masked product
-needs no pass of its own: ``mxm``/``mxv``/``vxm`` hand their *own* mask
-to the kernel (``MASK_PUSHDOWN``), which skips off-mask products.
-
-Each pass is a pure function over one shared immutable
+Each pass is a function over one shared immutable
 :class:`~repro.engine.passes.ir.PlanIR`; the driver runs the sequence
 under ``GRAPH_LOCK`` (planning reads refcounts and tails), records a
 trace span per pass, and gives the fault plane a ``planner.<pass>``
@@ -41,8 +27,8 @@ IR is still valid, the forcing proceeds without that pass's rewrites,
 and ``planner_pass_failures`` counts the skip.  Because decisions only
 take effect in the terminal schedule pass, a skipped schedule degrades
 cleanly to plain unoptimized execution.  A precondition is necessary,
-never sufficient: a pass the gate lets through re-checks its full
-legality ladder and may still rewrite nothing.
+never sufficient: the fuse pass re-checks its full legality ladder and
+may still rewrite nothing.
 
 :class:`FusionPlan` and :func:`optimize_stages` (the stage-list
 peephole: transpose pairs cancel, value-independent selects hoist
@@ -57,7 +43,7 @@ from ..faults.plane import armed, maybe_inject
 from ..internals import config
 from . import cancel
 from .dag import GRAPH_LOCK, PENDING, Node, Source
-from .passes import cse, fuse, normalize, schedule
+from .passes import fuse, schedule
 from .passes.ir import PlanIR
 from .stats import STATS
 
@@ -163,59 +149,28 @@ def optimize_stages(stages: list) -> tuple[list, int, int]:
 # -- the gate and the pass pipeline -------------------------------------------
 
 
-def _gate(nodes: list) -> tuple[list, list, list]:
-    """One scan over a forcing's subgraph: which rewrite passes *can*
-    fire, and what the result memo holds for the eligible nodes.
+#: The pass pipeline, in its fixed order.
+_PASSES = (("fuse", fuse.run), ("schedule", schedule.run))
 
-    Returns ``(passes, memo hits, memo entries)`` — ``passes`` is empty
-    when nothing can be rewritten, else the pipeline to run.
-    """
-    cse_on = config.ENGINE_CSE
-    fuse_on = config.ENGINE_FUSION
-    memo_on = config.ENGINE_MEMO
-    can_cse = can_fuse = False
-    signatures: set = set()
-    hits: list = []
-    entries: list = []
-    for node in nodes:
-        if node.state != PENDING or node.thunk is not None:
-            continue  # thunk nodes (element writes, build…): no pass applies
-        sig = cse.signature(node)
-        if sig is not None:
-            if memo_on:
-                cse.consult_memo(node, hits, entries)
-            if cse_on and not can_cse:
-                can_cse = sig in signatures
-                signatures.add(sig)
-        if fuse_on and not can_fuse:
-            can_fuse = fuse.can_fire(node)
-    if not (can_cse or can_fuse):
-        return [], hits, entries
-    passes = [("normalize", normalize.run)]
-    if can_cse:
-        passes.append(("cse", cse.run))
-    if can_fuse:
-        passes.append(("fuse", fuse.run))
-    passes.append(("schedule", schedule.run))
-    return passes, hits, entries
+
+def _gate(nodes: list) -> bool:
+    """One scan over a forcing's subgraph: can any rewrite fire?"""
+    return config.ENGINE_FUSION and any(
+        node.state == PENDING and fuse.can_fire(node) for node in nodes)
 
 
 def plan_subgraph(nodes: list) -> None:
     """Plan one forcing's pending subgraph (*nodes*, topological order).
 
-    On return the nodes carry whatever decisions survived:
-    ``memo_result``/``memo_entry`` from the result-memo consult,
-    ``alias_of`` on CSE duplicates, ``plan`` on fusion consumers and
-    ELIDED on their absorbed producers.  Planner faults never fail the
-    forcing — the affected pass is skipped.
+    On return the nodes carry whatever decisions survived: ``plan`` on
+    fusion consumers and ELIDED on their absorbed producers.  Planner
+    faults never fail the forcing — the affected pass is skipped.
     """
     with GRAPH_LOCK:
-        passes, hits, entries = _gate(nodes)
-        if not passes:
-            schedule.commit_memo(hits, entries)
+        if not _gate(nodes):
             return
-        ir = PlanIR.initial(nodes, hits, entries)
-        for name, pass_fn in passes:
+        ir = PlanIR(nodes)
+        for name, pass_fn in _PASSES:
             # Pass boundary = cancellation boundary.  Deliberately
             # outside the try below: a tripped deadline must propagate,
             # not be absorbed as a planner-pass failure.
@@ -229,6 +184,5 @@ def plan_subgraph(nodes: list) -> None:
                 STATS.bump("planner_pass_failures")
             STATS.span(
                 f"planner.{name}", "planner", t0, time.perf_counter() - t0,
-                {"nodes": len(ir.nodes), "aliases": len(ir.aliases),
-                 "fusions": len(ir.fusions)},
+                {"nodes": len(ir.nodes), "fusions": len(ir.fusions)},
             )

@@ -1,35 +1,26 @@
-"""Cross-forcing result cache (§III optimization latitude).
+"""Per-Context result memo of algorithm building blocks (§III).
 
-The planner's CSE pass hash-conses duplicates *within* one forcing;
-this module extends the same idea across API calls: a bounded memo
-of ``memo key → committed carrier`` per :class:`~repro.core.context.
-Context`, where the key (:func:`repro.engine.dag.memo_key`) identifies
-a pure built-in computation over *versioned* input handles.  When a
-later sequence re-submits ``C = A ⊕.⊗ A``, the CSE pass finds the
-committed product here and the scheduler republishes it through the
-transactional commit gate (:mod:`repro.engine.txn`) instead of
-re-running the kernel — the Julia-GraphBLAS "reuse materialized results
-across calls" win.
+Every algorithm in :mod:`repro.algorithms` starts by deriving the same
+pure values from its input graph — a pattern matrix, a degree vector,
+the degree-oriented wedge operand of triangle counting — and
+:mod:`repro.algorithms._blocks` routes each through this memo: a
+bounded map of ``("algo", kind, (uid, version), params, fingerprint)``
+→ committed carrier per :class:`~repro.core.context.Context`.  A hit
+republishes the cached carrier through the transactional commit gate
+(:mod:`repro.engine.txn`) instead of re-running the setup kernels.
 
 Soundness rests on three invariants:
 
-* **Versioned keys** — every captured input carries ``(uid, version)``;
-  uids come from a monotonic counter (never reused, unlike ``id()``)
-  and versions advance on every write, so a key can never alias a
-  different committed value.
-* **Eager invalidation** — every write to a handle calls
-  :func:`invalidate_handle`, dropping all entries that *depend* on
-  that uid in every live memo.  ``GrB_free`` calls
-  :func:`release_handle`, which additionally drops entries whose
-  cached carrier was committed *to* that handle (tracked separately —
-  the output is not a value dependency, or re-submitting
-  ``C = A ⊕.⊗ A`` would invalidate its own hit), so freeing the object
-  whose result was cached releases the carrier (the gc/weakref
-  property ``GrB_free`` demands).
+* **Versioned keys** — every key names ``(uid, version)`` of its graph
+  handle; uids come from a monotonic counter (never reused, unlike
+  ``id()``) and versions advance on every write, so a key can never
+  alias a different committed value.
+* **Eager invalidation** — every write to a handle, and its
+  ``GrB_free``, calls :func:`invalidate_handle`, dropping all entries
+  that *depend* on that uid in every live memo, so a freed graph's
+  blocks become collectable.
 * **Scoped stores** — the memo lives on the Context, so a hit can never
-  cross a context (and hence never a mode) boundary; descriptor
-  settings that change the computed value (transposes) are part of the
-  op key, and masked/accumulated nodes are impure and never eligible.
+  cross a context (and hence never a mode) boundary.
 
 Entries are (capacity-bounded) strong references: a cached carrier must
 stay alive to be republished.  The capacity bound plus eager
@@ -39,8 +30,8 @@ context's ``free``/``finalize`` clears its memo outright.
 Delta tier (``ENGINE_DELTA``): eager invalidation has one refinement —
 when a write arrives as a batched delta (``Matrix.update_batch``), the
 sequence layer calls :func:`patch_handle_blocks` instead of
-:func:`invalidate_handle`.  Algorithm-block entries keyed at exactly
-the pre-write version whose kind has a registered patch rule
+:func:`invalidate_handle`.  Entries keyed at exactly the pre-write
+version whose kind has a registered patch rule
 (:mod:`repro.algorithms.delta`: degree vectors, pattern matrices,
 warm fixpoints) are updated from the write set and re-keyed at
 the post-write version; everything else drops as before.  Soundness is
@@ -49,14 +40,12 @@ and patching happens before the write returns, so no forcing can
 observe a stale carrier under a live key.
 
 Eviction: under capacity pressure each entry is scored by what
-evicting it would *cost to rebuild* — the savings estimate recorded at
-store time (:func:`entry_savings_ms` for expression entries, the
-measured build time for algorithm building blocks) — exponentially aged
-by how many lookups/stores ago the entry was last touched (half-life =
-one capacity's worth of touches, so a stale expensive entry does
-eventually yield to fresh cheap ones).  The victim is the minimum-score
-entry: an expensive SpGEMM product outlives a trivial apply that came
-later, and equal costs fall back to recency.
+evicting it would *cost to rebuild* — the build time measured at store
+time — exponentially aged by how many lookups/stores ago the entry was
+last touched (half-life = one capacity's worth of touches, so a stale
+expensive entry does eventually yield to fresh cheap ones).  The
+victim is the minimum-score entry: a wedge matrix outlives a degree
+vector that came later, and equal costs fall back to recency.
 """
 
 from __future__ import annotations
@@ -66,11 +55,10 @@ import weakref
 from typing import Any, Iterable
 
 from ..internals import config
-from .dag import PENDING, Node
 from .stats import STATS
 
 __all__ = [
-    "ResultMemo", "entry_savings_ms", "invalidate_handle", "release_handle",
+    "ResultMemo", "invalidate_handle",
     "register_patch_resolver", "patch_handle_blocks", "patch_block",
 ]
 
@@ -80,7 +68,7 @@ __all__ = [
 _MEMOS: "weakref.WeakSet[ResultMemo]" = weakref.WeakSet()
 _MEMOS_LOCK = threading.Lock()
 
-#: Uids any live entry has ever named (dep or owner) — the O(1) fast
+#: Uids any live entry has ever depended on — the O(1) fast
 #: path that keeps :func:`invalidate_handle` free for the overwhelming
 #: majority of submits (BFS hot loops never store).  Deliberately an
 #: over-approximation that only grows: uids are monotonic and never
@@ -98,14 +86,11 @@ class ResultMemo:
         #: monotonic touch clock: advances on every hit and store;
         #: eviction ages scores by touches-since-last-use.
         self._tick = 0
-        #: key -> [carrier, frozenset of dep uids, owner uid | None,
-        #:         rebuild-cost estimate (ms), last-touched tick]
+        #: key -> [carrier, frozenset of dep uids, rebuild cost (ms),
+        #:         last-touched tick]
         self._entries: dict[tuple, list] = {}
         #: dep uid -> set of keys depending on it (write invalidation)
         self._by_dep: dict[int, set[tuple]] = {}
-        #: owner uid -> set of keys whose carrier was committed to it
-        #: (dropped only on ``GrB_free`` of that handle)
-        self._by_owner: dict[int, set[tuple]] = {}
         with _MEMOS_LOCK:
             _MEMOS.add(self)
 
@@ -125,8 +110,8 @@ class ResultMemo:
     def lookup(self, key: tuple) -> Any | None:
         """The cached carrier for *key*, or ``None`` (counted as a miss).
         A hit refreshes the entry's recency (its eviction-score age);
-        the *hit* counter is bumped by the schedule pass when the
-        decision is committed.
+        the *hit* counters are bumped by the caller once the republish
+        passes the commit gate.
 
         On an in-memory miss, algorithm-block keys fall through to the
         persistent warm-start store (:mod:`repro.store`): a disk hit is
@@ -140,7 +125,7 @@ class ResultMemo:
             entry = self._entries.get(key)
             if entry is not None:
                 self._tick += 1
-                entry[4] = self._tick
+                entry[3] = self._tick
                 return entry[0]
         warm = self._probe_store(key)
         if warm is not None:
@@ -190,14 +175,13 @@ class ResultMemo:
         key: tuple,
         carrier: Any,
         deps: Iterable[int],
-        owner_uid: int | None = None,
         cost_ms: float = 0.0,
     ) -> None:
         """Record a committed carrier, evicting past capacity.
 
-        ``cost_ms`` is the estimated cost of rebuilding this entry (the
-        savings a future hit buys); eviction keeps the entries whose
-        aged estimate is highest.
+        ``cost_ms`` is the cost of rebuilding this entry (the savings a
+        future hit buys); eviction keeps the entries whose aged cost is
+        highest.
         """
         deps = frozenset(deps)
         with self._lock:
@@ -205,15 +189,11 @@ class ResultMemo:
                 self._drop(key)
             self._tick += 1
             self._entries[key] = [
-                carrier, deps, owner_uid, max(0.0, float(cost_ms)),
-                self._tick,
+                carrier, deps, max(0.0, float(cost_ms)), self._tick,
             ]
             for uid in deps:
                 self._by_dep.setdefault(uid, set()).add(key)
                 _TRACKED_UIDS.add(uid)
-            if owner_uid is not None:
-                self._by_owner.setdefault(owner_uid, set()).add(key)
-                _TRACKED_UIDS.add(owner_uid)
             STATS.bump("memo_stores")
             cap = self.capacity
             while len(self._entries) > cap:
@@ -228,7 +208,7 @@ class ResultMemo:
             key=self._score,
         )
         score = self._score(victim)
-        cost_ms = self._entries[victim][3]
+        cost_ms = self._entries[victim][2]
         self._drop(victim)
         STATS.bump("memo_evictions")
         STATS.instant(
@@ -237,12 +217,12 @@ class ResultMemo:
         )
 
     def _score(self, key: tuple) -> float:
-        """Aged rebuild-savings estimate: the stored cost decayed by a
-        half-life of one capacity's worth of touches since last use.
-        Entries stored with no estimate keep a tiny floor so ties still
-        break by recency.  Caller holds ``self._lock``."""
+        """Aged rebuild cost: the stored cost decayed by a half-life of
+        one capacity's worth of touches since last use.  Entries stored
+        with no cost keep a tiny floor so ties still break by recency.
+        Caller holds ``self._lock``."""
         entry = self._entries[key]
-        cost_ms, last_tick = entry[3], entry[4]
+        cost_ms, last_tick = entry[2], entry[3]
         age = max(0, self._tick - last_tick)
         half_life = float(max(1, self.capacity))
         return max(cost_ms, 1e-9) * 0.5 ** (age / half_life)
@@ -255,12 +235,22 @@ class ResultMemo:
         so sharing the references outside the lock is safe.
         """
         with self._lock:
-            return [(k, e[0], e[3]) for k, e in self._entries.items()]
+            return [(k, e[0], e[2]) for k, e in self._entries.items()]
 
     def invalidate(self, uid: int) -> int:
         """Drop every entry depending on handle *uid*; returns count."""
         with self._lock:
-            return self._invalidate_index(self._by_dep, uid)
+            keys = self._by_dep.pop(uid, None)
+            if not keys:
+                return 0
+            n = 0
+            for key in list(keys):
+                if key in self._entries:
+                    self._drop(key)
+                    n += 1
+        if n:
+            STATS.bump("memo_invalidations", n)
+        return n
 
     def patch(
         self, uid: int, old_version: int, new_version: int, delta: Any,
@@ -270,10 +260,10 @@ class ResultMemo:
         Entries depending on *uid* whose key is an algorithm block at
         exactly ``(uid, old_version)`` and whose kind has a patch rule
         are *updated* from the write set and re-keyed at
-        ``(uid, new_version)`` — deps, owner, and cost metadata carry
-        over, so the block stays warm across the write.  Everything
-        else (expression entries, stale versions, kinds without a
-        rule, rules that decline) drops exactly as
+        ``(uid, new_version)`` — deps and cost carry over, so the
+        block stays warm across the write.  Everything else (stale
+        versions, kinds without a rule, rules that decline) drops
+        exactly as
         :meth:`invalidate` would have dropped it.
 
         Rules run under the memo lock (:func:`patch_block`): they must
@@ -298,7 +288,7 @@ class ResultMemo:
                     and key[2] == (uid, old_version)
                 ):
                     new_value = patch_block(key[1], entry[0], key[3], delta)
-                carrier, deps, owner_uid, cost_ms, _ = entry
+                _, deps, cost_ms, _ = entry
                 self._drop(key)
                 if new_value is None:
                     dropped += 1
@@ -306,12 +296,10 @@ class ResultMemo:
                 new_key = (key[0], key[1], (uid, new_version), key[3], key[4])
                 self._tick += 1
                 self._entries[new_key] = [
-                    new_value, deps, owner_uid, cost_ms, self._tick,
+                    new_value, deps, cost_ms, self._tick,
                 ]
                 for dep in deps:
                     self._by_dep.setdefault(dep, set()).add(new_key)
-                if owner_uid is not None:
-                    self._by_owner.setdefault(owner_uid, set()).add(new_key)
                 patched += 1
         if patched:
             STATS.bump("memo_delta_patches", patched)
@@ -326,135 +314,27 @@ class ResultMemo:
             )
         return patched, dropped
 
-    def release(self, uid: int) -> int:
-        """Handle *uid* was freed: drop entries depending on it *and*
-        entries whose cached carrier was committed to it."""
-        with self._lock:
-            n = self._invalidate_index(self._by_dep, uid)
-            n += self._invalidate_index(self._by_owner, uid)
-            return n
-
     def clear(self) -> None:
         """Drop everything (context ``free``/``finalize``)."""
         with self._lock:
             self._entries.clear()
             self._by_dep.clear()
-            self._by_owner.clear()
-
-    def _invalidate_index(self, index: dict, uid: int) -> int:
-        # Caller holds self._lock.
-        keys = index.pop(uid, None)
-        if not keys:
-            return 0
-        n = 0
-        for key in list(keys):
-            if key in self._entries:
-                self._drop(key)
-                n += 1
-        if n:
-            STATS.bump("memo_invalidations", n)
-        return n
 
     def _drop(self, key: tuple) -> None:
         # Caller holds self._lock.
-        _, deps, owner_uid, _, _ = self._entries.pop(key)
+        deps = self._entries.pop(key)[1]
         for uid in deps:
             bucket = self._by_dep.get(uid)
             if bucket is not None:
                 bucket.discard(key)
                 if not bucket:
                     del self._by_dep[uid]
-        if owner_uid is not None:
-            bucket = self._by_owner.get(owner_uid)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_owner[owner_uid]
-
-
-# -- rebuild-cost estimates (the eviction score's input) ----------------------
-
-#: Per-element rates (ms): accumulating + sorting + compressing one
-#: SpGEMM product vs pushing one entry through a materialize + cast +
-#: stage pass.  The 5:1 ratio reflects that a product pays hash/sort
-#: work while a stage entry is one vectorized copy; only the *order*
-#: of the resulting scores matters to eviction.
-_BASE_PRODUCT_MS = 5e-6
-_BASE_STAGE_MS = 1e-6
-
-
-def _source_nnz(src, depth: int) -> float:
-    if src is None:
-        return 0.0
-    if src.node is not None:
-        return _node_nnz(src.node, depth)
-    data = src.data
-    return float(getattr(data, "nvals", 0) or 0)
-
-
-def _node_nnz(node: Node, depth: int = 0) -> float:
-    """Estimated output nnz of a (possibly pending) node: exact for a
-    materialized carrier, else derived from the node's inputs."""
-    if depth > 8:  # deep chains: stop refining, any estimate will do
-        return 0.0
-    if node.state != PENDING and node.result is not None:
-        return float(getattr(node.result, "nvals", 0) or 0)
-    ins = [_source_nnz(s, depth + 1) for s in node.inputs]
-    kind = node.kind
-    if kind in ("mxm", "mxv", "vxm"):
-        # Expected surviving entries ≈ expected products (upper bound;
-        # compression only shrinks it).
-        return _estimate_products(node, depth)
-    if kind == "eWiseMult":
-        return min(ins[:2] or [0.0])
-    if kind == "eWiseAdd":
-        return sum(ins[:2])
-    if node.stages is not None and node.inputs:
-        return _source_nnz(node.inputs[node.pipe_input], depth + 1)
-    return max(ins or [0.0])
-
-
-def _inner_dim(node: Node) -> float:
-    a = node.inputs[0].node.result if node.inputs[0].node is not None \
-        else node.inputs[0].data
-    ncols = getattr(a, "ncols", None)
-    if ncols is None:
-        ncols = getattr(a, "size", None)
-    try:
-        return max(1.0, float(ncols))
-    except (TypeError, ValueError):
-        return 1.0
-
-
-def _estimate_products(node: Node, depth: int = 0) -> float:
-    """Expected multiply-stream length of an mxm-family node: the
-    uniform-distribution SpGEMM model ``nnz(A)·nnz(B)/inner``."""
-    if len(node.inputs) < 2:
-        return 0.0
-    nnz_a = _source_nnz(node.inputs[0], depth + 1)
-    nnz_b = _source_nnz(node.inputs[1], depth + 1)
-    if not nnz_a or not nnz_b:
-        return 0.0
-    return max(nnz_a, nnz_b, nnz_a * nnz_b / _inner_dim(node))
-
-
-def entry_savings_ms(node: Node) -> float:
-    """What a future result-memo hit on *node* is worth: the products
-    its kernel would stream (mxm family) or the entries it would
-    rewrite, priced per element.  Recorded as the entry's rebuild cost
-    and aged by :meth:`ResultMemo._score`."""
-    try:
-        products = _estimate_products(node)
-        if products > 0:
-            return products * _BASE_PRODUCT_MS
-        return _node_nnz(node) * _BASE_STAGE_MS
-    except Exception:
-        return 0.0
 
 
 def invalidate_handle(uid: int) -> None:
-    """A handle advanced (write): drop dependent entries from every
-    live memo.  Called from the sequence layer on *every* submit, so
+    """A handle advanced (write) or was freed: drop dependent entries
+    from every live memo.  Called from the sequence layer on *every*
+    submit, so
     the common case (no entry anywhere names this uid) must stay
     O(1) — one set probe, no locks."""
     if uid not in _TRACKED_UIDS:
@@ -514,15 +394,3 @@ def patch_handle_blocks(
         memos = list(_MEMOS)
     for memo in memos:
         memo.patch(uid, old_version, new_version, delta)
-
-
-def release_handle(uid: int) -> None:
-    """A handle died (``GrB_free``): drop entries depending on it and
-    entries caching *its* committed carrier, so the carrier becomes
-    collectable once the application drops its own references."""
-    if uid not in _TRACKED_UIDS:
-        return
-    with _MEMOS_LOCK:
-        memos = list(_MEMOS)
-    for memo in memos:
-        memo.release(uid)

@@ -1,4 +1,4 @@
-"""Pass 3 — fusion grouping: absorb producer chains into pipelines.
+"""Pass 1 — fusion grouping: absorb producer chains into pipelines.
 
 Walking consumers downstream-first, a stage-form consumer absorbs as
 far upstream as legality allows: ``apply``/``select`` chains collapse
@@ -10,13 +10,11 @@ upstream maps.
 
 Legality: the producer's write-back is pure, every reference to it
 comes from the absorbing consumer, and it is no longer its owner's
-sequence tail.  Nodes claimed by CSE or the result memo are skipped —
-an aliased node must run (or publish) exactly its own value.  A
-consumer whose sequence edge *is* the producer (the in-place
-``mxm(c); apply(c⟨m⟩, …, c)`` pattern) may absorb it only when its
-write-back never reads the previous value: either the write-back is
-pure, or it masks with REPLACE and no accumulator (the funnel then
-only needs ``prev``'s shape).
+sequence tail.  A consumer whose sequence edge *is* the producer (the
+in-place ``mxm(c); apply(c⟨m⟩, …, c)`` pattern) may absorb it only
+when its write-back never reads the previous value: either the
+write-back is pure, or it masks with REPLACE and no accumulator (the
+funnel then only needs ``prev``'s shape).
 
 **Precondition** (:func:`can_fire`): a stage-form consumer whose pipe
 source is a producer it could absorb right now.  The gate runs this
@@ -29,7 +27,6 @@ This pass only *decides*; absorbed producers are recorded in
 from __future__ import annotations
 
 from ..dag import PENDING, Node
-from ...internals import config
 from .ir import PlanIR
 
 __all__ = ["run"]
@@ -71,20 +68,10 @@ def can_fire(y: Node) -> bool:
     return x is not None and _absorbable(y, x)
 
 
-def _node_stages(ir: PlanIR, node: Node) -> list:
-    inf = ir.node_info(node)
-    if inf is not None and inf.stages is not None:
-        return list(inf.stages)
-    return list(node.stages)
-
-
 def run(ir: PlanIR) -> PlanIR:
     from ..fusion import FusionPlan, optimize_stages
 
-    if not config.ENGINE_FUSION:
-        return ir
     in_graph = {id(n) for n in ir.nodes}
-    locked = set(ir.locked)
     fusions = list(ir.fusions)
     elided = set(ir.elided)
     hoisted_total, elided_total = ir.stage_counts
@@ -92,12 +79,11 @@ def run(ir: PlanIR) -> PlanIR:
         if (
             y.state != PENDING
             or y.stages is None
-            or id(y) in locked
             or id(y) in elided
         ):
             continue
         chain: list[Node] = []
-        stages = _node_stages(ir, y)
+        stages = list(y.stages)
         consumer = y
         src = y.inputs[y.pipe_input]
         head: Node | None = None
@@ -106,14 +92,13 @@ def run(ir: PlanIR) -> PlanIR:
             if (
                 x is None
                 or id(x) not in in_graph
-                or id(x) in locked
                 or id(x) in elided
                 or not _absorbable(consumer, x)
             ):
                 break
             if x.stages is not None:
                 chain.append(x)
-                stages = _node_stages(ir, x) + [("cast", x.out_type)] + stages
+                stages = x.stages + [("cast", x.out_type)] + stages
                 consumer = x
                 src = x.inputs[x.pipe_input]
                 continue

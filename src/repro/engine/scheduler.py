@@ -28,12 +28,10 @@ import time
 
 from ..core.errors import ExecutionError, GraphBLASError, PanicError
 from ..faults.retry import with_retry
-from ..internals import config
 from ..internals.applyselect import run_stages
 from . import cancel
 from .dag import DONE, ELIDED, FAILED, PENDING, Node
 from .fusion import plan_subgraph
-from .memo import entry_savings_ms
 from .stats import STATS
 from .txn import commit as _txn_commit
 
@@ -91,9 +89,7 @@ def _release(node: Node) -> None:
     so its sequence and data edges, owner, closures and planner
     decorations go: the inputs and intermediates they pin then die by
     refcount instead of waiting in owner ↔ node cycles for the cyclic
-    collector.  A node another forcing has yet to plan around sees no
-    inputs here, so :func:`~repro.engine.dag.memo_key` declines to key
-    its consumers."""
+    collector."""
     node.prev = node.owner = None
     node.inputs = ()
     node.thunk = node.compute = node.writeback = node.writes = None
@@ -182,57 +178,6 @@ def _run_node(node: Node) -> None:
     if node.state == ELIDED:
         return  # absorbed into a consumer's pipeline; nothing to run
     t0 = time.perf_counter()
-    if node.memo_result is not None:
-        # Cross-forcing memo hit: republish the cached committed carrier
-        # through the same transactional gate a fresh kernel result
-        # would pass.  A rejected commit (or any other failure) falls
-        # back to running this node's own kernel — the §V-transparent
-        # outcome, mirroring the CSE alias fallback below.
-        cached, node.memo_result = node.memo_result, None
-        try:
-            node.result = with_retry(
-                lambda: _txn_commit(node.label, cached), node.label
-            )
-            node.state = DONE
-            elapsed = time.perf_counter() - t0
-            STATS.bump("memo_reused")
-            local = _node_stats(node)
-            if local is not None:
-                local.bump("memo_reused")
-            STATS.span(
-                f"memo:{node.kind}", "kernel", t0, elapsed,
-                {"node": node.label,
-                 "nvals": getattr(cached, "nvals", None)},
-            )
-            return
-        except Exception:
-            STATS.bump("memo_fallbacks")
-    if node.alias_of is not None:
-        # CSE duplicate: publish the representative's carrier through
-        # the same commit gate a kernel result would pass.  Any failure
-        # (representative failed, commit rejected) falls back to running
-        # this node's own kernel — exactly the blocking-mode outcome.
-        rep, node.alias_of = node.alias_of, None
-        if rep.state == DONE:
-            try:
-                node.result = with_retry(
-                    lambda: _txn_commit(node.label, rep.result), node.label
-                )
-                node.state = DONE
-                STATS.bump("cse_reused")
-                local = _node_stats(node)
-                if local is not None:
-                    local.bump("cse_reused")
-                STATS.span(
-                    f"cse:{node.kind}", "kernel", t0,
-                    time.perf_counter() - t0,
-                    {"node": node.label, "rep": rep.label},
-                )
-                _memo_store(node)
-                return
-            except Exception:
-                pass
-        STATS.bump("cse_fallbacks")
     if node.plan is not None:
         try:
             node.result = _checked_evaluate(node)
@@ -247,7 +192,6 @@ def _run_node(node: Node) -> None:
                 kind, "kernel", t0, elapsed,
                 {"node": node.label},
             )
-            _memo_store(node)
         except Exception:
             # A fused evaluation failed.  Optimization must be
             # transparent even on failure: unfused execution would have
@@ -290,32 +234,6 @@ def _run_node(node: Node) -> None:
         node.kind, "kernel", t0, elapsed,
         {"node": node.label},
     )
-    _memo_store(node)
-
-
-def _memo_store(node: Node) -> None:
-    """Record a freshly committed carrier in the owning context's
-    cross-forcing memo (the planner attached the key at plan time).
-    The store is best-effort — a failure here can't be allowed to fail
-    a forcing that already committed."""
-    entry, node.memo_entry = node.memo_entry, None
-    if entry is None:
-        return
-    if not config.ENGINE_MEMO:
-        return
-    try:
-        ctx = getattr(node.owner, "_ctx", None)
-        if ctx is None:
-            return
-        memo = ctx.result_memo()
-        if memo is None:
-            return
-        key, deps = entry
-        memo.store(key, node.result, deps,
-                   owner_uid=getattr(node.owner, "_uid", None),
-                   cost_ms=entry_savings_ms(node))
-    except Exception:
-        pass
 
 
 def _run_deoptimized_fallback(node: Node) -> None:

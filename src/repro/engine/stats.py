@@ -1,6 +1,6 @@
 """Engine observability: counters, per-kernel wall time, trace spans.
 
-The lazy engine's whole value proposition — defer, fuse, elide, share —
+The lazy engine's whole value proposition — defer, fuse, elide, reuse —
 is invisible from the API surface,
 so the engine keeps a process-wide counter block that answers "did the
 optimizer actually do anything?".  Each counter is declared once, with
@@ -14,7 +14,8 @@ The block above is process-wide; the serving layer additionally needs
 "what did *this tenant* consume?".  :class:`ContextStats` is the
 per-:class:`~repro.core.context.Context` counterpart — a small
 lock-guarded counter block the scheduler attributes kernel time and
-reuse events to, keyed by the owning object's context.  It is created
+deferred errors to, keyed by the owning object's context (the
+algorithm layer adds its block-memo hits, keyed by the graph's).  It is created
 lazily (``Context.local_stats()``) so non-serving workloads pay one
 ``None`` check and nothing else.
 
@@ -27,8 +28,8 @@ Trace spans
 -----------
 
 Every planner pass and every executed kernel records a span (name,
-category, start, duration, thread); planner *decisions* (a CSE alias, a
-fused chain) record instant events.  The buffer is a
+category, start, duration, thread); planner *decisions* (a fused
+chain) and memo events record instant events.  The buffer is a
 ring of the newest ``SPAN_CAP`` events, one plain tuple each (about
 60 % of the memory of the dict it stands for), so a long-running
 process keeps its recent history at a fixed cost.  It renders on read
@@ -67,35 +68,23 @@ COUNTERS: dict[str, str] = {
     "selects_hoisted":
         "value-independent selects moved ahead of maps (the map then "
         "touches fewer stored values)",
-    "cse_hits":
-        "pending nodes recognised as structurally identical to an earlier "
-        "node and aliased to it",
     "cse_reused":
-        "aliases that published the shared result (the duplicate kernel "
-        "never ran)",
-    "cse_fallbacks":
-        "aliases whose representative failed or whose commit was rejected "
-        "and that re-ran their own kernel",
+        "no longer bumped; declared only because the end-to-end benchmark "
+        "reads it from every snapshot",
     "masks_pushed":
         "no longer bumped; declared only because the end-to-end benchmark "
         "reads it from every snapshot",
-    "memo_hits":
-        "result-memo lookups by the planner gate that found a committed "
-        "carrier for a re-submitted expression",
     "memo_misses":
         "result-memo lookups that found nothing, in memory or in the "
         "warm-start store",
     "memo_reused":
         "memo hits that republished the cached carrier through the commit "
-        "gate (the kernel never ran)",
-    "memo_fallbacks":
-        "memo hits whose republish was rejected and that re-ran their own "
-        "kernel",
+        "gate (the kernels never ran)",
     "memo_stores":
         "committed results recorded into a context's result memo",
     "memo_evictions":
         "entries evicted from a full result memo, lowest recency-aged "
-        "rebuild-savings score first (each emits a `memo:evict` instant)",
+        "rebuild cost first (each emits a `memo:evict` instant)",
     "memo_invalidations":
         "memo entries dropped because an input handle advanced or was freed",
     "algo_memo_hits":
@@ -226,8 +215,6 @@ _COUNTERS = tuple(COUNTERS)
 #: Counters a :class:`ContextStats` rollup tracks per context/tenant.
 CTX_COUNTERS = (
     "kernels",
-    "memo_reused",
-    "cse_reused",
     "algo_memo_hits",
     "errors_deferred",
     "worker_faults",

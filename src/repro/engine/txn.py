@@ -16,10 +16,9 @@ point explicit and guarded:
 
 Every execution funnel routes through here: blocking mode via
 ``OpaqueObject._run_now``, the nonblocking scheduler via
-``_checked_evaluate``, and *republished* carriers — CSE alias reuse
-and cross-forcing result-memo hits — which pass the same gate as a
-fresh kernel result so a cached value can never dodge the fault plane
-or publish corrupt state.
+``_checked_evaluate``, and *republished* carriers — algorithm-block
+memo hits — which pass the same gate as a fresh kernel result so a
+cached value can never dodge the fault plane or publish corrupt state.
 """
 
 from __future__ import annotations

@@ -25,8 +25,6 @@ SITES: dict[str, tuple[str, str]] = {
     "kernel.assign": ("kernel", "sub-container assign (internals/assign)"),
     "kernel.kron": ("kernel", "Kronecker product (internals/kron)"),
     # -- planner pass boundaries (engine/passes/*) --------------------------
-    "planner.normalize": ("planner", "stage canonicalization pass (engine/passes/normalize)"),
-    "planner.cse": ("planner", "hash-cons CSE pass (engine/passes/cse)"),
     "planner.fuse": ("planner", "fusion grouping pass (engine/passes/fuse)"),
     "planner.schedule": ("planner", "decision-commit pass (engine/passes/schedule)"),
     # -- engine (engine/*) --------------------------------------------------

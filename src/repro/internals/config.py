@@ -3,7 +3,7 @@
 :data:`OPTIONS` is the only place an option is declared — its default
 (whose type is the option's type) and a one-sentence doc.  At import every
 entry becomes a module attribute of the same name, so hot paths read
-``config.ENGINE_CSE`` as a plain attribute load; ``REPRO_<NAME>`` in
+``config.ENGINE_FUSION`` as a plain attribute load; ``REPRO_<NAME>`` in
 the process env overrides the default (no other spelling is read, so
 the benchmark's ``REPRO_*`` scrub covers every option), and a value
 that does not parse falls back to the default.  :func:`set_option` /
@@ -32,21 +32,10 @@ OPTIONS: dict[str, tuple] = {
         "pipelines (off: every deferred node runs standalone, still "
         "lazy)",
     ),
-    "ENGINE_CSE": (
-        True,
-        "planner CSE pass: hash-cons identical pending nodes so a "
-        "repeated subexpression runs its kernel once",
-    ),
-    "ENGINE_MEMO": (
-        True,
-        "cross-forcing result memo per Context: a re-submitted "
-        "expression over unchanged inputs republishes its committed "
-        "carrier",
-    ),
     "MEMO_CAPACITY": (
         64,
         "entries per Context result memo; past it the lowest "
-        "recency-aged rebuild-savings score is evicted",
+        "recency-aged rebuild cost is evicted",
     ),
     "SERVE_BATCH": (
         True,
@@ -55,8 +44,9 @@ OPTIONS: dict[str, tuple] = {
     ),
     "ENGINE_ALGO_MEMO": (
         True,
-        "route the algorithms' pure preprocessing blocks (pattern, "
-        "degrees, degree-oriented wedges, …) through the result memo",
+        "per-Context result memo of the algorithms' pure preprocessing "
+        "blocks (pattern, degrees, degree-oriented wedges, …): a call on "
+        "an unchanged graph republishes them instead of rebuilding",
     ),
     "FORMAT_AUTO": (
         True,

@@ -94,9 +94,6 @@ def _ewise_mat(
         inputs=inputs, compute=compute, writeback=writeback,
         out_type=C.type, pure=pure,
         complete_safe=pure and binop.is_builtin,
-        opkey=("eWiseAdd" if union else "eWiseMult",
-               id(binop), tran0, tran1),
-        cse_safe=binop.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum,
             complement=d.mask_complement, replace=d.replace,
@@ -145,8 +142,6 @@ def _ewise_vec(
         inputs=inputs, compute=compute, writeback=writeback,
         out_type=w.type, pure=pure,
         complete_safe=pure and binop.is_builtin,
-        opkey=("eWiseAdd" if union else "eWiseMult", id(binop)),
-        cse_safe=binop.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum,
             complement=d.mask_complement, replace=d.replace,

@@ -102,8 +102,6 @@ def mxm(
         kind="mxm", label="mxm", inputs=inputs,
         compute=compute, writeback=writeback,
         out_type=C.type, pure=pure,
-        opkey=("mxm", id(semiring), tran0, tran1),
-        cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum, complement=comp, replace=d.replace,
         ),
@@ -159,8 +157,6 @@ def mxv(
         kind="mxv", label="mxv", inputs=inputs,
         compute=compute, writeback=writeback,
         out_type=w.type, pure=pure,
-        opkey=("mxv", id(semiring), tran0),
-        cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum, complement=comp, replace=d.replace,
         ),
@@ -218,8 +214,6 @@ def vxm(
         kind="vxm", label="vxm", inputs=inputs,
         compute=compute, writeback=writeback,
         out_type=w.type, pure=pure,
-        opkey=("vxm", id(semiring), tran1),
-        cse_safe=semiring.is_builtin,
         mask_info=mask_metadata(
             mask_src, accum, complement=comp, replace=d.replace,
         ),

@@ -291,12 +291,10 @@ class TestKTruss:
 @pytest.fixture()
 def algo_memo_on():
     # Counter asserts need the plumbing on even under the CI ablation
-    # matrix (REPRO_ENGINE_MEMO=0 / REPRO_ENGINE_ALGO_MEMO=0 full-suite
-    # runs).
+    # matrix (REPRO_ENGINE_ALGO_MEMO=0 full-suite runs).
     from repro.internals import config
 
-    with config.option("ENGINE_MEMO", True), \
-            config.option("ENGINE_ALGO_MEMO", True):
+    with config.option("ENGINE_ALGO_MEMO", True):
         yield
 
 

@@ -21,15 +21,11 @@ bench_gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_gate)
 
 
-def _results(cse=0.8, algo=0.1, serve=0.4, p99=0.5, recov=0.5, hyp=0.01,
+def _results(algo=0.1, serve=0.4, p99=0.5, recov=0.5, hyp=0.01,
              warm=0.2, ingest=0.3, store=0.3, vxm=1.2):
     """A full fresh/baseline results dict with the given gated ratios
     (blocking_ms pinned to 100 so ratio == optimized ms / 100)."""
     return {
-        "dup_subexpression": {
-            "blocking_ms": 100.0, "nb_cse_ms": cse * 100.0,
-            "cse_reused": 5,
-        },
         "repeated_algorithm": {
             "blocking_ms": 100.0, "nb_warm_ms": algo * 100.0,
             "algo_memo_hits": 10,

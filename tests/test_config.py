@@ -62,7 +62,7 @@ class TestSetOption:
 
     def test_unknown_name_is_a_key_error(self):
         with pytest.raises(KeyError):
-            config.set_option("engine_cse", 0)          # names are exact
+            config.set_option("engine_fusion", 0)       # names are exact
         with pytest.raises(KeyError):
             config.get_option("NOT_AN_OPTION")
         with pytest.raises(KeyError):
@@ -90,7 +90,7 @@ def test_env_override_is_repro_prefixed_only():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update({
         "PYTHONPATH": src,
-        "REPRO_ENGINE_CSE": "off",
+        "REPRO_SERVE_BATCH": "off",
         "ENGINE_FUSION": "0",               # unprefixed: ignored
         "REPRO_STORE": "0",                 # not REPRO_<NAME>: ignored
         "REPRO_MEMO_CAPACITY": "7",
@@ -103,5 +103,5 @@ def test_env_override_is_repro_prefixed_only():
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
     want = {name: default for name, (default, _) in config.OPTIONS.items()}
-    want.update(ENGINE_CSE=False, MEMO_CAPACITY=7, STORE_DIR="/tmp/warm")
+    want.update(SERVE_BATCH=False, MEMO_CAPACITY=7, STORE_DIR="/tmp/warm")
     assert got == want

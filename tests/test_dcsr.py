@@ -405,10 +405,9 @@ class TestFormatSoundness:
         under another — the key fingerprint forces a rebuild."""
         from repro.algorithms._blocks import pattern_matrix
 
-        # The block memo rides on the result memo: pin both, so the
-        # REPRO_ENGINE_MEMO=0 ablation row still tests the fingerprint.
-        with config.option("ENGINE_ALGO_MEMO", True), \
-                config.option("ENGINE_MEMO", True):
+        # Pin the block memo, so the REPRO_ENGINE_ALGO_MEMO=0 ablation
+        # row still tests the fingerprint.
+        with config.option("ENGINE_ALGO_MEMO", True):
             a = mat_from_dict(self.GRAPH, 8, 8)
             pattern_matrix(a)                       # miss: builds + stores
             before = STATS.snapshot()

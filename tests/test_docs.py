@@ -148,7 +148,8 @@ class TestOptionAndCounterRegistries:
     #: Counters whose mechanisms are deleted but that the end-to-end
     #: benchmark still reads from every snapshot; they read 0 until the
     #: benchmark drops them.
-    BENCHMARK_ONLY_COUNTERS = ["masks_pushed", "engine_batched_ops"]
+    BENCHMARK_ONLY_COUNTERS = [
+        "cse_reused", "masks_pushed", "engine_batched_ops"]
 
     @staticmethod
     def _src_texts(skip: str) -> str:
@@ -197,7 +198,7 @@ class TestOptionAndCounterRegistries:
         matrix = matrix[:matrix.index("    steps:")]
         rows = re.findall(
             r'- \{ name: ([\w-]+), env: (\w+), value: "(\w+)" \}', matrix)
-        assert len(rows) == matrix.count("- {") >= 8
+        assert len(rows) == matrix.count("- {") >= 6
         for name, env, value in rows:
             assert env.startswith("REPRO_"), (name, env)
             default = OPTIONS[env[len("REPRO_"):]][0]

@@ -474,12 +474,8 @@ class TestParallelDegradation:
         c = Matrix.new(T.FP64, 16, 16, ctx)
         PLANE.configure(4, [FaultSpec(site="parallel.worker", transient=True,
                                       max_hits=1)])
-        # The reference run above committed the same A ⊕.⊗ A in this
-        # context: keep the result memo out of the way so the kernel
-        # (and the injected fault) actually re-runs.
-        with config.option("ENGINE_MEMO", False):
-            mxm(c, None, None, PT, a, a)
-            wait(c)
+        mxm(c, None, None, PT, a, a)
+        wait(c)
         PLANE.disable()
         assert c.to_dict() == expected
         assert _stat("retries_recovered") >= before + 1
@@ -534,12 +530,11 @@ class TestPoolAfterFree:
         wait(ref)
         expected = ref.to_dict()
         c = Matrix.new(T.FP64, 16, 16, ctx)
-        with config.option("ENGINE_MEMO", False):
-            mxm(c, None, None, PT, a, a)     # deferred
-            before = _stat("degraded_serial")
-            ctx.free()                       # pool finalized, work in flight
-            assert ctx.worker_pool() is None
-            wait(c)                          # forcing outlives the context
+        mxm(c, None, None, PT, a, a)         # deferred
+        before = _stat("degraded_serial")
+        ctx.free()                           # pool finalized, work in flight
+        assert ctx.worker_pool() is None
+        wait(c)                              # forcing outlives the context
         assert _stat("degraded_serial") == before + 1
         assert c.to_dict() == expected
         assert ctx._pool is None, "free() left a resurrectable worker pool"

@@ -224,8 +224,8 @@ def _apply_op(name, p, c, a, ctx):
         # the legality guards must refuse without changing the result.
         apply(c, a, None, AINV[T.FP64], c, DESC_RSC)
     elif name == "dup_mxm_sum":
-        # Textually repeated subexpression: hash-cons CSE shares one
-        # kernel between t1 and t2 in nonblocking mode.
+        # Textually repeated subexpression: each product runs its own
+        # kernel in both modes, and the sum must agree.
         t1 = Matrix.new(T.FP64, _N, _N, ctx)
         mxm(t1, None, None, S.PLUS_TIMES_SEMIRING[T.FP64], c, a)
         t2 = Matrix.new(T.FP64, _N, _N, ctx)

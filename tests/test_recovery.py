@@ -85,11 +85,9 @@ def assert_carriers_equal(a, b):
 
 @contextlib.contextmanager
 def _block_memo_on():
-    """Pin the algorithm-block memo *and* the result memo it rides on:
-    the CI ablation rows export each off, and the warm-block tests are
-    about what happens when blocks exist."""
-    with config.option("ENGINE_ALGO_MEMO", True), \
-            config.option("ENGINE_MEMO", True):
+    """Pin the algorithm-block memo: a CI ablation row exports it off,
+    and the warm-block tests are about what happens when blocks exist."""
+    with config.option("ENGINE_ALGO_MEMO", True):
         yield
 
 

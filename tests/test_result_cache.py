@@ -1,18 +1,19 @@
-"""The cross-forcing result cache and its soundness boundaries (PR-4).
+"""The per-Context result memo of algorithm blocks and its soundness.
 
-The memo's contract (:mod:`repro.engine.memo`): a re-submitted pure
-built-in computation over *unchanged committed inputs* republishes the
+The memo's contract (:mod:`repro.engine.memo`): a building block of an
+*unchanged committed graph* (``algorithms/_blocks.py``) republishes the
 cached carrier through the transactional commit gate instead of
-re-running its kernel — and it must be impossible to observe the
-difference except in the counters.  This battery checks:
+re-running its kernels — and it must be impossible to observe the
+difference except in the counters.  This battery checks, over blocks
+keyed ``("algo", kind, (uid, version), params, fingerprint)``:
 
 * hit / miss / store counters and the single-kernel guarantee;
-* eager invalidation on input writes and entry drop on ``GrB_free``;
-* the no-serve boundaries: different descriptor, different context
-  (hence different mode), masked (impure) consumers, ablated knob;
-* the LRU capacity bound with eviction;
-* freed objects' carriers (and mask-key caches) stay gc-collectable —
-  the memo holds strong references only while the owner is alive;
+* eager invalidation on graph writes and entry drop on ``GrB_free``;
+* the no-serve boundaries: different block params, different context
+  (hence different mode), ablated knob — and no expression result is
+  ever stored;
+* the capacity bound with recency-aged cost eviction;
+* freed objects' carriers (and mask-key caches) stay gc-collectable;
 * §V under chaos: with the memo on and transient faults injected, a
   program still produces exactly the fault-free blocking result;
 * Hypothesis mode parity for masked eWiseMult-over-mxm chains.
@@ -26,10 +27,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms._blocks import memoized_matrix, pattern_matrix
 from repro.core import binaryop as B
 from repro.core import types as T
 from repro.core.context import Context, Mode, WaitMode
-from repro.core.descriptor import DESC_R, DESC_RSC, DESC_T0
+from repro.core.descriptor import DESC_R, DESC_RSC
 from repro.core.matrix import Matrix
 from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.engine.stats import STATS
@@ -46,9 +48,9 @@ N = 16
 @pytest.fixture(autouse=True)
 def clean_stats():
     # These tests exercise the memo itself, so they must run with it on
-    # even under the CI ablation matrix (REPRO_ENGINE_MEMO=0); the
+    # even under the CI ablation matrix (REPRO_ENGINE_ALGO_MEMO=0); the
     # ablation-behavior test flips the knob off explicitly.
-    with config.option("ENGINE_MEMO", True):
+    with config.option("ENGINE_ALGO_MEMO", True):
         STATS.reset()
         yield
     PLANE.disable()
@@ -77,11 +79,16 @@ def _sr():
     return PLUS_TIMES_SEMIRING[T.FP64]
 
 
-def _product(ctx, a, b=None, desc=None):
+def _product(ctx, a):
     c = Matrix.new(T.FP64, a.nrows, a.ncols, ctx)
-    mxm(c, None, None, _sr(), a, b if b is not None else a, desc)
+    mxm(c, None, None, _sr(), a, a)
     c.wait(WaitMode.MATERIALIZE)
     return c
+
+
+def _square(a):
+    """A ⊕.⊗ A as a memoized block of ``a``: one ``mxm`` per build."""
+    return memoized_matrix(a, "square", lambda: _product(a.context, a))
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +100,12 @@ class TestHitMiss:
     def test_resubmitted_product_runs_one_kernel(self):
         ctx = _nb()
         a = _graph(ctx)
-        c1 = _product(ctx, a)
-        c2 = _product(ctx, a)
+        c1 = _square(a)
+        c2 = _square(a)
         snap = ctx.engine_stats()
         assert snap["kernel_count"].get("mxm", 0) == 1
         assert snap["memo_stores"] == 1
-        assert snap["memo_hits"] == 1
+        assert snap["algo_memo_hits"] == 1
         assert snap["memo_reused"] == 1
         assert mat_to_dict(c1) == mat_to_dict(c2)
         # and the shared value is the real product
@@ -109,25 +116,27 @@ class TestHitMiss:
     def test_first_forcing_is_a_miss_and_a_store(self):
         ctx = _nb()
         a = _graph(ctx, seed=1)
-        _product(ctx, a)
+        _square(a)
         snap = ctx.engine_stats()
-        assert snap["memo_misses"] >= 1
+        assert snap["memo_misses"] == 1
         assert snap["memo_stores"] == 1
-        assert snap["memo_hits"] == 0
+        assert snap["algo_memo_hits"] == 0
         assert snap["memo_entries"] == 1
 
     def test_hit_survives_writes_to_the_output(self):
-        # Re-submitting C = A ⊕.⊗ A overwrites C; that write must not
-        # invalidate the entry keyed on A (the output is not a value
-        # dependency), or the second submission could never hit.
+        # Writing the handle a block was served into must not invalidate
+        # the entry keyed on A (the output is not a dependency), nor leak
+        # into the cached carrier the next hit republishes.
         ctx = _nb()
         a = _graph(ctx, seed=2)
-        c = Matrix.new(T.FP64, N, N, ctx)
+        want = mat_to_dict(_product(ctx, a))
         for _ in range(3):
-            mxm(c, None, None, _sr(), a, a)
+            c = _square(a)
+            assert mat_to_dict(c) == want
+            c.set_element(99.0, 0, 0)
             c.wait(WaitMode.MATERIALIZE)
         snap = ctx.engine_stats()
-        assert snap["kernel_count"].get("mxm", 0) == 1
+        assert snap["kernel_count"].get("mxm", 0) == 2   # want + one build
         assert snap["memo_reused"] == 2
 
 
@@ -140,10 +149,10 @@ class TestInvalidation:
     def test_input_write_invalidates(self):
         ctx = _nb()
         a = _graph(ctx, seed=3)
-        _product(ctx, a)
+        _square(a)
         a.set_element(7.5, 0, 0)
         a.wait(WaitMode.MATERIALIZE)
-        c2 = _product(ctx, a)
+        c2 = _square(a)
         snap = ctx.engine_stats()
         assert snap["kernel_count"].get("mxm", 0) == 2
         assert snap["memo_invalidations"] >= 1
@@ -155,21 +164,10 @@ class TestInvalidation:
         a_bl.wait(WaitMode.MATERIALIZE)
         assert mat_to_dict(c2) == mat_to_dict(_product(bl, a_bl))
 
-    def test_free_of_cached_output_drops_entry(self):
-        ctx = _nb()
-        a = _graph(ctx, seed=4)
-        c1 = _product(ctx, a)
-        c1.free()
-        _product(ctx, a)
-        snap = ctx.engine_stats()
-        # no republish of a freed object's carrier
-        assert snap["kernel_count"].get("mxm", 0) == 2
-        assert snap["memo_reused"] == 0
-
     def test_free_of_input_drops_entry(self):
         ctx = _nb()
         a = _graph(ctx, seed=5)
-        _product(ctx, a)
+        _square(a)
         assert ctx.engine_stats()["memo_entries"] == 1
         a.free()
         assert ctx.engine_stats()["memo_entries"] == 0
@@ -181,22 +179,21 @@ class TestInvalidation:
 
 
 class TestNoServe:
-    def test_descriptor_difference_misses(self):
+    def test_params_difference_misses(self):
         ctx = _nb()
         a = _graph(ctx, seed=6)
-        _product(ctx, a)
-        c2 = _product(ctx, a, desc=DESC_T0)
+        p1 = pattern_matrix(a, T.FP64)
+        p2 = pattern_matrix(a, T.BOOL)
         snap = ctx.engine_stats()
-        assert snap["kernel_count"].get("mxm", 0) == 2
-        assert snap["memo_reused"] == 0
-        bl = _bl()
-        assert mat_to_dict(c2) == mat_to_dict(
-            _product(bl, _graph(bl, seed=6), desc=DESC_T0))
+        assert snap["algo_memo_hits"] == 0
+        assert snap["memo_entries"] == 2
+        assert (p1.type, p2.type) == (T.FP64, T.BOOL)
+        assert set(mat_to_dict(p1)) == set(mat_to_dict(p2))
 
     def test_cross_context_no_serve(self):
         ctx1, ctx2 = _nb(), _nb()
-        _product(ctx1, _graph(ctx1, seed=7))
-        _product(ctx2, _graph(ctx2, seed=7))
+        _square(_graph(ctx1, seed=7))
+        _square(_graph(ctx2, seed=7))
         snap = ctx1.engine_stats()
         assert snap["kernel_count"].get("mxm", 0) == 2
         assert snap["memo_reused"] == 0
@@ -215,9 +212,9 @@ class TestNoServe:
 
     def test_consumer_of_a_settled_producer_is_not_keyed(self):
         """A product forced on its own settles and drops its inputs; a
-        consumer that captured it while pending must not be keyed by
-        the bare operation, or two such consumers over different graphs
-        would share one entry."""
+        consumer that captured it while pending still reads its value,
+        and nothing outside the algorithm blocks is stored, so two such
+        consumers over different graphs never share a result."""
         from repro.core import unaryop as U
         from repro.ops.apply import apply
 
@@ -235,18 +232,19 @@ class TestNoServe:
         for seed, got in zip((20, 21), outs):
             want = _product(bl, _graph(bl, seed=seed))
             assert got == {k: -v for k, v in mat_to_dict(want).items()}
-        assert ctx.engine_stats()["memo_reused"] == 0
+        snap = ctx.engine_stats()
+        assert snap["memo_stores"] == 0 and snap["memo_reused"] == 0
 
     def test_ablation_knob_disables(self):
         ctx = _nb()
         a = _graph(ctx, seed=10)
-        with config.option("ENGINE_MEMO", False):
-            _product(ctx, a)
-            _product(ctx, a)
+        with config.option("ENGINE_ALGO_MEMO", False):
+            _square(a)
+            _square(a)
         snap = ctx.engine_stats()
         assert snap["kernel_count"].get("mxm", 0) == 2
         assert snap["memo_stores"] == 0
-        assert snap["memo_hits"] == 0
+        assert snap["algo_memo_hits"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +254,26 @@ class TestNoServe:
 
 class TestLRUBound:
     def test_capacity_bound_evicts_lru(self):
-        # b is a's content under a second handle: the three products
-        # have equal rebuild estimates, so eviction falls back to the
-        # exact recency order (as ``ResultMemo._score`` documents).
+        # Three blocks of like cost under capacity 2: the one untouched
+        # for many lookups has aged far below the other two
+        # (``ResultMemo._score`` halves a cost per capacity's worth of
+        # touches), so it is the one evicted.
         ctx = _nb()
-        a = _graph(ctx, seed=11)
-        b = _graph(ctx, seed=11)
+        a, b, c = (_graph(ctx, seed=s) for s in (11, 12, 13))
         with config.option("MEMO_CAPACITY", 2):
-            _product(ctx, a, a)
-            _product(ctx, a, b)
-            _product(ctx, b, b)   # evicts the (a, a) entry
+            _square(a)
+            _square(b)
+            for _ in range(20):
+                _square(b)        # hits: b is recent, a ages
+            _square(c)            # evicts the (a) entry
             snap = ctx.engine_stats()
             assert snap["memo_entries"] <= 2
             assert snap["memo_evictions"] >= 1
-            _product(ctx, a, a)   # evicted: must re-run
+            _square(b)            # kept: a hit
+            _square(a)            # evicted: must re-run
         snap = ctx.engine_stats()
         assert snap["kernel_count"].get("mxm", 0) == 4
-        assert snap["memo_reused"] == 0
+        assert snap["memo_reused"] == 21
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +348,19 @@ class TestEvictionPolicy:
 
 class TestCollectability:
     def test_freed_output_carrier_is_collectable(self):
+        # A block's carrier is held by the memo for as long as its graph
+        # lives: freeing the handle it was served into and the graph
+        # releases it.
         ctx = _nb()
         a = _graph(ctx, seed=13)
-        c = _product(ctx, a)
+        c = _square(a)
         wr = weakref.ref(c._data)
         assert ctx.engine_stats()["memo_entries"] == 1
         c.free()
+        a.free()
         del c
         gc.collect()
-        assert wr() is None, "memo retained a freed object's carrier"
+        assert wr() is None, "memo retained a freed graph's block"
 
     def test_freed_mask_keys_cache_is_collectable(self):
         # maskaccum caches a mask's key set *on* the carrier, so the
@@ -376,13 +381,13 @@ class TestCollectability:
     def test_context_free_clears_memo(self):
         ctx = _nb()
         a = _graph(ctx, seed=16)
-        c = _product(ctx, a)
+        c = _square(a)
         wr = weakref.ref(c._data)
         assert len(ctx.result_memo(create=False)) == 1
         c.free()
-        a.free()
-        ctx.free()
-        del c, a
+        ctx.free()                 # the graph stays alive; its memo not
+        assert ctx.result_memo(create=False) is None
+        del c
         gc.collect()
         assert wr() is None
 
@@ -396,13 +401,13 @@ class TestChaosProperty:
     def _program(self, ctx):
         a = _graph(ctx, seed=17)
         out = []
-        c1 = _product(ctx, a)
+        c1 = _square(a)
         out.append(mat_to_dict(c1))
-        c2 = _product(ctx, a)          # memo-eligible re-submission
+        c2 = _square(a)                # a block hit
         out.append(mat_to_dict(c2))
         a.set_element(3.25, 1, 1)      # invalidate, then recompute
         a.wait(WaitMode.MATERIALIZE)
-        c3 = _product(ctx, a)
+        c3 = _square(a)
         out.append(mat_to_dict(c3))
         return out
 

@@ -71,7 +71,6 @@ def serving_knobs():
     # (REPRO_SERVE_BATCH=0 etc.); the knob-behavior tests flip them
     # off explicitly.
     with config.option("SERVE_BATCH", True), \
-            config.option("ENGINE_MEMO", True), \
             config.option("ENGINE_ALGO_MEMO", True):
         yield
     PLANE.disable()
@@ -223,6 +222,21 @@ class TestTenantIsolation:
             service.execute(a_sess, Query.make("bfs", "g", src))
         assert len(a_sess.ctx.result_memo()) <= 2
         assert b_sess.stats()["memo_entries"] == b_entries
+
+    def test_block_memo_hits_roll_up_to_the_tenant(self, service):
+        """Repeated queries on one session are served from the session's
+        block memo, and the tenant rollup counts every hit: the first
+        ``triangles`` builds its degree vector over the pattern it just
+        stored (one hit), each later one hits the wedge block."""
+        s = service.open_session("t")
+        other = service.open_session("u")
+        n = 4
+        before = STATS.snapshot()["algo_memo_hits"]
+        for _ in range(n):
+            service.execute(s, Query.make("triangles", "g"))
+        assert s.stats()["algo_memo_hits"] == n
+        assert STATS.snapshot()["algo_memo_hits"] - before == n
+        assert other.stats()["algo_memo_hits"] == 0
 
     def test_degradation_is_tenant_local(self, service):
         a_sess = service.open_session("a", nthreads=4)

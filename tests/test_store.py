@@ -62,8 +62,7 @@ def store_on(tmp_path):
     """Pin the whole warm-start stack on (the suite also runs under
     ablation rows like ``REPRO_STORE_ENABLE=0``) and root the store in a fresh
     temp dir so every test starts cold on disk."""
-    pins = [config.option("ENGINE_MEMO", True),
-            config.option("ENGINE_ALGO_MEMO", True),
+    pins = [config.option("ENGINE_ALGO_MEMO", True),
             config.option("STORE_ENABLE", True),
             config.option("STORE_DIR", str(tmp_path / "store"))]
     pins += [config.option(k, v) for k, v in _PINNED_FORMAT]
@@ -250,7 +249,7 @@ class TestSecondProcess:
         # hermetic against the ablation matrix: the child pins via
         # set_option above, but stale env flags must not re-disable
         for stale in ("REPRO_STORE_ENABLE", "REPRO_STORE_DIR",
-                      "REPRO_ENGINE_ALGO_MEMO", "REPRO_ENGINE_MEMO",
+                      "REPRO_ENGINE_ALGO_MEMO",
                       "REPRO_FORMAT_AUTO"):
             env.pop(stale, None)
         out = subprocess.run(

@@ -51,10 +51,9 @@ N = 24
 def delta_on():
     # Counter asserts (memo_delta_patches, algo_warm_hits,
     # serve_views_patched) need the whole plumbing on even under the CI
-    # ablation matrix (REPRO_ENGINE_DELTA=0 / REPRO_ENGINE_ALGO_MEMO=0 /
-    # REPRO_ENGINE_MEMO=0 full-suite runs).
-    with config.option("ENGINE_MEMO", True), \
-            config.option("ENGINE_ALGO_MEMO", True), \
+    # ablation matrix (REPRO_ENGINE_DELTA=0 / REPRO_ENGINE_ALGO_MEMO=0
+    # full-suite runs).
+    with config.option("ENGINE_ALGO_MEMO", True), \
             config.option("ENGINE_DELTA", True):
         yield
 

@@ -9,7 +9,6 @@ same file — a machine-independent measure of what the planner buys —
 against the committed baseline ratios in
 ``benchmarks/BENCH_planner.json``:
 
-* ``dup_subexpression.nb_cse_ms / blocking_ms`` — hash-consing (CSE)
 * ``repeated_algorithm.nb_warm_ms / blocking_ms`` — algo-block memo
 * ``bfs_vxm.nonblocking_ms / blocking_ms`` — deferral's fixed cost on a
   hot loop of small ops with *nothing* to optimize (every level forces a
@@ -89,7 +88,6 @@ from pathlib import Path
 #: ``None`` where the workload has nothing to rewrite and the ratio is
 #: plain engine overhead)
 GATED = (
-    ("dup_subexpression", "nb_cse_ms", "cse_reused"),
     ("repeated_algorithm", "nb_warm_ms", "algo_memo_hits"),
     ("bfs_vxm", "nonblocking_ms", None),
     ("serving", "nb_batched_ms", "serve_batched_queries"),

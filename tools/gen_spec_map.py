@@ -62,12 +62,10 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 |---|---|---|
 | §III blocking mode | every method executes before it returns | `core/sequence.py` (submit + immediate force) |
 | §III nonblocking mode | methods may be delayed, reordered, optimized | `engine/dag.py` nodes + `engine/fusion.py::plan_subgraph` planner |
-| §III "optimize" freedom: common subexpressions | a repeated pending subexpression may execute once | `engine/passes/cse.py` hash-cons over `dag.structural_key`; shared result republished via `engine/txn.py` |
 | §III "optimize" freedom: masked products | `C⟨M⟩ = A ⊕.⊗ B` may skip off-mask products entirely | `ops/mxm.py::mxm` hands the op's own mask to the kernel (`MASK_PUSHDOWN`) → `internals/mxm.py::_fold_slots` slot fold over `internals/mxm.py::_slot_table` (§VIII `GrB_STRUCTURE`/`GrB_COMP` honoured in-kernel) |
-| §III "optimize" freedom: chain fusion | producer chains may run as one pass | `engine/passes/fuse.py` + `internals/applyselect.py` pipelines |
-| §III "optimize" freedom: cross-call reuse | a re-submitted computation over unchanged inputs may republish its committed result | `engine/memo.py` per-Context memo keyed on `dag.memo_key` (uid+version inputs); consulted in `engine/passes/cse.py`, republished via `engine/txn.py` |
-| §III optimization arbitration | conflicting rewrites decided by a fixed pass order | `engine/fusion.py::_gate` runs `cse → fuse`: a node CSE or the result memo claims joins the claim set (`locked` in `engine/passes/ir.py`) and is left alone by fuse |
-| §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py` memoized building blocks (`("algo", kind, (uid, version), params)` keys) in the per-Context `engine/memo.py` cache with cost-weighted eviction; republished via `engine/txn.py` |
+| §III "optimize" freedom: chain fusion | producer chains may run as one pass | `engine/passes/fuse.py` + `internals/applyselect.py` pipelines; the spliced stage list re-optimized by `engine/fusion.py::optimize_stages` |
+| §III optimization arbitration | rewrites decided by a fixed pass order | `engine/fusion.py::_gate` runs `fuse → schedule` only when `engine/passes/fuse.py::can_fire` holds; decisions land on the nodes in `engine/passes/schedule.py::run`, and a faulted pass is skipped by `engine/fusion.py::plan_subgraph` |
+| §III amortized algorithm setup | repeated algorithm calls on an unchanged graph reuse their pure preprocessing | `algorithms/_blocks.py::_cached` memoized building blocks (`("algo", kind, (uid, version), params, fingerprint)` keys) in the per-Context `engine/memo.py::ResultMemo` with cost-weighted eviction; dropped by `engine/memo.py::invalidate_handle` on a write or `GrB_free`, patched across a batched write by `engine/memo.py::patch_handle_blocks`; republished via `engine/txn.py::commit` |
 | §VIII masked-kernel fast paths | complemented/structural mask filters at kernel entry | `internals/mxm.py` (masked `mxm`: per-call slot table or `searchsorted` slots, fold by slot; `mxv`/`vxm`: `in_sorted` membership; empty-complement keep-all) + `internals/maskaccum.py` memoized mask keys |
 | §III "sequence of methods that define an object" | per-object defining sequence | sequence edges (`Node.prev`) threaded through `engine/dag.py` |
 | §V forcing call | a read/`wait` completes exactly the pending subgraph it observes | `engine/scheduler.py::force` (topological; `mxm`'s row blocks are the only threaded unit) |
