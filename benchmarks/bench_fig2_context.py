@@ -2,7 +2,7 @@
 
 Series: mxm wall-clock under contexts with nthreads ∈ {1, 2, 4, 8}
 (the implementation-defined exec spec of GrB_Context_new), at RMAT
-scales 12 and 13, on CSR and on doubly-compressed (DCSR) carriers, plus
+scales 12 and 13, on CSR carriers and on carriers with a row list, plus
 the O(1) costs of context creation and GrB_Context_switch.  The threads
 run mxm's row blocks (about 2^17 products each), so the expected shape
 is monotone non-increasing time up to the core count on a product with
@@ -24,7 +24,6 @@ from repro.core.context import Context, Mode, context_switch
 from repro.core.matrix import Matrix
 from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.generators import rmat, to_matrix
-from repro.internals.containers import DcsrData
 from repro.ops.mxm import mxm
 
 pytestmark = pytest.mark.usefixtures("no_result_memo")
@@ -34,8 +33,8 @@ SCALE = 12
 REPORT_SCALES = [12, 13]
 THREADS = [1, 2, 4, 8]
 #: The DCSR rows embed the same graph at every 256th row and column of a
-#: 256× larger dimension, past the format policy's hypersparse floor:
-#: the same products, on doubly-compressed carriers.
+#: 256× larger dimension, past the hypersparse policy's floor: the same
+#: products, on carriers with a row list.
 DCSR_STRIDE = 256
 
 
@@ -44,7 +43,7 @@ def _graph_in(ctx, scale=SCALE, fmt="csr"):
     if fmt == "dcsr":
         n, rows, cols = n * DCSR_STRIDE, rows * DCSR_STRIDE, cols * DCSR_STRIDE
     a = to_matrix(n, rows, cols, vals, T.FP64, ctx=ctx)
-    assert isinstance(a._capture(), DcsrData) == (fmt == "dcsr")
+    assert (a._capture().row_ids is not None) == (fmt == "dcsr")
     return a
 
 

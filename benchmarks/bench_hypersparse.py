@@ -1,20 +1,20 @@
-"""S3 — the hypersparse tier: DCSR mxv at 2^30 rows.
+"""S3 — the hypersparse form: mxv with a row list at 2^30 rows.
 
 One workload, written to ``BENCH_hypersparse.json`` and gated by
 ``tools/bench_gate.py`` against the committed baseline:
 
 * ``hypersparse_mxv`` — time-to-first-answer on a 1000-edge graph at
   2^30 vertices: build the graph, commit it, run one ``mxv``.  The
-  DCSR path (``nb_dcsr_ms``) runs at the full dimension — CSR
-  *cannot* represent it at all (the dense row pointer alone would be
-  8 GiB) — so the forced-CSR handicap (``blocking_ms``) runs an
-  equal-size edge set at 2^24 rows, a 64× smaller dimension.
-  Even spotted that factor, CSR pays O(nrows) on the dense pointer
-  (allocation + cumsum at assembly) while DCSR pays O(nnz log nnz);
-  the acceptance bar is **≥ 10×** in DCSR's favour.  Proof counters:
-  ``format_dcsr_commits`` > 0 (the policy engaged) and
-  ``format_densify_fallbacks`` == 0 during the DCSR run (nothing on
-  the hot path ever materialized an O(nrows) pointer).
+  row-list path (``nb_dcsr_ms``) runs at the full dimension — a dense
+  row pointer *cannot* represent it at all (it alone would be 8 GiB)
+  — so the dense-pointer handicap (``blocking_ms``) runs an equal-size
+  edge set at 2^24 rows, a 64× smaller dimension, assembled with
+  ``coo_to_csr`` and wrapped as is.  Even spotted that factor, CSR
+  pays O(nrows) on the dense pointer (allocation + cumsum at assembly)
+  while the row list pays O(nnz log nnz); the acceptance bar is
+  **≥ 10×** in the row list's favour.  Proof: ``format_dcsr_commits``
+  > 0 (the policy engaged) and every stored array of the committed
+  graph scales with the entry count, none with the row count.
 
 Run from the repository root:
 
@@ -35,14 +35,13 @@ from repro.core.matrix import Matrix
 from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.core.vector import Vector
 from repro.engine.stats import STATS
-from repro.internals import config
-from repro.internals.containers import DcsrData
+from repro.internals.containers import coo_to_csr
 from repro.ops.mxm import mxv
 
-HUGE_ROWS = 1 << 30     # the DCSR dimension (no CSR form exists)
-CSR_ROWS = 1 << 24      # the forced-CSR handicap dimension (64x smaller)
+HUGE_ROWS = 1 << 30     # the row-list dimension (no dense pointer exists)
+CSR_ROWS = 1 << 24      # the dense-pointer handicap dimension (64x smaller)
 NNZ = 1_000
-SPEEDUP_FLOOR = 10.0    # acceptance: DCSR at 2^30 vs CSR at 2^24
+SPEEDUP_FLOOR = 10.0    # acceptance: row list at 2^30 vs CSR at 2^24
 REPS = 3
 
 _RESULTS: dict = {}
@@ -65,19 +64,25 @@ def _edges(nrows: int):
     return rows, cols, vals
 
 
-def _answer_once(nrows: int) -> tuple[float, Matrix, int]:
+def _answer_once(nrows: int, csr: bool) -> tuple[float, Matrix, int]:
     """Edge list -> committed graph -> first mxv answer, one wall time.
 
     Build/commit is inside the timed region on purpose: that is where
     CSR pays its O(nrows) dense-pointer cost (allocation + cumsum),
-    which is exactly the cost the hypersparse tier removes.
+    which is exactly the cost the hypersparse form removes.  ``csr``
+    assembles the dense pointer directly (``coo_to_csr``) instead of
+    letting the policy pick.
     """
     rows, cols, vals = _edges(nrows)
     seeds = np.unique(cols)[:200]
     ones = np.ones(len(seeds))
     t0 = time.perf_counter()
-    m = Matrix.new(T.FP64, nrows, nrows)
-    m.build(rows, cols, vals)
+    if csr:
+        m = Matrix.from_data(coo_to_csr(nrows, nrows, T.FP64, rows, cols,
+                                        vals, presorted=True))
+    else:
+        m = Matrix.new(T.FP64, nrows, nrows)
+        m.build(rows, cols, vals)
     u = Vector.new(T.FP64, nrows)
     u.build(seeds, ones)
     w = Vector.new(T.FP64, nrows)
@@ -87,10 +92,11 @@ def _answer_once(nrows: int) -> tuple[float, Matrix, int]:
     return wall, m, n
 
 
-def _time_to_answer(nrows: int, reps: int = REPS) -> tuple[float, Matrix, int]:
+def _time_to_answer(nrows: int, csr: bool,
+                    reps: int = REPS) -> tuple[float, Matrix, int]:
     best = m = n = None
     for _ in range(reps):
-        wall, m, n = _answer_once(nrows)
+        wall, m, n = _answer_once(nrows, csr)
         if best is None or wall < best:
             best = wall
     return best, m, n
@@ -99,29 +105,25 @@ def _time_to_answer(nrows: int, reps: int = REPS) -> tuple[float, Matrix, int]:
 @pytest.mark.benchmark(group="S3-hypersparse")
 class TestHypersparseMxv:
     def test_dcsr_vs_forced_csr(self):
-        # -- forced-CSR handicap at the largest feasible dimension --
-        with config.option("FORMAT_AUTO", 0):
-            csr_ms, _, csr_n = _time_to_answer(CSR_ROWS)
+        # -- dense-pointer handicap at the largest feasible dimension --
+        csr_ms, m_c, csr_n = _time_to_answer(CSR_ROWS, csr=True)
+        assert m_c._capture().row_ids is None
 
-        # -- native DCSR at the full dimension ----------------------
+        # -- row list at the full dimension ---------------------------
         before = STATS.snapshot()
-        dcsr_ms, m_d, dcsr_n = _time_to_answer(HUGE_ROWS)
+        dcsr_ms, m_d, dcsr_n = _time_to_answer(HUGE_ROWS, csr=False)
         after = STATS.snapshot()
 
         assert csr_n > 0 and dcsr_n > 0, "a run produced an empty answer"
         carrier = m_d._capture()
-        assert isinstance(carrier, DcsrData), "policy never engaged"
+        assert carrier.row_ids is not None, "policy never engaged"
         # O(nnz) allocation proof: every stored array scales with the
         # entry count, none with the 2^30 row count.
         assert len(carrier.indptr) == len(carrier.row_ids) + 1 <= NNZ + 1
 
         dcsr_commits = after.get("format_dcsr_commits", 0) - \
             before.get("format_dcsr_commits", 0)
-        densifies = after.get("format_densify_fallbacks", 0) - \
-            before.get("format_densify_fallbacks", 0)
-        assert dcsr_commits >= 1, "no commit ever landed on DCSR"
-        assert densifies == 0, \
-            "the hypersparse hot path paid an O(nrows) densify"
+        assert dcsr_commits >= 1, "no commit ever landed on a row list"
 
         speedup = csr_ms / dcsr_ms if dcsr_ms > 0 else float("inf")
         _RESULTS["hypersparse_mxv"] = {
@@ -132,19 +134,17 @@ class TestHypersparseMxv:
             "nnz": NNZ,
             "speedup": round(speedup, 2),
             "format_dcsr_commits": dcsr_commits,
-            "format_densify_fallbacks": densifies,
         }
         print_table(
             f"S3  mxv on a {NNZ}-edge graph",
             ["carrier", "rows", "wall ms", "proof"],
-            [["forced CSR", f"2^{CSR_ROWS.bit_length() - 1}",
+            [["dense pointer", f"2^{CSR_ROWS.bit_length() - 1}",
               f"{csr_ms:.2f}", ""],
-             ["DCSR", f"2^{HUGE_ROWS.bit_length() - 1}",
+             ["row list", f"2^{HUGE_ROWS.bit_length() - 1}",
               f"{dcsr_ms:.2f}",
-              f"commits={dcsr_commits} densifies={densifies} "
-              f"speedup={speedup:.1f}x"]],
+              f"commits={dcsr_commits} speedup={speedup:.1f}x"]],
         )
         assert speedup >= SPEEDUP_FLOOR, (
-            f"DCSR mxv at 2^30 rows is only {speedup:.1f}x the forced-CSR "
+            f"Row-list mxv at 2^30 rows is only {speedup:.1f}x the CSR "
             f"run at 2^24 rows (need >= {SPEEDUP_FLOOR:.0f}x)"
         )

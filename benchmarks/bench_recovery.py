@@ -47,7 +47,7 @@ import numpy as np
 
 SCALE = 13
 QUERIES = 6
-REPS = 2
+REPS = 5
 DEADLINE_MS = 2_000.0
 
 _RESULTS: dict = {}

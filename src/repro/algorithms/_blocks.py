@@ -23,12 +23,9 @@ Soundness is inherited from the memo's machinery:
 * a hit republishes through the transactional commit gate
   (:mod:`repro.engine.txn`) exactly like the scheduler's memo path —
   cached carriers cannot dodge the fault plane (or the commit-time
-  format policy: a cached block repacks CSR↔DCSR on republish if the
-  policy says so), and a rejected commit falls back to rebuilding;
-* keys embed the storage-format policy fingerprint (``FORMAT_AUTO``
-  and its thresholds), so flipping the hypersparse knobs — the CI
-  ablation rows do this — invalidates every structurally-keyed block
-  instead of serving a carrier shaped under the other policy.
+  hypersparse policy: a cached block gains or drops its row list on
+  republish if the policy says so), and a rejected commit falls back
+  to rebuilding.
 
 Cost-weighted eviction keeps the expensive blocks around: each store
 records the measured build time, so a wedge-count matrix does not get
@@ -74,16 +71,6 @@ def _memo_for(a):
     return ctx.result_memo()
 
 
-def _format_fingerprint() -> tuple:
-    """The knob state :func:`choose_mat_format` decides under — part of
-    every block key, so a policy flip invalidates structural entries."""
-    return (
-        1 if config.FORMAT_AUTO else 0,
-        int(config.FORMAT_DCSR_MIN_ROWS),
-        int(config.FORMAT_DCSR_FACTOR),
-    )
-
-
 def _ensure_store_digest(a) -> None:
     """Register *a*'s content digest with the warm-start store tier
     (:mod:`repro.store`), so this graph's block keys can be derived on
@@ -102,7 +89,7 @@ def _ensure_store_digest(a) -> None:
 def _key(a, kind: str, params: tuple) -> tuple:
     with a._lock:
         vkey = (a._uid, a._version)
-    return ("algo", kind, vkey, params, _format_fingerprint())
+    return ("algo", kind, vkey, params)
 
 
 def _cached(a, kind: str, params: tuple, build: Callable, wrap: Callable):

@@ -1,12 +1,11 @@
 """``GrB_Matrix`` — the opaque sparse matrix object.
 
-Wraps a CSR :class:`~repro.internals.containers.MatData` or hypersparse
-DCSR :class:`~repro.internals.containers.DcsrData` carrier behind the
-sequence/completion machinery; the format policy
-(:func:`~repro.internals.containers.choose_mat_format`) picks between
-them from the shape/occupancy, so row counts past the CSR pointer limit
-work transparently when ``FORMAT_AUTO`` is on.  Constructors accept the
-optional ``GrB_Context`` argument introduced in 2.0 (§IV, Fig. 2):
+Wraps a :class:`~repro.internals.containers.MatData` carrier behind the
+sequence/completion machinery; the hypersparse policy
+(:func:`~repro.internals.containers.use_row_list`) gives the carrier a
+row list from its shape and occupancy, so row counts past the dense
+pointer limit work transparently.  Constructors accept the optional
+``GrB_Context`` argument introduced in 2.0 (§IV, Fig. 2):
 
     ``GrB_Matrix_new(&A, type, nrows, ncols, ctx)``
 """
@@ -19,9 +18,8 @@ import numpy as np
 
 from ..internals.build import build_matrix
 from ..internals.containers import (
-    DcsrData,
     MatData,
-    empty_mat_auto,
+    empty_mat,
     insert_value,
     mat_from_coo,
     row_gather,
@@ -62,9 +60,7 @@ class Matrix(OpaqueObject):
         self._type = t
         self._nrows = int(nrows)
         self._ncols = int(ncols)
-        # Raises the documented resource-limit error when the policy
-        # pins CSR (FORMAT_AUTO=0) and nrows exceeds the pointer limit.
-        self._data = empty_mat_auto(self._nrows, self._ncols, t)
+        self._data = empty_mat(self._nrows, self._ncols, t)
 
     # -- constructors ------------------------------------------------------------
 
@@ -84,7 +80,7 @@ class Matrix(OpaqueObject):
 
     @classmethod
     def from_data(
-        cls, data: "MatData | DcsrData", ctx: Context | None = None
+        cls, data: MatData, ctx: Context | None = None
     ) -> "Matrix":
         """Internal/advanced: wrap an existing carrier (no copy)."""
         out = cls(data.type, data.nrows, data.ncols, ctx)
@@ -230,75 +226,46 @@ class Matrix(OpaqueObject):
         if value is REMOVED:
             return self._remove_one(d, row, col)
         t = self._type
-        if isinstance(d, DcsrData):
-            # Hypersparse: locate the row by binary search over the
-            # nonempty-row list; an absent row is spliced in.
-            ri = int(np.searchsorted(d.row_ids, row))
-            if ri < len(d.row_ids) and d.row_ids[ri] == row:
-                lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
-                pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-                if pos < hi and d.col_indices[pos] == col:
-                    vals = d.values.copy()
-                    vals[pos] = value
-                    return DcsrData(d.nrows, d.ncols, t, d.row_ids,
-                                    d.indptr, d.col_indices, vals)
-                row_ids = d.row_ids
-                indptr = d.indptr.copy()
-            else:
-                pos = int(d.indptr[ri])
-                row_ids = np.insert(d.row_ids, ri, row).astype(_INT)
-                indptr = np.insert(d.indptr, ri, d.indptr[ri]).astype(_INT)
-            indptr[ri + 1:] += 1
-            cols = np.insert(d.col_indices, pos, col).astype(_INT)
-            vals = insert_value(d.values, pos, value, t)
-            return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
-                            cols, vals)
-        lo, hi = d.indptr[row], d.indptr[row + 1]
+        ri, stored = d.row_slot(row)
+        lo = int(d.indptr[ri])
+        hi = int(d.indptr[ri + 1]) if stored else lo
         pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
         if pos < hi and d.col_indices[pos] == col:
             vals = d.values.copy()
             vals[pos] = value
-            return MatData(d.nrows, d.ncols, t, d.indptr, d.col_indices, vals)
-        indptr = d.indptr.copy()
-        indptr[row + 1:] += 1
+            return d.with_values(t, vals)
+        row_ids = d.row_ids
+        if stored:
+            indptr = d.indptr.copy()
+        else:  # the row list grows by this row
+            row_ids = np.insert(row_ids, ri, row).astype(_INT)
+            indptr = np.insert(d.indptr, ri, lo).astype(_INT)
+        indptr[ri + 1:] += 1
         cols = np.insert(d.col_indices, pos, col).astype(_INT)
         vals = insert_value(d.values, pos, value, t)
-        return MatData(d.nrows, d.ncols, t, indptr, cols, vals)
+        return MatData(d.nrows, d.ncols, t, indptr, cols, vals, row_ids)
 
     def _remove_one(self, d, row: int, col: int):
-        t = self._type
-        if isinstance(d, DcsrData):
-            ri = int(np.searchsorted(d.row_ids, row))
-            if ri >= len(d.row_ids) or d.row_ids[ri] != row:
-                return d
-            lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
-            pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-            if pos >= hi or d.col_indices[pos] != col:
-                return d
-            cols = np.delete(d.col_indices, pos)
-            vals = np.delete(d.values, pos)
-            if hi - lo == 1:
-                # Last element of the row: the row leaves the
-                # nonempty-row list (DCSR stores no empty rows).
-                row_ids = np.delete(d.row_ids, ri)
-                indptr = np.delete(d.indptr, ri)
-                indptr[ri:] -= 1
-            else:
-                row_ids = d.row_ids
-                indptr = d.indptr.copy()
-                indptr[ri + 1:] -= 1
-            return DcsrData(d.nrows, d.ncols, t, row_ids, indptr,
-                            cols, vals)
-        lo, hi = d.indptr[row], d.indptr[row + 1]
+        ri, stored = d.row_slot(row)
+        if not stored:
+            return d
+        lo, hi = int(d.indptr[ri]), int(d.indptr[ri + 1])
         pos = lo + int(np.searchsorted(d.col_indices[lo:hi], col))
-        if pos < hi and d.col_indices[pos] == col:
+        if pos >= hi or d.col_indices[pos] != col:
+            return d
+        row_ids = d.row_ids
+        if row_ids is not None and hi - lo == 1:
+            # The row's last entry: it leaves the row list.
+            row_ids = np.delete(row_ids, ri)
+            indptr = np.delete(d.indptr, ri)
+            indptr[ri:] -= 1
+        else:
             indptr = d.indptr.copy()
-            indptr[row + 1:] -= 1
-            return MatData(
-                d.nrows, d.ncols, t, indptr,
-                np.delete(d.col_indices, pos), np.delete(d.values, pos),
-            )
-        return d
+            indptr[ri + 1:] -= 1
+        return MatData(
+            d.nrows, d.ncols, self._type, indptr,
+            np.delete(d.col_indices, pos), np.delete(d.values, pos), row_ids,
+        )
 
     _apply_writes = staticmethod(apply_matrix_writes)
 
@@ -331,7 +298,7 @@ class Matrix(OpaqueObject):
     def clear(self) -> None:
         """``GrB_Matrix_clear``."""
         nrows, ncols, t = self._nrows, self._ncols, self._type
-        self._submit(lambda _d: empty_mat_auto(nrows, ncols, t),
+        self._submit(lambda _d: empty_mat(nrows, ncols, t),
                      "Matrix_clear", can_raise=False)
 
     def resize(self, nrows: int, ncols: int) -> None:

@@ -4,7 +4,7 @@ Every algorithm in :mod:`repro.algorithms` starts by deriving the same
 pure values from its input graph — a pattern matrix, a degree vector,
 the degree-oriented wedge operand of triangle counting — and
 :mod:`repro.algorithms._blocks` routes each through this memo: a
-bounded map of ``("algo", kind, (uid, version), params, fingerprint)``
+bounded map of ``("algo", kind, (uid, version), params)``
 → committed carrier per :class:`~repro.core.context.Context`.  A hit
 republishes the cached carrier through the transactional commit gate
 (:mod:`repro.engine.txn`) instead of re-running the setup kernels.
@@ -138,7 +138,7 @@ class ResultMemo:
     @staticmethod
     def _storable_key(key: tuple) -> bool:
         """Keys the persistent tier can address: versioned algo blocks."""
-        return (isinstance(key, tuple) and len(key) == 5
+        return (isinstance(key, tuple) and len(key) == 4
                 and key[0] == "algo"
                 and isinstance(key[2], tuple) and len(key[2]) == 2)
 
@@ -283,7 +283,7 @@ class ResultMemo:
                     continue
                 new_value = None
                 if (
-                    isinstance(key, tuple) and len(key) == 5
+                    isinstance(key, tuple) and len(key) == 4
                     and key[0] == "algo"
                     and key[2] == (uid, old_version)
                 ):
@@ -293,7 +293,7 @@ class ResultMemo:
                 if new_value is None:
                     dropped += 1
                     continue
-                new_key = (key[0], key[1], (uid, new_version), key[3], key[4])
+                new_key = (key[0], key[1], (uid, new_version), key[3])
                 self._tick += 1
                 self._entries[new_key] = [
                     new_value, deps, cost_ms, self._tick,

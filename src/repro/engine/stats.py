@@ -161,11 +161,8 @@ COUNTERS: dict[str, str] = {
     "restored_blocks":
         "warm algorithm blocks rehydrated from a checkpoint by restores",
     "format_dcsr_commits":
-        "matrix commits the format policy packed or kept doubly-compressed "
-        "(each repack emits a `cost:format` instant)",
-    "format_densify_fallbacks":
-        "hypersparse carriers densified to CSR for a kernel family with no "
-        "native DCSR path (each emits a `format:densify:<family>` instant)",
+        "matrix commits the hypersparse policy gave a row list, by repack "
+        "or as assembled (each repack emits a `cost:format` instant)",
     "memo_delta_patches":
         "dependent memo entries updated in place from a batched write's "
         "delta and re-keyed at the new version (each patched handle emits a "

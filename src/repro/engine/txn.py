@@ -27,13 +27,7 @@ from typing import Any
 
 from ..core.errors import InvalidObjectError
 from ..faults.plane import maybe_inject
-from ..internals.containers import (
-    DcsrData,
-    MatData,
-    choose_mat_format,
-    dcsr_from_csr,
-    mat_format,
-)
+from ..internals.containers import MatData, use_row_list
 from .stats import STATS
 
 __all__ = ["commit", "commit_format", "validate_carrier"]
@@ -42,33 +36,14 @@ __all__ = ["commit", "commit_format", "validate_carrier"]
 def validate_carrier(carrier: Any) -> None:
     """Cheap structural invariants on a scratch carrier (O(1) checks —
     full value validation is ``validate.check_object``'s job)."""
-    row_ids = getattr(carrier, "row_ids", None)
-    if row_ids is not None:  # DcsrData-shaped (hypersparse tier)
-        indptr = carrier.indptr
-        if len(indptr) != len(row_ids) + 1:
-            raise InvalidObjectError(
-                f"refusing to commit corrupt scratch state: dcsr indptr "
-                f"length {len(indptr)} != nonempty rows+1 ({len(row_ids) + 1})"
-            )
-        if len(indptr) and (indptr[0] != 0
-                            or indptr[-1] != len(carrier.col_indices)):
-            raise InvalidObjectError(
-                "refusing to commit corrupt scratch state: dcsr indptr does "
-                "not span col_indices"
-            )
-        if len(carrier.col_indices) != len(carrier.values):
-            raise InvalidObjectError(
-                "refusing to commit corrupt scratch state: col/value length "
-                "mismatch"
-            )
-        return
     indptr = getattr(carrier, "indptr", None)
     if indptr is not None:  # MatData-shaped
-        nrows = carrier.nrows
-        if len(indptr) != nrows + 1:
+        row_ids = carrier.row_ids
+        slots = carrier.nrows if row_ids is None else len(row_ids)
+        if len(indptr) != slots + 1:
             raise InvalidObjectError(
                 f"refusing to commit corrupt scratch state: indptr length "
-                f"{len(indptr)} != nrows+1 ({nrows + 1})"
+                f"{len(indptr)} != row slots+1 ({slots + 1})"
             )
         if len(indptr) and (indptr[0] != 0 or indptr[-1] != len(carrier.col_indices)):
             raise InvalidObjectError(
@@ -91,40 +66,35 @@ def validate_carrier(carrier: Any) -> None:
 
 
 def commit_format(label: str, carrier):
-    """Format decision at the transaction commit gate.
+    """The hypersparse decision at the transaction commit gate.
 
-    Kernels assemble scratch carriers through the density policy
-    already, but a committed matrix is the long-lived artifact iterated
-    by every later forcing — so the *commit* is where the format choice
-    is authoritative.  Applies :func:`~...internals.containers.
-    choose_mat_format` (the density threshold behind the
-    ``FORMAT_AUTO`` knob) to the carrier's final shape, repacking when
-    the kernel's choice disagrees.  Deterministic in (nrows, nnz), so
-    journal replay re-derives bit-identical formats.  Every repack
-    emits a ``cost:format`` instant; every doubly-compressed commit
-    bumps ``format_dcsr_commits``.
+    Kernels assemble scratch carriers through the policy already, but a
+    committed matrix is the long-lived artifact iterated by every later
+    forcing — so the *commit* is where the choice is authoritative.
+    Applies :func:`~...internals.containers.use_row_list` to the
+    carrier's final shape, adding or dropping the row list when the
+    kernel's choice disagrees.  Deterministic in (nrows, nnz), so
+    journal replay re-derives bit-identical carriers.  Every repack
+    emits a ``cost:format`` instant; every commit with a row list bumps
+    ``format_dcsr_commits``.
     """
-    if not isinstance(carrier, (MatData, DcsrData)):
+    if not isinstance(carrier, MatData):
         return carrier
-    current = mat_format(carrier)
-    target = choose_mat_format(carrier.nrows, carrier.nvals)
-    if target == current:
-        if current == "dcsr":
-            STATS.bump("format_dcsr_commits")
-        return carrier
-    if target == "dcsr":
-        out = dcsr_from_csr(carrier)
+    current = carrier.row_ids is not None
+    target = use_row_list(carrier.nrows, carrier.nvals)
+    if target:
         STATS.bump("format_dcsr_commits")
-    else:
-        out = carrier.to_csr()
+    if target == current:
+        return carrier
+    out = carrier.to_hypersparse() if target else carrier.to_csr()
     STATS.instant(
         f"cost:format:{label}", "planner",
         {
             "label": label,
             "nrows": carrier.nrows,
             "nvals": carrier.nvals,
-            "from": current,
-            "to": target,
+            "from": "dcsr" if current else "csr",
+            "to": "dcsr" if target else "csr",
         },
     )
     return out
@@ -136,7 +106,7 @@ def commit(label: str, carrier: Any) -> Any:
 
     Matrix carriers additionally pass :func:`commit_format`: the
     committed artifact is what every later forcing iterates, so the
-    CSR-vs-DCSR choice is re-derived here from the final (nrows, nnz)
+    row-list choice is re-derived here from the final (nrows, nnz)
     shape and the scratch carrier repacked if the kernel's assembly
     disagreed."""
     maybe_inject("txn.commit", label=label)

@@ -17,14 +17,14 @@ for vectors; a conforming implementation may instead refuse with
 
 Table III deliberately contains only *non-opaque* exchange formats, and
 their row pointers are dense in ``nrows`` — there is no hypersparse row
-in the table.  A matrix the engine carries as DCSR therefore densifies
-at this boundary (``DcsrData.to_csr``): cheap below ``MAX_NROWS``, and
-past it the defined ``GrB_OUT_OF_MEMORY`` — the exchange format itself
-cannot represent such a matrix.  Round-tripping hypersparse data keeps
-O(nnz) cost only through the opaque §VII-B serialization, which has a
-DCSR blob kind.  Imports are format-agnostic: the assembly funnel
-re-applies the engine's format policy, so importing a huge sparse COO
-lands on the DCSR carrier automatically.
+in the table.  A matrix the engine carries with a row list therefore
+expands it at this boundary (``MatData.to_csr``): cheap below
+``MAX_NROWS``, and past it the defined ``GrB_OUT_OF_MEMORY`` — the
+exchange format itself cannot represent such a matrix.  Round-tripping
+hypersparse data keeps O(nnz) cost only through the opaque §VII-B
+serialization, which has a row-list blob kind.  Imports go through the
+assembly funnel, which applies the hypersparse policy, so importing a
+huge sparse COO lands on a row list automatically.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..core.matrix import Matrix
 from ..core.types import Type
 from ..core.vector import Vector
 from ..internals.build import build_matrix, build_vector
-from ..internals.containers import DcsrData, VecData, mat_from_coo
+from ..internals.containers import VecData, mat_from_coo
 from .formats import MATRIX_FORMATS, VECTOR_FORMATS, Format
 
 __all__ = [
@@ -199,20 +199,17 @@ def matrix_export(
     d = A._capture()
 
     if fmt == Format.CSR_MATRIX:
-        # Table III's CSR has a dense nrows+1 pointer: a hypersparse
-        # carrier must densify here, and past the CSR row limit that
-        # raises the documented resource error (no CSR form exists).
-        if isinstance(d, DcsrData):
-            d = d.to_csr()
+        # Table III's CSR has a dense nrows+1 pointer: a row list
+        # expands here, and past MAX_NROWS that raises the documented
+        # resource error (no dense pointer exists).
+        d = d.to_csr()
         return (
             _fill(indptr, d.indptr, "indptr"),
             _fill(indices, d.col_indices, "indices"),
             _fill(values, d.values, "values"),
         )
     if fmt == Format.CSC_MATRIX:
-        tr = d.transpose()
-        if isinstance(tr, DcsrData):
-            tr = tr.to_csr()
+        tr = d.transpose().to_csr()
         return (
             _fill(indptr, tr.indptr, "indptr"),
             _fill(indices, tr.col_indices, "indices"),

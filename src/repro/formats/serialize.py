@@ -37,7 +37,7 @@ from ..core.errors import InsufficientSpaceError, InvalidObjectError
 from ..core.matrix import Matrix
 from ..core.types import Type, from_name
 from ..core.vector import Vector
-from ..internals.containers import DcsrData, MatData, VecData
+from ..internals.containers import MatData, VecData
 
 __all__ = [
     "matrix_serialize_size",
@@ -53,9 +53,9 @@ __all__ = [
 ]
 
 _MAGIC = b"RGRB"
-# v2: CSR matrix + vector kinds.  v3 adds the hypersparse DCSR matrix
-# kind (tagged section with a compressed row pointer); v2 blobs still
-# load, so checkpoints taken before the hypersparse tier replay as-is.
+# v2: CSR matrix + vector kinds.  v3 adds the row-list matrix kind
+# (tagged section with a compressed row pointer); v2 blobs still load,
+# so checkpoints taken before the hypersparse form replay as-is.
 _VERSION = 3
 _SUPPORTED_VERSIONS = frozenset({2, 3})
 #: Public alias of the current stream version — part of every
@@ -145,71 +145,42 @@ def _header_int(header: dict, key: str, lo: int = 0) -> int:
 # Matrix
 # ---------------------------------------------------------------------------
 
-def _matrix_blob(A: Matrix) -> bytes:
-    d = A._capture()
-    if isinstance(d, DcsrData):
-        return _dcsr_data_blob(d)
-    return _mat_data_blob(d)
-
-
 def _mat_data_blob(d: MatData) -> bytes:
+    """Kind 1 for the dense-pointer form; kind 3 for a row list — its
+    header carries ``nrr`` (count of nonempty rows) and the payload
+    ships the row list ahead of the compressed pointer: O(nnz) bytes
+    regardless of ``nrows``, which can exceed 2^32."""
     vals, flags = _encode_values(d.type, d.values)
     header = {
         "type": d.type.name,
         "nrows": d.nrows,
         "ncols": d.ncols,
         "nvals": d.nvals,
-        "indptr_len": len(d.indptr),
-        "values_len": len(vals),
     }
-    if d.type.is_udt:
-        raise InvalidObjectError(
-            "user-defined types serialize only within one process image; "
-            "register a cast or use import/export for portability"
-        )
     arrays = [
         np.ascontiguousarray(d.indptr).tobytes(),
         np.ascontiguousarray(d.col_indices).tobytes(),
         vals,
     ]
-    return _pack(_KIND_MATRIX, header, arrays, flags)
-
-
-def _dcsr_data_blob(d: DcsrData) -> bytes:
-    """Hypersparse section (kind 3): the header carries ``nrr`` (count
-    of nonempty rows) and the payload ships the compressed row list —
-    O(nnz) bytes regardless of ``nrows``, which can exceed 2^32."""
-    if d.type.is_udt:
-        raise InvalidObjectError(
-            "user-defined types serialize only within one process image; "
-            "register a cast or use import/export for portability"
-        )
-    vals, flags = _encode_values(d.type, d.values)
-    header = {
-        "type": d.type.name,
-        "nrows": d.nrows,
-        "ncols": d.ncols,
-        "nvals": d.nvals,
-        "nrr": len(d.row_ids),
-        "values_len": len(vals),
-    }
-    arrays = [
-        np.ascontiguousarray(d.row_ids).tobytes(),
-        np.ascontiguousarray(d.indptr).tobytes(),
-        np.ascontiguousarray(d.col_indices).tobytes(),
-        vals,
-    ]
-    return _pack(_KIND_DCSR_MATRIX, header, arrays, flags)
+    if d.row_ids is None:
+        kind = _KIND_MATRIX
+        header["indptr_len"] = len(d.indptr)
+    else:
+        kind = _KIND_DCSR_MATRIX
+        header["nrr"] = len(d.row_ids)
+        arrays.insert(0, np.ascontiguousarray(d.row_ids).tobytes())
+    header["values_len"] = len(vals)
+    return _pack(kind, header, arrays, flags)
 
 
 def matrix_serialize_size(A: Matrix) -> int:
     """``GrB_Matrix_serializeSize`` — bytes needed for the blob."""
-    return len(_matrix_blob(A))
+    return len(_mat_data_blob(A._capture()))
 
 
 def matrix_serialize(A: Matrix, buf: bytearray | None = None) -> bytes:
     """``GrB_Matrix_serialize`` — into ``buf`` or a fresh bytes object."""
-    blob = _matrix_blob(A)
+    blob = _mat_data_blob(A._capture())
     if buf is None:
         return blob
     if len(buf) < len(blob):
@@ -222,62 +193,41 @@ def matrix_serialize(A: Matrix, buf: bytearray | None = None) -> bytes:
 
 def matrix_deserialize(data: bytes, ctx: Context | None = None) -> Matrix:
     """``GrB_Matrix_deserialize`` — reconstruct a matrix from a blob."""
-    return Matrix.from_data(_mat_like_from(data), ctx)
-
-
-def _mat_like_from(data: bytes) -> MatData | DcsrData:
-    """Either matrix section, chosen by the self-identifying kind byte
-    (still covered by the checksum — a flipped kind byte is corruption,
-    not a format switch)."""
-    if len(data) >= _PREFIX.size and \
-            _PREFIX.unpack_from(data, 0)[2] == _KIND_DCSR_MATRIX:
-        return _dcsr_data_from(data)
-    return _mat_data_from(data)
+    return Matrix.from_data(_mat_data_from(data), ctx)
 
 
 def _mat_data_from(data: bytes) -> MatData:
-    header, body, flags = _unpack(data, _KIND_MATRIX)
+    """Either matrix section, chosen by the self-identifying kind byte
+    (still covered by the checksum — a flipped kind byte is corruption,
+    not a format switch)."""
+    row_list = len(data) >= _PREFIX.size and \
+        _PREFIX.unpack_from(data, 0)[2] == _KIND_DCSR_MATRIX
+    header, body, flags = _unpack(
+        data, _KIND_DCSR_MATRIX if row_list else _KIND_MATRIX)
     t = _resolve_type(header)
     nrows = _header_int(header, "nrows")
     ncols = _header_int(header, "ncols")
     nvals = _header_int(header, "nvals")
-    ilen = _header_int(header, "indptr_len")
+    if row_list:
+        nrr = _header_int(header, "nrr")
+        ilen = nrr + 1
+    else:
+        nrr = 0
+        ilen = _header_int(header, "indptr_len")
     vlen = _header_int(header, "values_len")
-    if (ilen + nvals) * 8 + vlen > len(body):
+    if (nrr + ilen + nvals) * 8 + vlen > len(body):
         raise InvalidObjectError("serialized matrix body truncated")
     off = 0
+    row_ids = None
+    if row_list:
+        row_ids = np.frombuffer(body, dtype=np.int64, count=nrr, offset=off).copy()
+        off += nrr * 8
     indptr = np.frombuffer(body, dtype=np.int64, count=ilen, offset=off).copy()
     off += ilen * 8
     cols = np.frombuffer(body, dtype=np.int64, count=nvals, offset=off).copy()
     off += nvals * 8
     values = _decode_values(t, body[off: off + vlen], nvals, flags)
-    data_ = MatData(nrows, ncols, t, indptr, cols, values)
-    try:
-        data_.check()
-    except AssertionError as exc:
-        raise InvalidObjectError(f"deserialized matrix invalid: {exc}") from None
-    return data_
-
-
-def _dcsr_data_from(data: bytes) -> DcsrData:
-    header, body, flags = _unpack(data, _KIND_DCSR_MATRIX)
-    t = _resolve_type(header)
-    nrows = _header_int(header, "nrows")
-    ncols = _header_int(header, "ncols")
-    nvals = _header_int(header, "nvals")
-    nrr = _header_int(header, "nrr")
-    vlen = _header_int(header, "values_len")
-    if (nrr + (nrr + 1) + nvals) * 8 + vlen > len(body):
-        raise InvalidObjectError("serialized matrix body truncated")
-    off = 0
-    row_ids = np.frombuffer(body, dtype=np.int64, count=nrr, offset=off).copy()
-    off += nrr * 8
-    indptr = np.frombuffer(body, dtype=np.int64, count=nrr + 1, offset=off).copy()
-    off += (nrr + 1) * 8
-    cols = np.frombuffer(body, dtype=np.int64, count=nvals, offset=off).copy()
-    off += nvals * 8
-    values = _decode_values(t, body[off: off + vlen], nvals, flags)
-    data_ = DcsrData(nrows, ncols, t, row_ids, indptr, cols, values)
+    data_ = MatData(nrows, ncols, t, indptr, cols, values, row_ids)
     try:
         data_.check()
     except AssertionError as exc:
@@ -354,7 +304,7 @@ def _vec_data_from(data: bytes) -> VecData:
 # Carriers (the durability plane's handle-free entry points)
 # ---------------------------------------------------------------------------
 
-def carrier_serialize(d: MatData | DcsrData | VecData) -> bytes:
+def carrier_serialize(d: MatData | VecData) -> bytes:
     """Serialize a committed carrier directly (no handle, no context).
 
     Same opaque §VII stream as :func:`matrix_serialize` /
@@ -363,8 +313,6 @@ def carrier_serialize(d: MatData | DcsrData | VecData) -> bytes:
     """
     if isinstance(d, MatData):
         return _mat_data_blob(d)
-    if isinstance(d, DcsrData):
-        return _dcsr_data_blob(d)
     if isinstance(d, VecData):
         return _vec_data_blob(d)
     raise InvalidObjectError(
@@ -372,13 +320,13 @@ def carrier_serialize(d: MatData | DcsrData | VecData) -> bytes:
     )
 
 
-def carrier_deserialize(data: bytes) -> MatData | DcsrData | VecData:
+def carrier_deserialize(data: bytes) -> MatData | VecData:
     """Reconstruct a carrier from a §VII stream (kind self-identified)."""
     if len(data) >= _PREFIX.size:
         kind = _PREFIX.unpack_from(data, 0)[2]
         if kind == _KIND_VECTOR:
             return _vec_data_from(data)
-    return _mat_like_from(data)
+    return _mat_data_from(data)
 
 
 def blob_digest(blob: bytes) -> str:

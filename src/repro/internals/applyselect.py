@@ -22,8 +22,7 @@ from ..core.indexunaryop import IndexUnaryOp
 from ..core.types import Type
 from ..core.unaryop import UnaryOp
 from ..faults.plane import maybe_inject
-from .containers import DcsrData, MatData, VecData, mat_from_coo
-from .dispatch import register
+from .containers import MatData, VecData, mat_from_coo
 
 __all__ = [
     "vec_apply_unary",
@@ -55,12 +54,11 @@ def vec_apply_unary(u: VecData, op: UnaryOp, out_type: Type) -> VecData:
 
 
 def mat_apply_unary(
-    a: "MatData | DcsrData", op: UnaryOp, out_type: Type
-) -> "MatData | DcsrData":
+    a: MatData, op: UnaryOp, out_type: Type
+) -> MatData:
     maybe_inject("kernel.apply")
     vals = op.vec(op.in_type.coerce_array(a.values))
-    # Value-only rewrite: the structure (and so the storage format) is
-    # preserved whatever the carrier tier.
+    # Value-only rewrite: the structure (row list included) is kept.
     return a.with_values(out_type, out_type.coerce_array(vals))
 
 
@@ -93,15 +91,15 @@ def vec_apply_bind2nd(u: VecData, s: Any, op: BinaryOp, out_type: Type) -> VecDa
 
 
 def mat_apply_bind1st(
-    s: Any, a: "MatData | DcsrData", op: BinaryOp, out_type: Type
-) -> "MatData | DcsrData":
+    s: Any, a: MatData, op: BinaryOp, out_type: Type
+) -> MatData:
     maybe_inject("kernel.apply")
     return a.with_values(out_type, _bind1st(op, s, a.values, out_type))
 
 
 def mat_apply_bind2nd(
-    a: "MatData | DcsrData", s: Any, op: BinaryOp, out_type: Type
-) -> "MatData | DcsrData":
+    a: MatData, s: Any, op: BinaryOp, out_type: Type
+) -> MatData:
     maybe_inject("kernel.apply")
     return a.with_values(out_type, _bind2nd(op, a.values, s, out_type))
 
@@ -134,8 +132,8 @@ def vec_apply_index(
 
 
 def mat_apply_index(
-    a: "MatData | DcsrData", op: IndexUnaryOp, s: Any, out_type: Type
-) -> "MatData | DcsrData":
+    a: MatData, op: IndexUnaryOp, s: Any, out_type: Type
+) -> MatData:
     """C = f(A, ind(A), 2, s) — §VIII-B matrix variant."""
     maybe_inject("kernel.apply")
     rows = a.row_indices()
@@ -154,8 +152,8 @@ def vec_select(u: VecData, op: IndexUnaryOp, s: Any) -> VecData:
 
 
 def mat_select(
-    a: "MatData | DcsrData", op: IndexUnaryOp, s: Any
-) -> "MatData | DcsrData":
+    a: MatData, op: IndexUnaryOp, s: Any
+) -> MatData:
     """C = A⟨f(A, ind(A), 2, s)⟩ — §VIII-C matrix variant."""
     maybe_inject("kernel.select")
     rows = a.row_indices()
@@ -231,14 +229,14 @@ def vec_pipeline(u: VecData, stages: list) -> VecData:
     return VecData(u.size, t, indices, values)
 
 
-def mat_pipeline(a: "MatData | DcsrData", stages: list) -> "MatData | DcsrData":
-    """Run a fused stage list over a matrix carrier (either tier).
+def mat_pipeline(a: MatData, stages: list) -> MatData:
+    """Run a fused stage list over a matrix carrier.
 
     COO row indices are materialized lazily (first coordinate-reading
     stage) and the row pointer is rebuilt only when a filter changed
     the structure — once at the end, or at a transpose boundary.
-    Value-only chains preserve the input carrier's storage format;
-    structure-dirtying chains reassemble through the format policy.
+    Value-only chains keep the input's structure, row list included;
+    structure-dirtying chains reassemble through the hypersparse policy.
     """
     maybe_inject("kernel.pipeline")
     cur = a         # structure donor (carrier whose pointer is current)
@@ -253,7 +251,7 @@ def mat_pipeline(a: "MatData | DcsrData", stages: list) -> "MatData | DcsrData":
             rows = cur.row_indices()
         return rows
 
-    def _finalize() -> "MatData | DcsrData":
+    def _finalize() -> MatData:
         if dirty:
             return mat_from_coo(nrows, ncols, t, rows, cols, values,
                                 presorted=True)
@@ -310,12 +308,3 @@ def run_stages(carrier, stages: list):
     if isinstance(carrier, VecData):
         return vec_pipeline(carrier, stages)
     return mat_pipeline(carrier, stages)
-
-
-# apply/select/pipeline are native on both storage tiers: value-only
-# rewrites preserve the carrier, structural filters reassemble through
-# the format policy.
-register("apply", "csr", "dcsr")(mat_apply_unary)
-register("apply_index", "csr", "dcsr")(mat_apply_index)
-register("select", "csr", "dcsr")(mat_select)
-register("pipeline", "csr", "dcsr")(mat_pipeline)

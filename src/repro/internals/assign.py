@@ -20,15 +20,15 @@ Semantics captured here:
   Z is u's own (sorted) entries or the fill: no membership test, merge
   or sort.
 
-All variants are format-polymorphic: the region rewrite works on the
-COO row stream (``row_indices()``), which both CSR and doubly-
-compressed carriers expose in row-major order, and results re-assemble
-through :func:`~.containers.mat_from_coo` so the density policy picks
-the output format.  Hypersparse graphs therefore survive streaming
-writes without the old ``as_csr`` densify fallback; the one inherently
-dense case left is a GrB_ALL *scalar fill* (the region is every row),
-which raises the documented resource-limit error above the CSR row
-ceiling instead of materializing an O(nrows) index range.
+All variants run on either form of ``MatData``: the region rewrite
+works on the COO row stream (``row_indices()``), which both forms
+expose in row-major order, and results re-assemble through
+:func:`~.containers.mat_from_coo` so the hypersparse policy picks the
+output form.  Hypersparse graphs therefore survive streaming writes
+without a dense row pointer; the one inherently dense case left is a
+GrB_ALL *scalar fill* (the region is every row), which raises the
+documented resource-limit error past ``MAX_NROWS`` instead of
+materializing an O(nrows) index range.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ from ..core.errors import InvalidIndexError
 from ..core.types import Type
 from ..faults.plane import maybe_inject
 from .containers import (
-    DcsrData,
     MatData,
     VecData,
     check_nrows_limit,
     empty_vec,
     mat_from_coo,
 )
-from .dispatch import register
 from .ewise import mat_union, vec_union
 
 __all__ = [
@@ -162,7 +160,7 @@ def vec_assign_scalar(
 # ---------------------------------------------------------------------------
 
 def _mat_region_update(
-    c: "MatData | DcsrData",
+    c: MatData,
     new_rows: np.ndarray,
     new_cols: np.ndarray,
     new_vals: np.ndarray,
@@ -170,7 +168,7 @@ def _mat_region_update(
     col_region: np.ndarray | None,
     accum: BinaryOp | None,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Common tail: overwrite-or-merge the region entries into C."""
     mapped = mat_from_coo(
         c.nrows, c.ncols, out_type, new_rows, new_cols, new_vals
@@ -196,13 +194,13 @@ def _mat_region_update(
 
 
 def mat_assign(
-    c: "MatData | DcsrData",
-    a: "MatData | DcsrData",
+    c: MatData,
+    a: MatData,
     row_indices,
     col_indices,
     accum: BinaryOp | None,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Z for ``C(I,J) = [accum] A``."""
     maybe_inject("kernel.assign")
     ridx = _indices_or_all(row_indices, c.nrows, "row")
@@ -223,13 +221,13 @@ def mat_assign(
 
 
 def mat_assign_scalar(
-    c: "MatData | DcsrData",
+    c: MatData,
     value: Any | None,
     row_indices,
     col_indices,
     accum: BinaryOp | None,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Z for ``C(I,J) = [accum] s`` — the region densifies to |I|·|J|."""
     maybe_inject("kernel.assign")
     ridx = _indices_or_all(row_indices, c.nrows, "row")
@@ -258,13 +256,13 @@ def mat_assign_scalar(
 
 
 def mat_assign_row(
-    c: "MatData | DcsrData",
+    c: MatData,
     u: VecData,
     row: int,
     col_indices,
     accum: BinaryOp | None,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Z for ``C(i, J) = [accum] u`` (``GrB_Row_assign``)."""
     maybe_inject("kernel.assign")
     if not (0 <= row < c.nrows):
@@ -284,13 +282,13 @@ def mat_assign_row(
 
 
 def mat_assign_col(
-    c: "MatData | DcsrData",
+    c: MatData,
     u: VecData,
     row_indices,
     col: int,
     accum: BinaryOp | None,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Z for ``C(I, j) = [accum] u`` (``GrB_Col_assign``)."""
     maybe_inject("kernel.assign")
     if not (0 <= col < c.ncols):
@@ -307,8 +305,3 @@ def mat_assign_col(
         c, new_rows, new_cols, out_type.coerce_array(u.values),
         ridx, np.array([col], dtype=_INT), accum, out_type,
     )
-
-
-# Native on both formats: the region rewrite runs on the COO row
-# stream, which CSR and DCSR carriers expose identically.
-register("assign", "csr", "dcsr")(mat_assign)

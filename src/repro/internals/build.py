@@ -18,8 +18,7 @@ from ..core.binaryop import BinaryOp
 from ..core.errors import DuplicateIndexError, IndexOutOfBoundsError
 from ..core.types import Type
 from ..faults.plane import maybe_inject
-from .containers import DcsrData, MatData, VecData, mat_from_coo, pair_keys
-from .dispatch import register
+from .containers import MatData, VecData, mat_from_coo, pair_keys
 
 __all__ = ["build_vector", "build_matrix", "dedup_sorted"]
 
@@ -122,12 +121,12 @@ def build_matrix(
     cols: Any,
     values: Any,
     dup: BinaryOp | None,
-) -> "MatData | DcsrData":
+) -> MatData:
     """``GrB_Matrix_build`` kernel.
 
-    Output assembly goes through the format policy: hypersparse shapes
-    (huge dimension, few tuples) come out doubly-compressed instead of
-    paying an O(nrows) pointer."""
+    Output assembly goes through the hypersparse policy: huge, sparse
+    shapes come out with a row list instead of paying an O(nrows)
+    pointer."""
     maybe_inject("kernel.build")
     r = np.asarray(rows, dtype=_INT).reshape(-1)
     c = np.asarray(cols, dtype=_INT).reshape(-1)
@@ -153,7 +152,3 @@ def build_matrix(
         r = r[keep]
         c = c[keep]
     return mat_from_coo(nrows, ncols, t, r, c, vals, presorted=True)
-
-
-# build assembles through the format policy — native on both tiers.
-register("build", "csr", "dcsr")(build_matrix)

@@ -48,21 +48,6 @@ OPTIONS: dict[str, tuple] = {
         "blocks (pattern, degrees, degree-oriented wedges, …): a call on "
         "an unchanged graph republishes them instead of rebuilding",
     ),
-    "FORMAT_AUTO": (
-        True,
-        "commit-time policy picks CSR or the doubly-compressed DCSR "
-        "carrier by row count vs occupancy (off: CSR only, rows past "
-        "`MAX_NROWS` raise `GrB_OUT_OF_MEMORY`)",
-    ),
-    "FORMAT_DCSR_MIN_ROWS": (
-        1 << 20,
-        "row count below which the format policy never picks DCSR",
-    ),
-    "FORMAT_DCSR_FACTOR": (
-        16,
-        "at or above the row floor a matrix goes DCSR when `nnz * "
-        "FACTOR < nrows`",
-    ),
     "ENGINE_DELTA": (
         True,
         "batched writes are deltas: memo blocks with a patch rule are "

@@ -8,21 +8,19 @@ makes "capturing" an object for deferred execution a cheap reference
 copy: by convention, a published carrier's arrays are **never mutated**;
 every kernel allocates fresh output arrays.
 
-``MatData`` is canonical CSR with column indices sorted within each row,
-which makes the row-major (row, col) stream globally sorted — the
-property the merge-based eWise kernels and mask membership tests rely
-on.  ``VecData`` stores sorted unique indices plus parallel values.
-
-``DcsrData`` is the *hypersparse* tier: doubly-compressed sparse row
-(CombBLAS-style DCSC transposed), storing only the **nonempty** rows
-(``row_ids``, strictly increasing) with a row pointer compressed to
-``nrr + 1`` entries.  Storage and iteration are O(nnz) — independent of
-``nrows`` — which is what makes a 2^32-row graph with a few thousand
-edges representable.  Both matrix carriers expose the same polymorphic
-surface (``row_indices()``, ``astype``, ``with_values``, ``transpose``,
-``nvals``) so kernels written against the sorted COO row stream work on
-either; :func:`mat_from_coo` assembles whichever format
-:func:`choose_mat_format` picks for the output shape.
+``MatData`` is a row-major matrix with column indices sorted within each
+row, which makes the (row, col) stream globally sorted — the property
+the merge-based eWise kernels and mask membership tests rely on.  Its
+optional ``row_ids`` is the *hypersparse* form: with ``None`` every row
+has an ``indptr`` slot (CSR); otherwise only the listed, nonempty rows
+do (CombBLAS's DCSC by row, SuiteSparse:GraphBLAS's ``h`` list), so
+storage and iteration are O(nnz) whatever ``nrows`` is — which is what
+makes a 2^58-row graph with a few thousand edges representable.  Kernels
+written against ``row_indices()``, :func:`row_gather` and
+:meth:`MatData.nonempty_rows` work on either form, and
+:func:`mat_from_coo` assembles whichever form :func:`use_row_list` picks
+for the output shape.  ``VecData`` stores sorted unique indices plus
+parallel values.
 """
 
 from __future__ import annotations
@@ -33,20 +31,15 @@ from typing import Any
 import numpy as np
 
 from ..core.types import Type
-from . import config
 
 __all__ = [
     "VecData",
     "MatData",
-    "DcsrData",
     "coo_to_csr",
     "coo_to_dcsr",
     "csr_to_coo_rows",
-    "dcsr_from_csr",
     "mat_from_coo",
-    "choose_mat_format",
-    "mat_format",
-    "empty_mat_auto",
+    "use_row_list",
     "row_gather",
     "pair_keys",
     "stable_argsort",
@@ -56,34 +49,51 @@ __all__ = [
     "merge_column",
     "empty_vec",
     "empty_mat",
-    "empty_dcsr",
     "MAX_NROWS",
+    "HYPERSPARSE_MIN_ROWS",
+    "HYPERSPARSE_FACTOR",
     "check_nrows_limit",
 ]
 
 _INT = np.int64
 
-#: Implementation limit on matrix row counts.  The canonical storage is
-#: CSR, whose row pointer is dense in ``nrows`` — the representation the
-#: GraphBLAS C API was designed around, and the reason real
-#: implementations add *hypersparse* formats for 2^60-row matrices.
-#: Exceeding the limit raises ``GrB_OUT_OF_MEMORY`` eagerly (an
-#: implementation-defined resource limit, which the spec permits)
-#: instead of attempting a terabyte allocation.  Column counts and
-#: vector sizes are unlimited up to 2^60 (no dense structure in them).
+#: Implementation limit on a *dense row pointer*: ``nrows + 1`` slots.
+#: A matrix past it always carries a row list, so it exists at any row
+#: count up to 2^60; only the places that must hand out a dense pointer
+#: — Table III CSR/CSC export and a GrB_ALL scalar fill — raise
+#: ``GrB_OUT_OF_MEMORY`` there (an implementation-defined resource
+#: limit, which the spec permits) instead of attempting a terabyte
+#: allocation.  Column counts and vector sizes have no dense structure.
 MAX_NROWS = 1 << 27
+
+#: The hypersparse policy's thresholds (see :func:`use_row_list`).
+HYPERSPARSE_MIN_ROWS = 1 << 20
+HYPERSPARSE_FACTOR = 16
 
 
 def check_nrows_limit(nrows: int) -> None:
-    """Reject row counts whose CSR row pointer cannot be allocated."""
+    """Reject row counts whose dense row pointer cannot be allocated."""
     if nrows > MAX_NROWS:
         from ..core.errors import OutOfMemoryError
 
         raise OutOfMemoryError(
-            f"nrows={nrows} exceeds this implementation's CSR limit "
-            f"({MAX_NROWS}); a hypersparse format would be required "
-            "(column counts are unrestricted)"
+            f"nrows={nrows} exceeds this implementation's dense row "
+            f"pointer limit ({MAX_NROWS}); only the hypersparse form "
+            "(a row list) exists at this size"
         )
+
+
+def use_row_list(nrows: int, nnz: int) -> bool:
+    """Whether a matrix of this shape carries a row list.
+
+    Pure and deterministic, so a journal replay rebuilds byte-identical
+    carriers: a row list when a dense pointer cannot exist
+    (``nrows > MAX_NROWS``), or when it would dominate storage — at
+    least ``HYPERSPARSE_MIN_ROWS`` rows and fewer than one stored entry
+    per ``HYPERSPARSE_FACTOR`` rows.
+    """
+    return nrows > MAX_NROWS or (
+        nrows >= HYPERSPARSE_MIN_ROWS and nnz * HYPERSPARSE_FACTOR < nrows)
 
 
 def _as_index_array(x) -> np.ndarray:
@@ -133,14 +143,22 @@ class VecData:
 
 @dataclass(frozen=True)
 class MatData:
-    """CSR matrix: ``indptr``/``col_indices``/``values``; cols sorted per row."""
+    """Row-major matrix: ``indptr``/``col_indices``/``values``, columns
+    sorted per row, and an optional row list.
+
+    ``row_ids is None``: ``indptr`` has ``nrows + 1`` slots (CSR).
+    Otherwise ``row_ids`` lists the nonempty rows, strictly increasing,
+    and ``indptr`` has ``len(row_ids) + 1`` slots — one per listed row,
+    every one nonempty by invariant.
+    """
 
     nrows: int
     ncols: int
     type: Type
-    indptr: np.ndarray       # int64[nrows+1]
+    indptr: np.ndarray       # int64[slots + 1]
     col_indices: np.ndarray  # int64[nnz]
     values: np.ndarray       # type.np_dtype[nnz]
+    row_ids: np.ndarray | None = None  # int64[slots], or None: slot = row
 
     @property
     def nvals(self) -> int:
@@ -148,7 +166,11 @@ class MatData:
 
     def check(self) -> None:
         assert self.indptr.dtype == _INT and self.col_indices.dtype == _INT
-        assert len(self.indptr) == self.nrows + 1
+        if self.row_ids is None:
+            assert len(self.indptr) == self.nrows + 1
+        else:
+            assert self.row_ids.dtype == _INT
+            assert len(self.indptr) == len(self.row_ids) + 1
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.col_indices)
         assert len(self.col_indices) == len(self.values)
         nnz = len(self.col_indices)
@@ -156,8 +178,15 @@ class MatData:
             # Empty matrix: nothing else to scan.  Skipping the O(nrows)
             # monotonicity diff matters — restore/validate paths check()
             # freshly-created empties of arbitrary dimension.
+            assert self.row_ids is None or len(self.row_ids) == 0
             return
-        assert np.all(np.diff(self.indptr) >= 0)
+        if self.row_ids is None:
+            assert np.all(np.diff(self.indptr) >= 0)
+        else:
+            assert np.all(np.diff(self.indptr) > 0), "empty row listed in row_ids"
+            assert self.row_ids[0] >= 0
+            assert self.row_ids[-1] < self.nrows
+            assert np.all(np.diff(self.row_ids) > 0), "row_ids not strictly sorted"
         assert self.col_indices.min() >= 0
         assert self.col_indices.max() < self.ncols
         if nnz > 1:
@@ -172,139 +201,60 @@ class MatData:
     def astype(self, t: Type) -> "MatData":
         if t == self.type:
             return self
-        return MatData(
-            self.nrows, self.ncols, t,
-            self.indptr, self.col_indices, t.coerce_array(self.values),
-        )
+        return self.with_values(t, t.coerce_array(self.values))
 
     def with_values(self, t: Type, values: np.ndarray) -> "MatData":
         """Same structure, new values (value-only apply fast path)."""
         return MatData(
             self.nrows, self.ncols, t,
-            self.indptr, self.col_indices, values,
-        )
-
-    def row_lengths(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def row_indices(self) -> np.ndarray:
-        """Expand CSR to the parallel row-index array (COO rows)."""
-        return csr_to_coo_rows(self.indptr, self.nrows)
-
-    def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
-
-    def transpose(self) -> "MatData | DcsrData":
-        """Explicit transpose (see :func:`_transpose`)."""
-        return _transpose(self)
-
-    def to_dense(self, fill: Any = None) -> np.ndarray:
-        out = np.full(
-            (self.nrows, self.ncols),
-            self.type.default if fill is None else fill,
-            dtype=self.type.np_dtype,
-        )
-        out[self.row_indices(), self.col_indices] = self.values
-        return out
-
-
-@dataclass(frozen=True)
-class DcsrData:
-    """Doubly-compressed (hypersparse) matrix: only nonempty rows stored.
-
-    ``row_ids`` lists the nonempty rows (strictly increasing) and
-    ``indptr`` is the row pointer *compressed to those rows* (length
-    ``nrr + 1``).  Every stored row is nonempty by invariant, so the
-    (row, col) stream is globally row-major sorted exactly like CSR —
-    all merge/membership kernels written against ``row_indices()`` work
-    unchanged.  Total storage is O(nnz): ``nrows`` is just a bound.
-    """
-
-    nrows: int
-    ncols: int
-    type: Type
-    row_ids: np.ndarray      # int64[nrr], strictly increasing, all nonempty
-    indptr: np.ndarray       # int64[nrr+1], compressed row pointer
-    col_indices: np.ndarray  # int64[nnz]
-    values: np.ndarray       # type.np_dtype[nnz]
-
-    @property
-    def nvals(self) -> int:
-        return len(self.col_indices)
-
-    @property
-    def nrr(self) -> int:
-        """Number of nonempty rows (CombBLAS calls this nzr)."""
-        return len(self.row_ids)
-
-    def check(self) -> None:
-        assert self.row_ids.dtype == _INT and self.indptr.dtype == _INT
-        assert self.col_indices.dtype == _INT
-        assert len(self.indptr) == len(self.row_ids) + 1
-        assert len(self.col_indices) == len(self.values)
-        nnz = len(self.col_indices)
-        if nnz == 0:
-            assert len(self.row_ids) == 0
-            return
-        assert self.indptr[0] == 0 and self.indptr[-1] == nnz
-        lens = np.diff(self.indptr)
-        assert np.all(lens > 0), "empty row listed in row_ids"
-        assert self.row_ids[0] >= 0
-        assert self.row_ids[-1] < self.nrows
-        assert np.all(np.diff(self.row_ids) > 0), "row_ids not strictly sorted"
-        assert self.col_indices.min() >= 0
-        assert self.col_indices.max() < self.ncols
-        if nnz > 1:
-            ok = np.diff(self.col_indices) > 0
-            starts = self.indptr[1:-1]
-            starts = starts[(starts > 0) & (starts < nnz)]
-            ok[starts - 1] = True
-            assert bool(ok.all()), "columns not strictly sorted within a row"
-
-    def astype(self, t: Type) -> "DcsrData":
-        if t == self.type:
-            return self
-        return DcsrData(
-            self.nrows, self.ncols, t, self.row_ids,
-            self.indptr, self.col_indices, t.coerce_array(self.values),
-        )
-
-    def with_values(self, t: Type, values: np.ndarray) -> "DcsrData":
-        """Same structure, new values (value-only apply fast path)."""
-        return DcsrData(
-            self.nrows, self.ncols, t, self.row_ids,
-            self.indptr, self.col_indices, values,
+            self.indptr, self.col_indices, values, self.row_ids,
         )
 
     def row_indices(self) -> np.ndarray:
-        """COO row stream — O(nnz), never touches ``nrows``."""
+        """The COO row stream — O(nnz) with a row list."""
+        if self.row_ids is None:
+            return csr_to_coo_rows(self.indptr, self.nrows)
         if len(self.row_ids) == 0:
             return np.empty(0, dtype=_INT)
         return np.repeat(self.row_ids, np.diff(self.indptr))
 
-    def row_window(self, i: int) -> tuple[int, int]:
-        """[lo, hi) extent of row ``i`` in the value arrays (empty rows
-        yield an empty window)."""
+    def nonempty_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, bounds)``: the nonempty rows in order, and where
+        their entries lie — row ``rows[k]`` holds entries
+        ``bounds[k]:bounds[k + 1]``.  This is the row-list form's own
+        ``(row_ids, indptr)``."""
+        if self.row_ids is not None:
+            return self.row_ids, self.indptr
+        # on the booleans: ~4x faster than flatnonzero on the int64 lengths
+        rows = np.flatnonzero(np.diff(self.indptr) > 0)
+        return rows, np.concatenate((self.indptr[rows], self.indptr[-1:]))
+
+    def row_slot(self, i: int) -> tuple[int, bool]:
+        """Row ``i``'s ``indptr`` slot, and whether it has one (with a
+        row list an absent row gets the slot it would be inserted at)."""
+        if self.row_ids is None:
+            return i, True
         pos = int(np.searchsorted(self.row_ids, i))
-        if pos >= len(self.row_ids) or self.row_ids[pos] != i:
-            return 0, 0
-        return int(self.indptr[pos]), int(self.indptr[pos + 1])
+        return pos, pos < len(self.row_ids) and self.row_ids[pos] == i
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.row_window(i)
+        """Row ``i``'s columns and values (empty when the row is)."""
+        pos, stored = self.row_slot(i)
+        lo = hi = 0
+        if stored:
+            lo, hi = int(self.indptr[pos]), int(self.indptr[pos + 1])
         return self.col_indices[lo:hi], self.values[lo:hi]
 
-    def transpose(self) -> "MatData | DcsrData":
+    def transpose(self) -> "MatData":
+        """Explicit transpose (see :func:`_transpose`)."""
         return _transpose(self)
 
-    def to_csr(self) -> MatData:
-        """Densify the row pointer (the dispatch layer's fallback path).
-
-        Raises the defined resource-limit error when ``nrows`` exceeds
-        the CSR limit — a hypersparse matrix past that bound has no CSR
-        representation at all.
-        """
+    def to_csr(self) -> "MatData":
+        """The form with a dense row pointer — export's and the commit
+        repack's one expansion.  Raises the defined resource-limit error
+        past ``MAX_NROWS``, where no dense pointer can exist."""
+        if self.row_ids is None:
+            return self
         check_nrows_limit(self.nrows)
         indptr = np.zeros(self.nrows + 1, dtype=_INT)
         if len(self.row_ids):
@@ -315,6 +265,16 @@ class DcsrData:
             indptr, self.col_indices, self.values,
         )
 
+    def to_hypersparse(self) -> "MatData":
+        """The row-list form (the commit repack's compression)."""
+        if self.row_ids is not None:
+            return self
+        rows, bounds = self.nonempty_rows()
+        return MatData(
+            self.nrows, self.ncols, self.type,
+            bounds, self.col_indices, self.values, rows.astype(_INT, copy=False),
+        )
+
     def to_dense(self, fill: Any = None) -> np.ndarray:
         out = np.full(
             (self.nrows, self.ncols),
@@ -325,12 +285,12 @@ class DcsrData:
         return out
 
 
-def _transpose(d: "MatData | DcsrData") -> "MatData | DcsrData":
+def _transpose(d: MatData) -> MatData:
     """Transpose by one stable sort on the column ids: the row-major
     stream is already sorted by row, so ordering it by column alone
-    leaves it sorted by (column, row).  The output format follows the
+    leaves it sorted by (column, row).  The output form follows the
     *transposed* shape: transposing a wide matrix yields a tall one,
-    which may need the hypersparse tier."""
+    which may need a row list."""
     order = stable_argsort(d.col_indices, d.ncols)
     return mat_from_coo(
         d.ncols, d.nrows, d.type,
@@ -362,58 +322,12 @@ def empty_vec(size: int, t: Type) -> VecData:
 
 
 def empty_mat(nrows: int, ncols: int, t: Type) -> MatData:
-    return MatData(
-        nrows, ncols, t,
-        np.zeros(nrows + 1, dtype=_INT),
-        np.empty(0, dtype=_INT),
-        t.empty(0),
-    )
-
-
-def empty_dcsr(nrows: int, ncols: int, t: Type) -> DcsrData:
-    """O(1) empty hypersparse carrier — any ``nrows`` up to 2^60."""
-    return DcsrData(
-        nrows, ncols, t,
-        np.empty(0, dtype=_INT),
-        np.zeros(1, dtype=_INT),
-        np.empty(0, dtype=_INT),
-        t.empty(0),
-    )
-
-
-def mat_format(d: Any) -> str:
-    """``"dcsr"`` | ``"csr"`` — the carrier's storage format tag."""
-    return "dcsr" if isinstance(d, DcsrData) else "csr"
-
-
-def choose_mat_format(nrows: int, nnz: int) -> str:
-    """Format policy for a matrix of the given shape/occupancy.
-
-    Pure and deterministic (same inputs + knobs → same format), so a
-    journal replay rebuilds byte-identical carriers.  DCSR is chosen
-    when CSR physically cannot represent the row count, or when the
-    dense row pointer would dominate storage: ``nrows`` at least
-    ``FORMAT_DCSR_MIN_ROWS`` *and* fewer than one stored entry per
-    ``FORMAT_DCSR_FACTOR`` rows.  ``FORMAT_AUTO=0`` pins everything to
-    CSR (the pre-hypersparse behavior; row counts past ``MAX_NROWS``
-    then raise the documented resource-limit error downstream).
-    """
-    if not config.FORMAT_AUTO:
-        return "csr"
-    if nrows > MAX_NROWS:
-        return "dcsr"
-    if nrows >= config.FORMAT_DCSR_MIN_ROWS \
-            and nnz * config.FORMAT_DCSR_FACTOR < nrows:
-        return "dcsr"
-    return "csr"
-
-
-def empty_mat_auto(nrows: int, ncols: int, t: Type) -> "MatData | DcsrData":
-    """Format-aware empty carrier (``Matrix.new`` / ``clear``)."""
-    if choose_mat_format(nrows, 0) == "dcsr":
-        return empty_dcsr(nrows, ncols, t)
-    check_nrows_limit(nrows)
-    return empty_mat(nrows, ncols, t)
+    """An empty matrix in the form :func:`use_row_list` picks — O(1)
+    with a row list, at any ``nrows`` up to 2^60."""
+    row_ids = np.empty(0, dtype=_INT) if use_row_list(nrows, 0) else None
+    slots = nrows if row_ids is None else 0
+    return MatData(nrows, ncols, t, np.zeros(slots + 1, dtype=_INT),
+                   np.empty(0, dtype=_INT), t.empty(0), row_ids)
 
 
 def csr_to_coo_rows(indptr: np.ndarray, nrows: int) -> np.ndarray:
@@ -422,6 +336,17 @@ def csr_to_coo_rows(indptr: np.ndarray, nrows: int) -> np.ndarray:
         # Empty matrix: skip the O(nrows) repeat/diff entirely.
         return np.empty(0, dtype=_INT)
     return np.repeat(np.arange(nrows, dtype=_INT), np.diff(indptr))
+
+
+def _sorted_coo(rows, cols, values, presorted: bool):
+    rows = _as_index_array(rows)
+    cols = _as_index_array(cols)
+    if not presorted and len(rows) > 1:
+        order = np.lexsort((cols, rows))
+        rows = rows[order]
+        cols = cols[order]
+        values = values[order]
+    return rows, cols, values
 
 
 def coo_to_csr(
@@ -434,20 +359,16 @@ def coo_to_csr(
     *,
     presorted: bool = False,
 ) -> MatData:
-    """Assemble CSR from COO triples with **unique** (row, col) pairs.
+    """Assemble the dense-pointer form from COO triples with **unique**
+    (row, col) pairs.
 
     ``presorted=True`` asserts the triples are already in row-major
     order (sorted by row, then column) and skips the lexsort.
     """
-    rows = _as_index_array(rows)
-    cols = _as_index_array(cols)
-    if not presorted and len(rows) > 1:
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        cols = cols[order]
-        values = values[order]
+    rows, cols, values = _sorted_coo(rows, cols, values, presorted)
     if len(rows) == 0:
-        return empty_mat(nrows, ncols, t)
+        return MatData(nrows, ncols, t, np.zeros(nrows + 1, dtype=_INT),
+                       cols, t.empty(0))
     # One uninitialized nrows+1 buffer instead of zeros + a second
     # bincount temporary: cumsum writes every slot past 0 exactly once.
     indptr = np.empty(nrows + 1, dtype=_INT)
@@ -465,41 +386,24 @@ def coo_to_dcsr(
     values: np.ndarray,
     *,
     presorted: bool = False,
-) -> DcsrData:
-    """Assemble DCSR from COO triples with **unique** (row, col) pairs.
+) -> MatData:
+    """Assemble the row-list form from COO triples with **unique**
+    (row, col) pairs.
 
     O(nnz log nnz) worst case and O(nnz) memory — ``nrows`` is never
-    allocated against, which is the whole point of the format.
+    allocated against, which is the whole point of the form.
     """
-    rows = _as_index_array(rows)
-    cols = _as_index_array(cols)
-    if not presorted and len(rows) > 1:
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        cols = cols[order]
-        values = values[order]
+    rows, cols, values = _sorted_coo(rows, cols, values, presorted)
     if len(rows) == 0:
-        return empty_dcsr(nrows, ncols, t)
+        return MatData(nrows, ncols, t, np.zeros(1, dtype=_INT), cols,
+                       t.empty(0), np.empty(0, dtype=_INT))
     row_ids, counts = np.unique(rows, return_counts=True)
     indptr = np.empty(len(row_ids) + 1, dtype=_INT)
     indptr[0] = 0
     np.cumsum(counts, out=indptr[1:])
-    return DcsrData(
-        nrows, ncols, t, row_ids.astype(_INT, copy=False),
-        indptr, cols, t.coerce_array(values),
-    )
-
-
-def dcsr_from_csr(d: MatData) -> DcsrData:
-    """Compress a CSR carrier's row pointer (commit-time repack)."""
-    lens = np.diff(d.indptr)
-    row_ids = np.flatnonzero(lens).astype(_INT, copy=False)
-    indptr = np.empty(len(row_ids) + 1, dtype=_INT)
-    indptr[0] = 0
-    np.cumsum(lens[row_ids], out=indptr[1:])
-    return DcsrData(
-        d.nrows, d.ncols, d.type, row_ids,
-        indptr, d.col_indices, d.values,
+    return MatData(
+        nrows, ncols, t, indptr, cols, t.coerce_array(values),
+        row_ids.astype(_INT, copy=False),
     )
 
 
@@ -512,44 +416,38 @@ def mat_from_coo(
     values: np.ndarray,
     *,
     presorted: bool = False,
-) -> "MatData | DcsrData":
-    """Assemble whichever matrix format :func:`choose_mat_format` picks.
+) -> MatData:
+    """Assemble whichever form :func:`use_row_list` picks.
 
     This is the kernel layer's output funnel: kernels produce sorted
-    COO streams and let the policy decide the carrier, so a hypersparse
+    COO streams and let the policy decide the form, so a hypersparse
     result never materializes an ``nrows + 1`` pointer even transiently.
     """
-    if choose_mat_format(nrows, len(rows)) == "dcsr":
-        return coo_to_dcsr(
-            nrows, ncols, t, rows, cols, values, presorted=presorted
-        )
-    check_nrows_limit(nrows)
-    return coo_to_csr(
-        nrows, ncols, t, rows, cols, values, presorted=presorted
-    )
+    make = coo_to_dcsr if use_row_list(nrows, len(rows)) else coo_to_csr
+    return make(nrows, ncols, t, rows, cols, values, presorted=presorted)
 
 
-def row_gather(d: "MatData | DcsrData", keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_gather(d: MatData, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-key row extents ``(lo, hi)`` into ``d``'s value arrays.
 
     ``keys`` are arbitrary (possibly repeated, unsorted) row numbers;
-    a missing row yields an empty ``[lo, lo)`` window.  CSR answers by
-    direct row-pointer indexing; DCSR by binary search over the
-    nonempty-row list — O(len(keys) · log nrr), never O(nrows).
+    a missing row yields an empty ``[lo, lo)`` window.  The dense
+    pointer answers by direct indexing; a row list by binary search —
+    O(len(keys) · log nrr), never O(nrows).
     """
     keys = _as_index_array(keys)
-    if isinstance(d, DcsrData):
-        nrr = len(d.row_ids)
-        if nrr == 0:
-            z = np.zeros(len(keys), dtype=_INT)
-            return z, z
-        pos = np.searchsorted(d.row_ids, keys)
-        safe = np.minimum(pos, nrr - 1)
-        hit = d.row_ids[safe] == keys
-        lo = np.where(hit, d.indptr[safe], 0)
-        hi = np.where(hit, d.indptr[safe + 1], 0)
-        return lo, hi
-    return d.indptr[keys], d.indptr[keys + 1]
+    if d.row_ids is None:
+        return d.indptr[keys], d.indptr[keys + 1]
+    nrr = len(d.row_ids)
+    if nrr == 0:
+        z = np.zeros(len(keys), dtype=_INT)
+        return z, z
+    pos = np.searchsorted(d.row_ids, keys)
+    safe = np.minimum(pos, nrr - 1)
+    hit = d.row_ids[safe] == keys
+    lo = np.where(hit, d.indptr[safe], 0)
+    hi = np.where(hit, d.indptr[safe + 1], 0)
+    return lo, hi
 
 
 def insert_value(arr: np.ndarray, pos: int, value: Any, t: Type) -> np.ndarray:

@@ -11,11 +11,11 @@ merge_sorted`: one ``searchsorted``, neither stream re-sorted):
   the GraphBLAS ``eWiseAdd`` definition requires (the "add" op is only
   applied where both are present).
 
-The matrix kernels exploit that a canonical carrier's (row, col)
-stream is globally sorted — true of CSR *and* of the hypersparse DCSR
-tier — reducing matrix eWise to the vector merge over scalar pair-keys;
-the whole family is format-polymorphic via ``carrier.row_indices()``
-and assembles its output through the format policy.
+The matrix kernels exploit that a carrier's (row, col) stream is
+globally sorted — with or without a row list — reducing matrix eWise
+to the vector merge over scalar pair-keys; the whole family reads
+``carrier.row_indices()`` and assembles its output through the
+hypersparse policy.
 
 **Full vector operands.**  A ``VecData`` with ``nvals == size`` stores
 index i at position i (its indices are sorted, unique and in
@@ -34,7 +34,6 @@ from ..core.binaryop import BinaryOp
 from ..core.types import Type
 from ..faults.plane import maybe_inject
 from .containers import (
-    DcsrData,
     MatData,
     VecData,
     mat_from_coo,
@@ -43,7 +42,6 @@ from .containers import (
     merge_sorted,
     pair_keys,
 )
-from .dispatch import register
 
 __all__ = [
     "vec_intersect",
@@ -160,11 +158,11 @@ def _union_full(
 
 
 def mat_intersect(
-    a: "MatData | DcsrData",
-    b: "MatData | DcsrData",
+    a: MatData,
+    b: MatData,
     op: BinaryOp,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """C = A .* B over the structural intersection."""
     maybe_inject("kernel.ewise")
     a_rows = a.row_indices()
@@ -178,11 +176,11 @@ def mat_intersect(
 
 
 def mat_union(
-    a: "MatData | DcsrData",
-    b: "MatData | DcsrData",
+    a: MatData,
+    b: MatData,
     op: BinaryOp,
     out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     """C = A + B over the structural union."""
     maybe_inject("kernel.ewise")
     if a.nvals == 0:
@@ -206,9 +204,3 @@ def mat_union(
             a.values, b.values, pos, hit, from_a, dst_b, op, out_type),
         presorted=True,
     )
-
-
-# eWise merges run over pair keys of the sorted row stream — native on
-# both storage tiers.
-register("ewise_intersect", "csr", "dcsr")(mat_intersect)
-register("ewise_union", "csr", "dcsr")(mat_union)

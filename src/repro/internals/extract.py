@@ -16,8 +16,7 @@ import numpy as np
 
 from ..core.errors import InvalidIndexError
 from ..faults.plane import maybe_inject
-from .containers import DcsrData, MatData, VecData, mat_from_coo, row_gather
-from .dispatch import register
+from .containers import MatData, VecData, mat_from_coo, row_gather
 
 __all__ = ["vec_extract", "mat_extract", "mat_extract_col"]
 
@@ -72,18 +71,18 @@ def vec_extract(u: VecData, indices: np.ndarray | None) -> VecData:
 
 
 def mat_extract(
-    a: "MatData | DcsrData",
+    a: MatData,
     row_indices: np.ndarray | None,
     col_indices: np.ndarray | None,
-) -> "MatData | DcsrData":
+) -> MatData:
     """C = A(I, J) with duplicates allowed in both index lists."""
     maybe_inject("kernel.extract")
     if row_indices is None and col_indices is None:
-        # Fresh carrier sharing arrays, whichever tier A lives in.
+        # Fresh carrier sharing arrays, row list included.
         return a.with_values(a.type, a.values)
 
     # Row phase: gather the selected rows (with repetition), driven by
-    # the per-format row-window gather (missing DCSR rows gather empty).
+    # the row-window gather (rows absent from a row list gather empty).
     if row_indices is None:
         out_nrows = a.nrows
         rows = a.row_indices()
@@ -127,7 +126,7 @@ def mat_extract(
 
 
 def mat_extract_col(
-    a: "MatData | DcsrData", col: int, row_indices: np.ndarray | None
+    a: MatData, col: int, row_indices: np.ndarray | None
 ) -> VecData:
     """w = A(I, j) — one column as a vector (``Col_extract``)."""
     maybe_inject("kernel.extract")
@@ -138,9 +137,3 @@ def mat_extract_col(
     vals = a.values[hit]
     column = VecData(a.nrows, a.type, rows, vals)
     return vec_extract(column, row_indices)
-
-
-# Extraction is native on both storage tiers: row windows come from the
-# polymorphic gather, outputs reassemble through the format policy.
-register("extract", "csr", "dcsr")(mat_extract)
-register("extract_col", "csr", "dcsr")(mat_extract_col)

@@ -12,8 +12,7 @@ import numpy as np
 from ..core.binaryop import BinaryOp
 from ..core.types import Type
 from ..faults.plane import maybe_inject
-from .containers import DcsrData, MatData, empty_mat_auto, mat_from_coo
-from .dispatch import register
+from .containers import MatData, empty_mat, mat_from_coo
 
 __all__ = ["kronecker"]
 
@@ -21,14 +20,14 @@ _INT = np.int64
 
 
 def kronecker(
-    a: "MatData | DcsrData", b: "MatData | DcsrData",
+    a: MatData, b: MatData,
     op: BinaryOp, out_type: Type,
-) -> "MatData | DcsrData":
+) -> MatData:
     maybe_inject("kernel.kron")
     nrows = a.nrows * b.nrows
     ncols = a.ncols * b.ncols
     if a.nvals == 0 or b.nvals == 0:
-        return empty_mat_auto(nrows, ncols, out_type)
+        return empty_mat(nrows, ncols, out_type)
     a_rows = a.row_indices()
     b_rows = b.row_indices()
     na, nb = a.nvals, b.nvals
@@ -45,7 +44,3 @@ def kronecker(
     # CSR row ceiling — assembling through the policy keeps it O(nnz).
     return mat_from_coo(nrows, ncols, out_type, rows, cols,
                         out_type.coerce_array(vals))
-
-
-# The repeat/tile expansion reads only COO streams — native both tiers.
-register("kron", "csr", "dcsr")(kronecker)

@@ -24,14 +24,12 @@ import numpy as np
 from ..core.binaryop import BinaryOp
 from ..core.types import BOOL, Type
 from .containers import (
-    DcsrData,
     MatData,
     VecData,
     in_sorted,
     mat_from_coo,
     pair_keys,
 )
-from .dispatch import register
 from .ewise import mat_union, vec_union
 
 __all__ = [
@@ -87,7 +85,7 @@ def vec_mask_keys(mask: VecData | None, structure: bool) -> np.ndarray | None:
 
 
 def mat_mask_keys(
-    mask: "MatData | DcsrData | None", structure: bool
+    mask: MatData | None, structure: bool
 ) -> np.ndarray | None:
     """Sorted pair-keys where the (uncomplemented) matrix mask is true."""
     if mask is None:
@@ -162,16 +160,16 @@ def vec_write_back(
 
 
 def mat_write_back(
-    c: "MatData | DcsrData",
-    t: "MatData | DcsrData",
+    c: MatData,
+    t: MatData,
     out_type: Type,
-    mask: "MatData | DcsrData | None",
+    mask: MatData | None,
     accum: BinaryOp | None,
     *,
     complement: bool = False,
     structure: bool = False,
     replace: bool = False,
-) -> "MatData | DcsrData":
+) -> MatData:
     """Apply the full ``C⟨M, r⟩ = C ⊙ T`` write-back rule."""
     z = t.astype(out_type) if accum is None else mat_union(
         c.astype(out_type) if c.type != out_type else c, t, accum, out_type
@@ -201,8 +199,3 @@ def mat_write_back(
             presorted = False
     return mat_from_coo(c.nrows, c.ncols, out_type, new_rows, new_cols,
                         new_vals, presorted=presorted)
-
-
-# Write-back merges run over the sorted COO streams of both carriers —
-# native on both storage tiers.
-register("mask_write_back", "csr", "dcsr")(mat_write_back)

@@ -59,13 +59,13 @@ Every choice here is a pure function of the call's inputs (stream
 length, key space, monoid, dtype): no option or learned state picks a
 path.
 
-Every kernel here is **format-polymorphic**: inputs may be CSR
-(``MatData``) or hypersparse DCSR (``DcsrData``).  Row streams come
-from ``carrier.row_indices()`` and row-window gathers from
-:func:`~.containers.row_gather` (binary search over the nonempty-row
-list for DCSR — O(nnz log nrr), never O(nrows)), and outputs assemble
-through :func:`~.containers.mat_from_coo`, which picks the output
-format by the committed density policy.
+Every kernel here runs on either form of ``MatData``, with or
+without a row list.  Row streams come from ``carrier.row_indices()``,
+nonempty rows from ``carrier.nonempty_rows()`` and row-window gathers
+from :func:`~.containers.row_gather` (binary search over the row list
+when there is one — O(nnz log nrr), never O(nrows)), and outputs
+assemble through :func:`~.containers.mat_from_coo`, which picks the
+output form by the hypersparse policy.
 """
 
 from __future__ import annotations
@@ -82,10 +82,9 @@ from ..engine.stats import STATS
 from ..faults.plane import armed, maybe_inject
 from ..faults.retry import with_retry
 from .containers import (
-    DcsrData,
     MatData,
     VecData,
-    empty_mat_auto,
+    empty_mat,
     empty_vec,
     in_sorted,
     mat_from_coo,
@@ -93,7 +92,6 @@ from .containers import (
     row_gather,
     stable_argsort,
 )
-from .dispatch import register
 
 __all__ = ["mxm", "mxv", "vxm", "segment_reduce_sorted", "fold_keys",
            "rows_of_keys"]
@@ -133,17 +131,13 @@ def _gather_expand(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _covering_slots(
-    u: VecData, a: "MatData | DcsrData",
+    u: VecData, a: MatData,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``(pos, lens)`` over A's nonempty rows in order — ``pos`` the slot
     of each row in u, ``lens`` its length — or ``None`` when u does not
     store every nonempty row."""
-    lens = np.diff(a.indptr)
-    if isinstance(a, DcsrData):
-        rows = a.row_ids
-    else:
-        rows = np.flatnonzero(lens > 0)  # ~4x faster than on the int64s
-        lens = lens[rows]
+    rows, bounds = a.nonempty_rows()
+    lens = np.diff(bounds)
     if u.nvals < len(rows):
         return None
     if u.nvals == u.size:
@@ -337,31 +331,31 @@ def mxm(
     maybe_inject("kernel.mxm")
     out_type = semiring.out_type
     if a.nvals == 0 or b.nvals == 0:
-        return empty_mat_auto(a.nrows, b.ncols, out_type)
+        return empty_mat(a.nrows, b.ncols, out_type)
     if mask_keys is not None and len(mask_keys) == 0:
         if mask_complement:
             mask_keys = None  # complement of nothing keeps everything
         else:
-            return empty_mat_auto(a.nrows, b.ncols, out_type)
+            return empty_mat(a.nrows, b.ncols, out_type)
 
     ncols = b.ncols
     lo, hi = row_gather(b, a.col_indices)
     counts = (hi - lo).astype(_INT)
-    # Products before each of A's row boundaries (CSR rows or DCSR
-    # nonempty-row slots); cut where a multiple of the block size falls.
-    before = np.concatenate(([0], np.cumsum(counts)))[a.indptr]
+    # A span is a run of A's nonempty rows, which hold the entries
+    # between their `bounds`.  Cut where a multiple of the block size of
+    # products falls.
+    a_nz, bounds = a.nonempty_rows()
+    before = np.concatenate(([0], np.cumsum(counts)))[bounds]
     total = int(before[-1])
     if total == 0:
-        return empty_mat_auto(a.nrows, ncols, out_type)
+        return empty_mat(a.nrows, ncols, out_type)
     cuts = [np.searchsorted(
         before, np.arange(BLOCK_PRODUCTS, total, BLOCK_PRODUCTS),
         side="right") - 1]
     step = SLOT_SPACE // ncols  # rows a masked block may span
     if mask_keys is not None and step:
-        cuts.append(np.flatnonzero(np.diff(a.row_ids // step)) + 1
-                    if isinstance(a, DcsrData)
-                    else np.arange(step, a.nrows, step))
-    cuts = np.unique(np.concatenate([[0], *cuts, [len(a.indptr) - 1]]))
+        cuts.append(np.flatnonzero(np.diff(a_nz // step)) + 1)
+    cuts = np.unique(np.concatenate([[0], *cuts, [len(a_nz)]]))
     spans = [(s0, s1) for s0, s1 in zip(cuts[:-1], cuts[1:])
              if before[s1] > before[s0]]
 
@@ -377,7 +371,7 @@ def mxm(
     tables = table_size = None
     if mask_keys is not None and step:
         s0, s1 = np.array(spans).T
-        rows = a_rows[a.indptr[s1] - 1] - a_rows[a.indptr[s0]] + 1
+        rows = a_nz[s1 - 1] - a_nz[s0] + 1
         table_size = int(rows.max()) * ncols
         if (total + len(mask_keys)) * 64 >= table_size:
             tables = {}
@@ -400,7 +394,7 @@ def mxm(
         return pos
 
     def block(span):
-        e0, e1 = int(a.indptr[span[0]]), int(a.indptr[span[1]])
+        e0, e1 = int(bounds[span[0]]), int(bounds[span[1]])
         r0 = int(a_rows[e0])
         nb = int(a_rows[e1 - 1]) - r0 + 1
         space = nb * ncols
@@ -435,14 +429,14 @@ def mxm(
 
     parts = [p for p in _map_blocks(block, spans, ctx) if p is not None]
     if not parts:
-        return empty_mat_auto(a.nrows, ncols, out_type)
+        return empty_mat(a.nrows, ncols, out_type)
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return mat_from_coo(a.nrows, ncols, out_type, rows, cols, vals,
                         presorted=True)
 
 
 def mxv(
-    a: "MatData | DcsrData",
+    a: MatData,
     u: VecData,
     semiring: Semiring,
     mask_keys: np.ndarray | None = None,
@@ -482,7 +476,7 @@ def mxv(
 
 def vxm(
     u: VecData,
-    a: "MatData | DcsrData",
+    a: MatData,
     semiring: Semiring,
     mask_keys: np.ndarray | None = None,
     mask_complement: bool = False,
@@ -525,10 +519,3 @@ def vxm(
     uniq, folded = fold_keys(out_cols, semiring.add.type.coerce_array(prod),
                              semiring.add, out_type, a.ncols)
     return VecData(a.ncols, out_type, uniq, folded)
-
-
-# The whole mxm family is native on both storage tiers: every access
-# goes through the polymorphic row stream / row-window gather above.
-register("mxm", "csr", "dcsr")(mxm)
-register("mxv", "csr", "dcsr")(mxv)
-register("vxm", "csr", "dcsr")(vxm)

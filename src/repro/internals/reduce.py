@@ -21,8 +21,7 @@ from ..core.binaryop import BinaryOp
 from ..core.monoid import Monoid
 from ..core.types import Type
 from ..faults.plane import maybe_inject
-from .containers import DcsrData, MatData, VecData
-from .dispatch import register
+from .containers import MatData, VecData
 
 __all__ = [
     "mat_reduce_rows",
@@ -34,42 +33,20 @@ __all__ = [
 _INT = np.int64
 
 
-@register("reduce_rows", "csr")
-def _csr_reduce_rows(a: MatData, monoid: Monoid, out_type: Type) -> VecData:
-    """w(i) = ⊕_j A(i,j): fold each CSR row segment (empty rows absent)."""
-    lens = a.row_lengths()
-    nonempty = np.flatnonzero(lens > 0).astype(_INT)
-    if len(nonempty) == 0:
-        return VecData(a.nrows, out_type, nonempty, out_type.empty(0))
-    starts = a.indptr[nonempty]
-    vals = monoid.reduceat(monoid.type.coerce_array(a.values), starts)
-    return VecData(a.nrows, out_type, nonempty, out_type.coerce_array(vals))
-
-
-@register("reduce_rows", "dcsr")
-def _dcsr_reduce_rows(a: DcsrData, monoid: Monoid, out_type: Type) -> VecData:
-    """Native hypersparse row reduction: the nonempty-row list *is* the
-    output index set, and the compressed pointer's leading entries are
-    the reduceat segment starts — O(nnz), no row scan."""
-    if a.nvals == 0:
+def mat_reduce_rows(a: MatData, monoid: Monoid, out_type: Type) -> VecData:
+    """w(i) = ⊕_j A(i,j): fold each nonempty row's segment (empty rows
+    absent) — O(nnz) with a row list, which *is* the output index set."""
+    maybe_inject("kernel.reduce")
+    rows, bounds = a.nonempty_rows()
+    if len(rows) == 0:
         return VecData(a.nrows, out_type, np.empty(0, dtype=_INT),
                        out_type.empty(0))
-    starts = a.indptr[:-1]
-    vals = monoid.reduceat(monoid.type.coerce_array(a.values), starts)
-    return VecData(a.nrows, out_type, a.row_ids, out_type.coerce_array(vals))
+    vals = monoid.reduceat(monoid.type.coerce_array(a.values), bounds[:-1])
+    return VecData(a.nrows, out_type, rows.astype(_INT, copy=False),
+                   out_type.coerce_array(vals))
 
 
-def mat_reduce_rows(
-    a: "MatData | DcsrData", monoid: Monoid, out_type: Type
-) -> VecData:
-    """Format-dispatched w(i) = ⊕_j A(i,j)."""
-    maybe_inject("kernel.reduce")
-    from .dispatch import resolve
-
-    return resolve("reduce_rows", a)(a, monoid, out_type)
-
-
-def mat_reduce_scalar(a: "MatData | DcsrData", monoid: Monoid) -> Any | None:
+def mat_reduce_scalar(a: MatData, monoid: Monoid) -> Any | None:
     """⊕ over all stored values; ``None`` when the matrix is empty."""
     maybe_inject("kernel.reduce")
     if a.nvals == 0:

@@ -187,7 +187,7 @@ def _merge_sorted(
     """Upsert a row-major sorted, unique batch into carrier *d*: base
     entries shift right past the inserts before them, new keys splice
     in, existing keys take the batch's value (last write wins).  Output
-    goes back through :func:`mat_from_coo` so the format policy can
+    goes back through :func:`mat_from_coo` so the hypersparse policy can
     repack."""
     base_rows = d.row_indices()
     slots = merge_slots(d.nvals, *merge_sorted(

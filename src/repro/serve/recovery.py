@@ -173,8 +173,8 @@ def apply_edges(d, rows, cols, vals):
     path and on journal replay, which is what makes a restored replica
     bit-identical to one that never crashed.  Last write wins on
     duplicates (within the delta and against the existing entries).
-    The output format follows the deterministic
-    :func:`~repro.internals.containers.choose_mat_format` policy, so a
+    The output form follows the deterministic
+    :func:`~repro.internals.containers.use_row_list` policy, so a
     hypersparse tenant graph stays hypersparse through replay.
 
     The merge runs through the :mod:`~repro.internals.stream` delta
@@ -189,7 +189,7 @@ def apply_edges(d, rows, cols, vals):
 def _merge_delta(d, delta):
     if delta.n == 0:
         # Replay determinism: an empty batch still re-packs through the
-        # format policy exactly like the pre-delta implementation did.
+        # hypersparse policy exactly like the pre-delta implementation did.
         return mat_from_coo(
             d.nrows, d.ncols, d.type,
             d.row_indices(), d.col_indices, d.values, presorted=True,

@@ -348,15 +348,9 @@ class GraphService:
         if warm and config.get_option("ENGINE_ALGO_MEMO"):
             memo = ctx.result_memo(create=True)
             if memo is not None:
-                # Seed under the *current* format-policy fingerprint:
-                # a block restored across a knob flip re-enters via the
-                # commit gate on first hit and repacks to this policy.
-                from ..algorithms._blocks import _format_fingerprint
-
-                fp = _format_fingerprint()
                 for (_, kind, params), (block, cost_ms) in warm:
                     memo.store(
-                        ("algo", kind, (uid, version), params, fp),
+                        ("algo", kind, (uid, version), params),
                         block, deps=(uid,), cost_ms=cost_ms,
                     )
         return mat
@@ -546,10 +540,10 @@ class GraphService:
             if memo is None:
                 continue
             for key, carrier, cost_ms in memo.entries():
-                if not (isinstance(key, tuple) and len(key) == 5
+                if not (isinstance(key, tuple) and len(key) == 4
                         and key[0] == "algo"):
                     continue
-                _, kind, vkey, params, _fp = key
+                _, kind, vkey, params = key
                 if isinstance(kind, str) and kind.startswith("warm:"):
                     # Warm fixpoint payloads are (value, meta) tuples,
                     # not §VII carrier streams — rebuilt, not restored.

@@ -8,12 +8,13 @@ graph's ``(uid, version)`` to the digest of its serialized carrier
 before any block lookup), and derives the on-disk key as::
 
     blake2b(json([graph digest, block kind, params,
-                  format-policy fingerprint, serialization version]))
+                  serialization version]))
 
 Every ingredient that could change the cached bytes' meaning is in the
-key: a mutated graph gets a new digest, a flipped format-policy knob a
-new fingerprint, a serialization bump a new version — all of which
-turn stale entries into clean misses instead of wrong answers.
+key: a mutated graph gets a new digest, a serialization bump a new
+version — both of which turn stale entries into clean misses instead
+of wrong answers.  Whether a block carries a row list is not: the
+commit gate re-derives it when a loaded block is republished.
 
 Two deliberate exclusions keep exactness gates intact:
 
@@ -21,8 +22,8 @@ Two deliberate exclusions keep exactness gates intact:
   ``(payload, meta)`` tuples whose PR-9 ``patched`` flag says "this
   came across a delta"; a fresh process has no delta lineage, so it
   must re-run cold (and does: :func:`store_key` returns ``None``).
-* params/fingerprints that do not round-trip through JSON make the
-  key ``None`` — unkeyable means unpersisted, never misfiled.
+* params that do not round-trip through JSON make the key ``None`` —
+  unkeyable means unpersisted, never misfiled.
 
 Activation is process-wide and config-driven: :func:`active_store`
 opens (and caches) the :class:`~repro.store.store.WarmStore` rooted at
@@ -41,7 +42,7 @@ from ..formats.serialize import (
     carrier_serialize,
 )
 from ..internals import config
-from ..internals.containers import DcsrData, MatData, VecData
+from ..internals.containers import MatData, VecData
 from .store import WarmStore
 
 __all__ = [
@@ -125,9 +126,9 @@ def store_key(key: tuple) -> str | None:
     Only versioned algorithm-block keys with a registered graph digest
     qualify; ``warm:*`` fixpoints and non-JSON params never do.
     """
-    if not (isinstance(key, tuple) and len(key) == 5 and key[0] == "algo"):
+    if not (isinstance(key, tuple) and len(key) == 4 and key[0] == "algo"):
         return None
-    _, kind, vkey, params, fp = key
+    _, kind, vkey, params = key
     if not isinstance(kind, str) or kind.startswith("warm:"):
         return None
     if not (isinstance(vkey, tuple) and len(vkey) == 2):
@@ -137,7 +138,7 @@ def store_key(key: tuple) -> str | None:
         return None
     try:
         canonical = json.dumps(
-            [digest, kind, list(params), list(fp), SERIALIZATION_VERSION],
+            [digest, kind, list(params), SERIALIZATION_VERSION],
             separators=(",", ":"),
         )
     except (TypeError, ValueError):
@@ -167,7 +168,7 @@ def persist(key: tuple, carrier, cost_ms: float = 0.0) -> bool:
     store = active_store()
     if store is None:
         return False
-    if not isinstance(carrier, (MatData, DcsrData, VecData)):
+    if not isinstance(carrier, (MatData, VecData)):
         return False
     khex = store_key(key)
     if khex is None:

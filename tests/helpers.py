@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.core import types as T
 from repro.core.matrix import Matrix
 from repro.core.vector import Vector
+from repro.internals import containers
 
 __all__ = [
     "mat_from_dict",
@@ -17,7 +20,29 @@ __all__ = [
     "assert_vec_equal",
     "random_dict_matrix",
     "random_dict_vector",
+    "force_format",
 ]
+
+
+@contextlib.contextmanager
+def force_format(fmt: str):
+    """Pin the hypersparse policy for a test: ``"dcsr"`` gives every
+    matrix with rows a row list, ``"csr"`` none up to ``MAX_NROWS``
+    (past it a dense pointer cannot exist, so the policy still lists
+    rows).  Patches the policy's module constants; there is no option
+    for it outside tests."""
+    saved = containers.HYPERSPARSE_MIN_ROWS, containers.HYPERSPARSE_FACTOR
+    if fmt == "dcsr":
+        pinned = (0, 0)
+    elif fmt == "csr":
+        pinned = (containers.MAX_NROWS + 1, 0)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    containers.HYPERSPARSE_MIN_ROWS, containers.HYPERSPARSE_FACTOR = pinned
+    try:
+        yield
+    finally:
+        containers.HYPERSPARSE_MIN_ROWS, containers.HYPERSPARSE_FACTOR = saved
 
 
 def mat_from_dict(d: dict, nrows: int, ncols: int, t=T.FP64, ctx=None) -> Matrix:

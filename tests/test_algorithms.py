@@ -181,10 +181,8 @@ class TestTriangles:
     def test_formulations_agree_with_networkx(self, graph, tall, mode, data):
         """Degree-oriented D·Dᵀ, Burkhardt and networkx give one count —
         on tie-heavy graphs with isolated vertices, self loops and
-        weights, over CSR and over a hypersparse 2^40-vertex DCSR."""
+        weights, over CSR and over a hypersparse 2^40-vertex row list."""
         from repro.core.context import Context
-        from repro.internals import config
-        from repro.internals.containers import DcsrData, MatData
 
         nv, edges, weights = graph
         g = nx.Graph()
@@ -199,16 +197,14 @@ class TestTriangles:
         else:
             n, ids = nv, np.arange(nv, dtype=np.int64)
         ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        with config.option("FORMAT_AUTO", True):
-            ctx = Context.new(mode, None, None)
-            A = to_matrix(n, ids[ends[:, 0]], ids[ends[:, 1]],
-                          np.array(weights, dtype=float), T.FP64,
-                          make_undirected=True, ctx=ctx)
-            carrier = A._capture()
-            assert isinstance(carrier, DcsrData if tall else MatData)
-            assert triangle_count(A) == expected
-            assert triangle_count_burkhardt(A) == expected
-            ctx.free()
+        ctx = Context.new(mode, None, None)
+        A = to_matrix(n, ids[ends[:, 0]], ids[ends[:, 1]],
+                      np.array(weights, dtype=float), T.FP64,
+                      make_undirected=True, ctx=ctx)
+        assert (A._capture().row_ids is not None) == tall
+        assert triangle_count(A) == expected
+        assert triangle_count_burkhardt(A) == expected
+        ctx.free()
 
 
 class TestComponents:

@@ -1,25 +1,21 @@
-"""The hypersparse (DCSR) carrier tier: round trips, parity, soundness.
+"""The hypersparse form (a ``MatData`` with a row list): round trips,
+parity, soundness.
 
 Battery structure:
 
-* format round trips — COO↔DCSR↔CSR conversions preserve the value
-  stream and the DCSR invariants at dimensions up to 2^32, with O(nnz)
-  allocation (Hypothesis);
-* dispatch coverage — every registered kernel family declares its
-  native formats (``assign`` included, since the region rewrite went
-  format-polymorphic); the ``as_csr`` escape hatch still counts;
-* kernel parity — every family's DCSR path produces results identical
-  to the CSR oracle, driven through the public ops surface with the
-  format policy forced each way;
-* memo/checkpoint soundness — flipping the format knobs invalidates
-  structurally-keyed algo-memo blocks instead of serving a carrier
-  shaped under the other policy, and a hypersparse graph survives
+* round trips — COO → row list ↔ dense pointer conversions preserve the
+  value stream and the row-list invariants at dimensions up to 2^32,
+  with O(nnz) allocation (Hypothesis);
+* kernel parity — every kernel family gives identical results with and
+  without row lists, driven through the public ops surface with the
+  policy forced each way (``helpers.force_format``);
+* commit/checkpoint soundness — the commit gate adds or drops the row
+  list when the policy says so, and a hypersparse graph survives
   checkpoint/restore byte-identically;
-* a 2^58-row matrix — far past the CSR row limit — driven through the
-  public ops: operators see global row ids, storage stays O(nnz).
+* a 2^58-row matrix — far past the dense row pointer limit — driven
+  through the public ops: operators see global row ids, storage stays
+  O(nnz).
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -41,16 +37,7 @@ from repro.core.indexunaryop import ROWGT, ROWLE, TRIL, VALUEGT
 from repro.core.matrix import Matrix
 from repro.core.unaryop import AINV
 from repro.core.vector import Vector
-from repro.engine.stats import STATS
-from repro.internals import config
-from repro.internals.containers import (
-    DcsrData,
-    MatData,
-    coo_to_csr,
-    coo_to_dcsr,
-    dcsr_from_csr,
-)
-from repro.internals.dispatch import registered_formats
+from repro.internals.containers import coo_to_csr, coo_to_dcsr
 from repro.ops.apply import apply
 from repro.ops.assign import assign
 from repro.ops.ewise import ewise_add, ewise_mult
@@ -61,7 +48,13 @@ from repro.ops.reduce import reduce_scalar, reduce_to_vector
 from repro.ops.select import select
 from repro.ops.transpose import transpose
 
-from .helpers import mat_from_dict, mat_to_dict, random_dict_matrix, vec_from_dict
+from .helpers import (
+    force_format,
+    mat_from_dict,
+    mat_to_dict,
+    random_dict_matrix,
+    vec_from_dict,
+)
 
 HUGE = 1 << 32   # past any dense row pointer; nnz stays <= 10^3
 
@@ -70,22 +63,6 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-
-
-@contextlib.contextmanager
-def force_dcsr():
-    """Make the commit-time policy choose DCSR for every matrix."""
-    with config.option("FORMAT_AUTO", 1), \
-            config.option("FORMAT_DCSR_MIN_ROWS", 0), \
-            config.option("FORMAT_DCSR_FACTOR", 0):
-        yield
-
-
-@contextlib.contextmanager
-def force_csr():
-    """Pin everything to CSR (the pre-hypersparse oracle)."""
-    with config.option("FORMAT_AUTO", 0):
-        yield
 
 
 @st.composite
@@ -136,7 +113,7 @@ class TestRoundTrips:
         vals = np.array(vals)
         csr = coo_to_csr(nrows, ncols, T.FP64, rows, cols, vals)
         dcsr = coo_to_dcsr(nrows, ncols, T.FP64, rows, cols, vals)
-        packed = dcsr_from_csr(csr)
+        packed = csr.to_hypersparse()
         assert packed.row_ids.tolist() == dcsr.row_ids.tolist()
         assert packed.indptr.tolist() == dcsr.indptr.tolist()
         assert packed.col_indices.tolist() == dcsr.col_indices.tolist()
@@ -157,7 +134,7 @@ class TestRoundTrips:
         d = coo_to_dcsr(nrows, ncols, T.FP64, rows, cols, np.array(vals))
         blob = carrier_serialize(d)
         out = carrier_deserialize(blob)
-        assert isinstance(out, DcsrData)
+        assert out.row_ids is not None
         assert (out.nrows, out.ncols, out.nvals) == (nrows, ncols, len(pairs))
         assert out.row_ids.tolist() == d.row_ids.tolist()
         assert out.values.tolist() == d.values.tolist()
@@ -166,97 +143,63 @@ class TestRoundTrips:
 
     def test_thousand_nnz_at_2_32(self):
         """The acceptance shape: 2^32-row matrix, 10^3 entries, full
-        handle-level round trip plus an mxv against a dict oracle.
-
-        ``FORMAT_AUTO`` is pinned on (not assumed): past ``MAX_NROWS``
-        the shape only exists on the DCSR carrier, so the test must
-        hold under the ``REPRO_FORMAT_AUTO=0`` CI ablation too."""
-        with config.option("FORMAT_AUTO", 1):
-            rng = np.random.default_rng(7)
-            rows = np.unique(rng.integers(0, HUGE, 1000, dtype=np.int64))
-            cols = rng.integers(0, HUGE, len(rows), dtype=np.int64)
-            vals = rng.random(len(rows))
-            m = Matrix.new(T.FP64, HUGE, HUGE)
-            m.build(rows, cols, vals)
-            assert m.nvals() == len(rows)
-            assert isinstance(m._capture(), DcsrData)
-            got = m.to_dict()
-            assert got == {(int(i), int(j)): pytest.approx(v)
-                           for i, j, v in zip(rows, cols, vals)}
-            u = Vector.new(T.FP64, HUGE)
-            for j in np.unique(cols)[:50]:
-                u.set_element(2.0, int(j))
-            w = Vector.new(T.FP64, HUGE)
-            mxv(w, None, None, S.PLUS_TIMES_SEMIRING[T.FP64], m, u)
-            keep = np.isin(cols, np.unique(cols)[:50])
-            want = {}
-            for i, v in zip(rows[keep], vals[keep]):
-                want[int(i)] = want.get(int(i), 0.0) + 2.0 * v
-            got_w = w.to_dict()
-            assert set(got_w) == set(want)
-            for k, v in want.items():
-                assert got_w[k] == pytest.approx(v)
+        handle-level round trip plus an mxv against a dict oracle."""
+        rng = np.random.default_rng(7)
+        rows = np.unique(rng.integers(0, HUGE, 1000, dtype=np.int64))
+        cols = rng.integers(0, HUGE, len(rows), dtype=np.int64)
+        vals = rng.random(len(rows))
+        m = Matrix.new(T.FP64, HUGE, HUGE)
+        m.build(rows, cols, vals)
+        assert m.nvals() == len(rows)
+        assert m._capture().row_ids is not None
+        got = m.to_dict()
+        assert got == {(int(i), int(j)): pytest.approx(v)
+                       for i, j, v in zip(rows, cols, vals)}
+        u = Vector.new(T.FP64, HUGE)
+        for j in np.unique(cols)[:50]:
+            u.set_element(2.0, int(j))
+        w = Vector.new(T.FP64, HUGE)
+        mxv(w, None, None, S.PLUS_TIMES_SEMIRING[T.FP64], m, u)
+        keep = np.isin(cols, np.unique(cols)[:50])
+        want = {}
+        for i, v in zip(rows[keep], vals[keep]):
+            want[int(i)] = want.get(int(i), 0.0) + 2.0 * v
+        got_w = w.to_dict()
+        assert set(got_w) == set(want)
+        for k, v in want.items():
+            assert got_w[k] == pytest.approx(v)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch coverage
+# Kernels keep the row list
 # ---------------------------------------------------------------------------
 
 class TestDispatchCoverage:
-    NATIVE_BOTH = (
-        "mxm", "mxv", "vxm",
-        "ewise_intersect", "ewise_union",
-        "apply", "apply_index", "select", "pipeline",
-        "reduce_rows", "build", "mask_write_back",
-        "extract", "extract_col", "kron", "assign",
-    )
-
-    def test_every_family_handles_both_formats(self):
-        for family in self.NATIVE_BOTH:
-            assert registered_formats(family) == ("csr", "dcsr"), family
-
     def test_assign_stays_hypersparse(self):
-        """The region rewrite is native: no densify, output keeps DCSR."""
-        with force_dcsr():
+        """The region rewrite runs on the row stream: the output keeps
+        its row list."""
+        with force_format("dcsr"):
             c = mat_from_dict({(0, 0): 1.0, (2, 1): 2.0}, 4, 4)
-            assert isinstance(c._capture(), DcsrData)
-            before = STATS.snapshot().get("format_densify_fallbacks", 0)
+            assert c._capture().row_ids is not None
             a = mat_from_dict({(0, 0): 9.0}, 2, 2)
             assign(c, None, None, a, [0, 2], [0, 1])
             c.wait()
-            after = STATS.snapshot().get("format_densify_fallbacks", 0)
-            assert after == before
-            assert isinstance(c._capture(), DcsrData)
+            assert c._capture().row_ids is not None
             # (2,1) sits inside the region and A is empty there:
             # unaccumulated assign overwrites the region.
             assert mat_to_dict(c) == {(0, 0): 9.0}
 
-    def test_densify_fallback_is_counted(self):
-        """as_csr remains the audited escape hatch for CSR-only kernels."""
-        from repro.internals.dispatch import as_csr
-
-        d = coo_to_dcsr(
-            4, 4, T.FP64,
-            np.array([0, 2]), np.array([0, 1]), np.array([1.0, 2.0]),
-        )
-        before = STATS.snapshot().get("format_densify_fallbacks", 0)
-        out = as_csr(d, "test_family")
-        after = STATS.snapshot().get("format_densify_fallbacks", 0)
-        assert after == before + 1
-        assert isinstance(out, MatData)
-        assert out.nvals == 2
-
 
 # ---------------------------------------------------------------------------
-# Kernel parity: DCSR path vs the CSR oracle
+# Kernel parity: row lists vs the dense-pointer oracle
 # ---------------------------------------------------------------------------
 
 def _both_formats(run):
     """Run the same op sequence with the policy forced each way and
     compare the results (dicts / scalars)."""
-    with force_csr():
+    with force_format("csr"):
         want = run()
-    with force_dcsr():
+    with force_format("dcsr"):
         got = run()
     assert got == want
     return want
@@ -264,16 +207,16 @@ def _both_formats(run):
 
 class TestKernelParity:
     """Each case builds its inputs and reads its outputs inside the
-    format regime, so every build/commit/kernel runs on that format."""
+    forced policy, so every build/commit/kernel runs on that form."""
 
     A = {(0, 0): 1.0, (0, 3): 2.0, (2, 1): 3.0, (5, 5): 4.0, (5, 0): 5.0}
     B2 = {(0, 1): 1.5, (1, 4): 2.5, (2, 1): -3.0, (4, 4): 1.0, (5, 5): 2.0}
 
     def test_policy_engages(self):
-        with force_dcsr():
-            assert isinstance(mat_from_dict(self.A, 6, 6)._capture(), DcsrData)
-        with force_csr():
-            assert isinstance(mat_from_dict(self.A, 6, 6)._capture(), MatData)
+        with force_format("dcsr"):
+            assert mat_from_dict(self.A, 6, 6)._capture().row_ids is not None
+        with force_format("csr"):
+            assert mat_from_dict(self.A, 6, 6)._capture().row_ids is None
 
     def test_mxm(self):
         def run():
@@ -361,7 +304,7 @@ class TestKernelParity:
     def test_element_ops(self):
         def run():
             m = mat_from_dict(self.A, 6, 6)
-            m.set_element(9.0, 3, 3)    # new row for the DCSR carrier
+            m.set_element(9.0, 3, 3)    # new row for the row list
             m.set_element(-1.0, 0, 0)   # overwrite
             m.remove_element(5, 0)
             m.remove_element(2, 1)      # row becomes empty
@@ -388,61 +331,33 @@ class TestKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# Memo & checkpoint soundness across format-policy flips
+# Commit & checkpoint soundness across policy changes
 # ---------------------------------------------------------------------------
 
 class TestFormatSoundness:
-    def test_algo_memo_key_carries_policy_fingerprint(self):
-        from repro.algorithms._blocks import _format_fingerprint
-
-        base = _format_fingerprint()
-        with force_dcsr():
-            assert _format_fingerprint() != base
-        assert _format_fingerprint() == base
-
-    def test_policy_flip_invalidates_memoized_blocks(self):
-        """A block memoized under one format policy must not be served
-        under another — the key fingerprint forces a rebuild."""
-        from repro.algorithms._blocks import pattern_matrix
-
-        # Pin the block memo, so the REPRO_ENGINE_ALGO_MEMO=0 ablation
-        # row still tests the fingerprint.
-        with config.option("ENGINE_ALGO_MEMO", True):
-            a = mat_from_dict(self.GRAPH, 8, 8)
-            pattern_matrix(a)                       # miss: builds + stores
-            before = STATS.snapshot()
-            pattern_matrix(a)                       # hit under same policy
-            mid = STATS.snapshot()
-            assert mid.get("algo_memo_hits", 0) > \
-                before.get("algo_memo_hits", 0)
-            with force_dcsr():
-                pattern_matrix(a)                   # policy flipped: miss
-                after = STATS.snapshot()
-            assert after.get("algo_memo_misses", 0) > \
-                mid.get("algo_memo_misses", 0)
-
     GRAPH = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0, (3, 3): 1.0}
 
     def test_commit_repacks_format_on_policy_change(self):
-        """The same committed handle migrates CSR→DCSR through the
-        commit gate when a write lands under the flipped policy."""
+        """The same committed handle gains a row list through the commit
+        gate when a write lands under the flipped policy, and drops it
+        again under the default one."""
         m = mat_from_dict(self.GRAPH, 8, 8)
-        assert isinstance(m._capture(), MatData)
-        with force_dcsr():
+        assert m._capture().row_ids is None
+        with force_format("dcsr"):
             m.set_element(5.0, 7, 7)
-            assert isinstance(m._capture(), DcsrData)
+            assert m._capture().row_ids is not None
         m.set_element(6.0, 6, 6)
-        assert isinstance(m._capture(), MatData)
+        assert m._capture().row_ids is None
         assert m.to_dict()[(7, 7)] == 5.0
 
     def test_checkpoint_restore_byte_identical_hypersparse(self, tmp_path):
         """A hypersparse resident graph survives checkpoint + journal
-        replay with a byte-identical carrier (DCSR blobs flow through
-        the §VII stream in both directions)."""
+        replay with a byte-identical carrier (row-list blobs flow
+        through the §VII stream in both directions)."""
         from repro.formats.serialize import carrier_serialize
         from repro.serve import GraphService
 
-        with force_dcsr():
+        with force_format("dcsr"):
             svc = GraphService(checkpoint_dir=str(tmp_path))
             g = mat_from_dict(self.GRAPH, 8, 8)
             svc.register_graph("g", g)
@@ -450,13 +365,13 @@ class TestFormatSoundness:
             svc.checkpoint()
             svc.mutate_graph("g", [0], [7], [9.0])   # journaled post-snapshot
             live = svc._graphs["g"]
-            assert isinstance(live, DcsrData)
+            assert live.row_ids is not None
             live_blob = carrier_serialize(live)
             svc.close()
 
             restored = GraphService.restore(str(tmp_path))
             back = restored._graphs["g"]
-            assert isinstance(back, DcsrData)
+            assert back.row_ids is not None
             assert carrier_serialize(back) == live_blob
             restored.close()
 
@@ -465,7 +380,7 @@ class TestFormatSoundness:
 # A 2^58-row matrix through the public ops
 # ---------------------------------------------------------------------------
 
-TALL = 1 << 58   # far beyond the CSR row limit (the dense row pointer)
+TALL = 1 << 58   # far beyond the dense row pointer limit
 TALL_ENTRIES = {
     (0, 0): 1.0,
     (5, 2): 2.0,
@@ -481,13 +396,6 @@ class TestTallMatrix:
 
     SR = S.PLUS_TIMES_SEMIRING[T.FP64]
 
-    @pytest.fixture(autouse=True)
-    def _format_auto_on(self):
-        # The shape only exists on the DCSR carrier, so the policy is
-        # pinned on (the suite also runs under REPRO_FORMAT_AUTO=0).
-        with config.option("FORMAT_AUTO", 1):
-            yield
-
     @staticmethod
     def _tall() -> Matrix:
         return mat_from_dict(TALL_ENTRIES, TALL, 4)
@@ -497,7 +405,6 @@ class TestTallMatrix:
         assert (m.nrows, m.ncols) == (TALL, 4)
         assert m.nvals() == len(TALL_ENTRIES)
         carrier = m._capture()
-        assert isinstance(carrier, DcsrData)
         assert len(carrier.row_ids) == 4    # two entries share row TALL-1
         assert m.to_dict() == TALL_ENTRIES
 
@@ -547,7 +454,7 @@ class TestTallMatrix:
         assert c.to_dict() == {
             (0, 0): 10.0, (TALL // 2, 1): 60.0, (TALL - 1, 0): 40.0,
         }
-        assert isinstance(c._capture(), DcsrData)
+        assert c._capture().row_ids is not None
 
     def test_mxm_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
@@ -615,7 +522,7 @@ class TestTallMatrix:
             {(j, i): v for (i, j), v in TALL_ENTRIES.items()}
 
     def test_agrees_with_csr_when_small(self):
-        """The same 30 x 6 product on each carrier, random entries."""
+        """The same 30 x 6 product in each form, random entries."""
         rng = np.random.default_rng(3)
         d = {(int(i), int(j)): float(rng.integers(1, 9))
              for i in rng.integers(0, 30, 12)

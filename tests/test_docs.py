@@ -198,7 +198,7 @@ class TestOptionAndCounterRegistries:
         matrix = matrix[:matrix.index("    steps:")]
         rows = re.findall(
             r'- \{ name: ([\w-]+), env: (\w+), value: "(\w+)" \}', matrix)
-        assert len(rows) == matrix.count("- {") >= 6
+        assert len(rows) == matrix.count("- {") >= 5
         for name, env, value in rows:
             assert env.startswith("REPRO_"), (name, env)
             default = OPTIONS[env[len("REPRO_"):]][0]

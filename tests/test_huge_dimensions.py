@@ -169,29 +169,36 @@ class TestHugeVectors:
 
 
 class TestRowLimit:
-    def test_exceeding_nrows_is_defined_out_of_memory(self):
-        """With the hypersparse tier disabled (``FORMAT_AUTO=0``), a row
-        count past the CSR pointer limit is still the defined
-        ``GrB_OUT_OF_MEMORY`` — never a MemoryError crash."""
-        from repro.internals import config
-
-        with config.option("FORMAT_AUTO", 0):
-            with pytest.raises(OutOfMemoryError) as ei:
-                Matrix.new(T.FP64, MAX_NROWS + 1, 4)
-        assert "hypersparse" in str(ei.value)
-
     def test_exceeding_nrows_defaults_to_hypersparse(self):
-        """With ``FORMAT_AUTO`` on (the default — pinned here so the
-        ``FORMAT_AUTO=0`` CI ablation doesn't flip it), the same shape
-        simply constructs on the DCSR carrier — O(nnz) memory, no
-        limit."""
-        from repro.internals import config
+        """Past the dense row pointer limit a matrix simply constructs
+        with a row list — O(nnz) memory, no limit."""
+        m = Matrix.new(T.FP64, MAX_NROWS + 1, 4)
+        m.set_element(1.5, MAX_NROWS, 3)
+        assert m.nvals() == 1
+        assert m.extract_element(MAX_NROWS, 3) == 1.5
 
-        with config.option("FORMAT_AUTO", 1):
-            m = Matrix.new(T.FP64, MAX_NROWS + 1, 4)
-            m.set_element(1.5, MAX_NROWS, 3)
-            assert m.nvals() == 1
-            assert m.extract_element(MAX_NROWS, 3) == 1.5
+    def test_dense_row_pointer_demands_are_out_of_memory(self):
+        """What needs a dense row pointer past the limit — Table III
+        CSR/CSC export and a GrB_ALL scalar fill — is the defined
+        ``GrB_OUT_OF_MEMORY``, never a ``MemoryError`` crash."""
+        from repro.formats import Format, matrix_export
+        from repro.ops.assign import assign
+
+        n = 1 << 40
+
+        def two_entries():
+            m = Matrix.new(T.FP64, n, n)
+            m.build([0, n - 1], [n - 1, 0], [1.0, 2.0])
+            return m
+
+        for fmt in (Format.CSR_MATRIX, Format.CSC_MATRIX):
+            with pytest.raises(OutOfMemoryError) as ei:
+                matrix_export(two_entries(), fmt)
+            assert "row list" in str(ei.value)
+        m = two_entries()
+        with pytest.raises(OutOfMemoryError):
+            assign(m, None, None, 3.0, None, None)
+            m.nvals()
 
     def test_limit_is_generous_for_real_graphs(self):
         assert MAX_NROWS >= 100_000_000

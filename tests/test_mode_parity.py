@@ -342,7 +342,7 @@ class TestModeParityProperties:
 
 from repro.core.scalar import Scalar  # noqa: E402
 
-from .test_dcsr import force_csr, force_dcsr  # noqa: E402
+from .helpers import force_format  # noqa: E402
 
 _W = 6
 
@@ -430,11 +430,11 @@ class TestPendingTupleParity:
     @settings(max_examples=40, deadline=None)
     @given(ops=_write_chain)
     def test_matrix_csr(self, ops):
-        with force_csr():
+        with force_format("csr"):
             _write_parity(ops, matrix=True)
 
     @settings(max_examples=40, deadline=None)
     @given(ops=_write_chain)
     def test_matrix_dcsr(self, ops):
-        with force_dcsr():
+        with force_format("dcsr"):
             _write_parity(ops, matrix=True)

@@ -5,7 +5,7 @@ The memo's contract (:mod:`repro.engine.memo`): a building block of an
 cached carrier through the transactional commit gate instead of
 re-running its kernels — and it must be impossible to observe the
 difference except in the counters.  This battery checks, over blocks
-keyed ``("algo", kind, (uid, version), params, fingerprint)``:
+keyed ``("algo", kind, (uid, version), params)``:
 
 * hit / miss / store counters and the single-kernel guarantee;
 * eager invalidation on graph writes and entry drop on ``GrB_free``;

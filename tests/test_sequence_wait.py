@@ -19,13 +19,11 @@ from repro.core.semiring import PLUS_TIMES_SEMIRING
 from repro.core.sequence import error_string, wait
 from repro.core.vector import Vector
 from repro.engine.stats import STATS
-from repro.internals.containers import DcsrData, MatData
 from repro.ops.apply import apply
 from repro.ops.assign import assign
 from repro.ops.mxm import mxm
 
-from .helpers import mat_from_dict
-from .test_dcsr import force_csr, force_dcsr
+from .helpers import force_format, mat_from_dict
 
 
 @pytest.fixture
@@ -184,9 +182,6 @@ def _nodes_built(fn) -> int:
     return STATS.snapshot()["nodes_built"] - before
 
 
-_FORMATS = {"csr": (force_csr, MatData), "dcsr": (force_dcsr, DcsrData)}
-
-
 class TestPendingTuples:
     def test_k_writes_build_one_node(self, nb):
         v = Vector.new(T.INT64, 64, nb)
@@ -231,8 +226,7 @@ class TestPendingTuples:
 
     @pytest.mark.parametrize("fmt", ["csr", "dcsr"])
     def test_matrix_run_in_both_formats(self, nb, fmt):
-        pin_format, carrier_cls = _FORMATS[fmt]
-        with pin_format():
+        with force_format(fmt):
             m = Matrix.new(T.FP64, 5, 5, nb)
             m.set_element(1.0, 0, 0)
             m.set_element(2.0, 4, 4)
@@ -252,7 +246,7 @@ class TestPendingTuples:
 
             assert _nodes_built(run) == 1
             assert m.to_dict() == {(2, 1): 9.0, (2, 3): 8.0, (3, 0): 5.0}
-            assert isinstance(m._capture(), carrier_cls)
+            assert (m._capture().row_ids is not None) == (fmt == "dcsr")
             m._capture().check()
 
     def test_bool_domain(self, nb):

@@ -243,13 +243,12 @@ class TestGoldenDcsr:
             carrier_deserialize,
             carrier_serialize,
         )
-        from repro.internals.containers import DcsrData
 
         blob = (pathlib.Path(__file__).parent / self.GOLDEN).read_bytes()
         magic, version, kind, _, _, _ = _PREFIX.unpack_from(blob, 0)
         assert version == 3 and kind == _KIND_DCSR_MATRIX
         d = carrier_deserialize(blob)
-        assert isinstance(d, DcsrData)
+        assert d.row_ids is not None
         assert (d.nrows, d.ncols, d.nvals) == (1 << 40, 16, 6)
         assert d.row_ids.tolist() == [3, 1 << 20, 1 << 35, (1 << 40) - 1]
         assert d.values.tolist() == [1.5, -2.25, 3.0, 0.5, 4.0, -8.125]

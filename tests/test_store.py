@@ -49,13 +49,6 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-#: Format-policy knobs pinned for every test: the store key embeds the
-#: fingerprint, so the battery must not depend on the ambient ablation
-#: row's policy.
-_PINNED_FORMAT = (("FORMAT_AUTO", True),
-                  ("FORMAT_DCSR_MIN_ROWS", 1 << 20),
-                  ("FORMAT_DCSR_FACTOR", 16))
-
 
 @pytest.fixture(autouse=True)
 def store_on(tmp_path):
@@ -65,7 +58,6 @@ def store_on(tmp_path):
     pins = [config.option("ENGINE_ALGO_MEMO", True),
             config.option("STORE_ENABLE", True),
             config.option("STORE_DIR", str(tmp_path / "store"))]
-    pins += [config.option(k, v) for k, v in _PINNED_FORMAT]
     for p in pins:
         p.__enter__()
     STATS.reset()
@@ -199,8 +191,6 @@ _CHILD = """\
 import json
 import numpy as np
 from repro.internals import config
-for k, v in {pins}:
-    config.set_option(k, v)
 config.set_option("STORE_ENABLE", True)
 config.set_option("STORE_DIR", {root!r})
 from repro.algorithms import pagerank
@@ -239,8 +229,7 @@ class TestSecondProcess:
 
         import repro
 
-        script = _CHILD.format(pins=list(_PINNED_FORMAT),
-                               root=str(store_on))
+        script = _CHILD.format(root=str(store_on))
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -249,8 +238,7 @@ class TestSecondProcess:
         # hermetic against the ablation matrix: the child pins via
         # set_option above, but stale env flags must not re-disable
         for stale in ("REPRO_STORE_ENABLE", "REPRO_STORE_DIR",
-                      "REPRO_ENGINE_ALGO_MEMO",
-                      "REPRO_FORMAT_AUTO"):
+                      "REPRO_ENGINE_ALGO_MEMO"):
             env.pop(stale, None)
         out = subprocess.run(
             [sys.executable, "-c", script], env=env,
@@ -271,27 +259,6 @@ class TestSecondProcess:
 
 
 class TestKeys:
-    def test_format_policy_flip_changes_key(self, store_on):
-        ctx = _fresh_ctx()
-        a = _graph(ctx)
-        pagerank(a)
-        from repro.algorithms._blocks import _key
-
-        k_auto = tier.store_key(_key(a, "pattern", ("FP64",)))
-        assert k_auto is not None
-        with config.option("FORMAT_AUTO", False):
-            k_flipped = tier.store_key(_key(a, "pattern", ("FP64",)))
-        assert k_flipped is not None and k_flipped != k_auto
-
-    def test_policy_flip_misses_on_disk(self, store_on):
-        pagerank(_graph(_fresh_ctx()))
-        STATS.reset()
-        with config.option("FORMAT_DCSR_FACTOR", 17):
-            pagerank(_graph(_fresh_ctx()))
-        snap = STATS.snapshot()
-        assert snap["store_hits"] == 0
-        assert snap["store_misses"] >= 2   # probed, keyed differently
-
     def test_warm_fixpoints_never_persist(self, store_on):
         ctx = _fresh_ctx()
         a = _graph(ctx)
@@ -301,8 +268,8 @@ class TestKeys:
         assert tier.store_key(_key(a, "warm:pagerank", ())) is None
 
     def test_unregistered_and_malformed_keys(self, store_on):
-        assert tier.store_key(("algo", "pattern", (10**9, 0), (), ())) is None
-        assert tier.store_key(("op", "mxm", 1, 2, 3)) is None
+        assert tier.store_key(("algo", "pattern", (10**9, 0), ())) is None
+        assert tier.store_key(("op", "mxm", 1, 2)) is None
         assert tier.store_key("not-a-tuple") is None
         ctx = _fresh_ctx()
         a = _graph(ctx)
@@ -310,7 +277,7 @@ class TestKeys:
         with a._lock:
             vkey = (a._uid, a._version)
         # non-JSON params are unkeyable, not misfiled
-        assert tier.store_key(("algo", "x", vkey, (object(),), ())) is None
+        assert tier.store_key(("algo", "x", vkey, (object(),))) is None
 
     def test_digest_tracks_version(self, store_on):
         ctx = _fresh_ctx()

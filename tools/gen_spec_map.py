@@ -81,10 +81,10 @@ The spec rows that are *behaviour*, not symbols, and where each lives:
 | §IV multi-tenant serving on hierarchical contexts | N resident graphs served to sessions on child contexts, each with its own worker share, memo quota, and fault domain | `serve/` (`GraphService`/`Session` zero-copy per-tenant views, `AdmissionController` typed `GrB_INSUFFICIENT_SPACE` load shedding, `serve/batch.py` msbfs/dedup window coalescing, `serve/server.py` asyncio front door); per-tenant rollups in `engine/stats.py::ContextStats`, domain-scoped chaos in `faults/plane.py` |
 | §V query deadlines | an expired query stops cooperatively, surfaces a transient `GrB_TIMEOUT`, and leaves outputs last-materialized | `engine/cancel.py` `CancelToken` checked at every kernel/pass boundary (`engine/scheduler.py`, `engine/fusion.py`); `core/errors.py::TimeoutExpiredError` (`Info.TIMEOUT`), admission slot freed in `serve/server.py` |
 | §V per-tenant circuit breakers | a failure-streaking tenant is shed typed/transient, probed half-open, and auto-restored on recovery | `serve/health.py` (`CircuitBreaker`, `HealthMonitor`, `TenantBreakerOpenError`); outcome recording in `serve/service.py::_record_outcome`, `Context.restore()` on recovery |
-| §II opaque objects: format freedom | the implementation may carry a matrix in any internal format; hypersparse graphs stored O(nnz) | `internals/containers.py` (`DcsrData` doubly-compressed carrier, `choose_mat_format` policy, `FORMAT_AUTO`/`FORMAT_DCSR_*` knobs); `internals/dispatch.py` (kernel family, format) registry with counted `as_csr` densify fallback; `engine/txn.py::commit_format` migration at the `engine/txn.py` commit gate; format-tagged memo keys + `algorithms/_blocks.py` policy fingerprint; `formats/serialize.py` v3 kind-3 DCSR blobs (v2 still read) |
+| §II opaque objects: format freedom | the implementation may carry a matrix in any internal format; hypersparse graphs stored O(nnz) | `internals/containers.py::MatData` (one carrier with an optional `row_ids` row list; `nonempty_rows` and `internals/containers.py::row_gather` read either form), `internals/containers.py::use_row_list` policy on module constants; `engine/txn.py::commit_format` adds or drops the row list at the `engine/txn.py` commit gate; `formats/serialize.py::_mat_data_blob` v3 kind-3 row-list blobs (v2 still read) |
 | §VII checkpoint/journal durability | resident graphs snapshot as opaque versioned blobs; acknowledged mutations journaled before publish; warm restart replays journal-over-snapshot | `serve/recovery.py` (`CheckpointStore`, CRC-framed WAL, digest-keyed §VII blobs via `formats/serialize.py::carrier_serialize`, atomic `MANIFEST.json`); `GraphService.checkpoint()/restore()` with warm algo-memo blocks |
 | §III "optimize" freedom: incremental recomputation | a small write may update derived results from the write set instead of recomputing | `internals/stream.py` `WriteDelta` positional merge (`Matrix.update_batch`, journal-replay parity via `serve/recovery.py::apply_edges`); `engine/memo.py::patch` delta-patched blocks under `algorithms/delta.py` rules with `algorithms/delta.py::should_delta_patch` arbitration; warm-fixpoint pagerank/components/triangles (`algorithms/_blocks.py` `"warm:"` blocks); `GraphService.ingest_edges` buffered batch commit + `Session.view` in-place forward patching; `ENGINE_DELTA` ablation knob |
-| §VII cross-process warm start | serialized state is process-independent: a fresh process (replica, CI run) may serve another process's committed algorithm blocks instead of recomputing them | `store/` content-addressed on-disk tier (`store/store.py` CRC-framed §VII blobs, LRU-by-atime eviction under `STORE_MAX_BYTES`, corrupt-entry quarantine-as-miss; `store/tier.py` `blake2b(graph digest, kind, params, format fingerprint, serialization version)` keys); second-tier probe + store-behind in `engine/memo.py`; attached via `REPRO_STORE_DIR` / `GraphService(store_dir=)` / CLI `--store-dir`; `STORE_ENABLE` ablation knob, `store.read`/`store.write` fault sites |
+| §VII cross-process warm start | serialized state is process-independent: a fresh process (replica, CI run) may serve another process's committed algorithm blocks instead of recomputing them | `store/` content-addressed on-disk tier (`store/store.py` CRC-framed §VII blobs, LRU-by-atime eviction under `STORE_MAX_BYTES`, corrupt-entry quarantine-as-miss; `store/tier.py` `blake2b(graph digest, kind, params, serialization version)` keys); second-tier probe + store-behind in `engine/memo.py`; attached via `REPRO_STORE_DIR` / `GraphService(store_dir=)` / CLI `--store-dir`; `STORE_ENABLE` ablation knob, `store.read`/`store.write` fault sites |
 """
 
 
